@@ -2,13 +2,20 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-chaos test-recovery test-obs test-adaptive test-overload test-telemetry soak-smoke soak bench bench-smoke bench-core bench-shard bench-shard-smoke bench-perturbation bench-perturbation-smoke bench-overload bench-overload-smoke bench-telemetry-smoke bench-telemetry profile examples clean coverage
+.PHONY: install test perf-check test-chaos test-recovery test-obs test-adaptive test-overload test-telemetry soak-smoke soak bench bench-smoke bench-core bench-shard bench-shard-smoke bench-perturbation bench-perturbation-smoke bench-overload bench-overload-smoke bench-telemetry-smoke bench-telemetry profile examples clean coverage
 
 install:
 	pip install -e . || pip install -e . --no-build-isolation
 
-test: test-chaos test-recovery test-obs test-adaptive test-overload test-telemetry soak-smoke bench-shard-smoke
+test: test-chaos test-recovery test-obs test-adaptive test-overload test-telemetry soak-smoke bench-shard-smoke perf-check
 	$(PYTHON) -m pytest tests/
+
+# Benchmark self-check (~15 s): all four perf/ workloads and every
+# correctness check at toy size, traced twin included, then the
+# harness's own tests.  Keeps no numbers (see perf/README.md).
+perf-check:
+	$(PYTHON) perf/run.py --check
+	$(PYTHON) -m pytest perf/tests -q
 
 # Live-socket gate: a small real-UDP mesh on one event loop must deliver
 # the stock workload to >= 99% of nodes with a sane p99 while the

@@ -29,7 +29,8 @@ re-runs local dispatch when gaps close.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.core.batch import BatchControl, build_batch
 from repro.core.buffer import MessageStore
@@ -154,6 +155,10 @@ class GossipEngine:
         self._on_params = on_params
         self._periodic_started = False
         self._stopped = False
+        # MessageIDs of the pulls sent since the last periodic round and
+        # during the one before; a reply still missing two periods on is
+        # taken for lost and its callback dropped.
+        self._pulls_awaiting_reply: Deque[List[str]] = deque(([], []))
         # Messages that arrived before registration completed: the paper's
         # flow is register -> obtain targets -> forward, so fresh messages
         # wait here until the RegisterResponse delivers a peer view.
@@ -1064,6 +1069,7 @@ class GossipEngine:
             # so a later escalation can restart it cleanly.
             self._periodic_started = False
             return
+        self._expire_pull_replies()
         if self.params.style is GossipStyle.ANTI_ENTROPY:
             self._anti_entropy_round()
         elif self.params.style is GossipStyle.FEEDBACK:
@@ -1090,12 +1096,28 @@ class GossipEngine:
             return
         for target in targets:
             self.metrics.counter("gossip.pull-request").inc()
-            self.runtime.send(
-                gossip_address_of(target),
-                PULL_ACTION,
-                value={"activity": self.activity_id, "digest": digest},
-                on_reply=self._on_pull_reply,
-            )
+            self._send_pull(target, digest, self._on_pull_reply)
+
+    def _send_pull(self, target: str, digest: List[str], on_reply) -> None:
+        message_id = self.runtime.send(
+            gossip_address_of(target),
+            PULL_ACTION,
+            value={"activity": self.activity_id, "digest": digest},
+            on_reply=on_reply,
+        )
+        self._pulls_awaiting_reply[-1].append(message_id)
+
+    def _expire_pull_replies(self) -> None:
+        """Drop the reply callbacks of pulls sent two rounds ago.
+
+        A lost pull (or a lost reply) would otherwise pin its callback in
+        the runtime for good; the next round pulls again anyway.
+        """
+        stale = self._pulls_awaiting_reply.popleft()
+        self._pulls_awaiting_reply.append([])
+        for message_id in stale:
+            if self.runtime.cancel_reply(message_id):
+                self.metrics.counter("soap.reply-expired").inc()
 
     def _anti_entropy_round(self) -> None:
         """Reconcile with one random peer, both directions."""
@@ -1113,12 +1135,7 @@ class GossipEngine:
                 "req",
             )
             return
-        self.runtime.send(
-            gossip_address_of(targets[0]),
-            PULL_ACTION,
-            value={"activity": self.activity_id, "digest": self.store.digest()},
-            on_reply=self._on_anti_entropy_reply,
-        )
+        self._send_pull(targets[0], self.store.digest(), self._on_anti_entropy_reply)
 
     def _on_pull_reply(self, reply_context, value) -> None:
         self._ingest_pull_reply(value, serve_wants=False)
@@ -1281,6 +1298,7 @@ class GossipEngine:
         self.register_pending = False
         self._periodic_started = False
         self._stopped = False
+        self._pulls_awaiting_reply = deque(([], []))
         self._recovering = False
         self._catch_up_rounds_left = 0
         self._pending_forwards = []
@@ -1469,12 +1487,7 @@ class GossipEngine:
         )
         digest = self.store.digest()
         for target in targets:
-            self.runtime.send(
-                gossip_address_of(target),
-                PULL_ACTION,
-                value={"activity": self.activity_id, "digest": digest},
-                on_reply=self._on_pull_reply,
-            )
+            self._send_pull(target, digest, self._on_pull_reply)
         before = self.store.seen_count
         self.scheduler.call_after(
             self.params.period, lambda: self._catch_up_check(before)

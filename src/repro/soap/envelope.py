@@ -13,6 +13,14 @@ message that is received, stored and forwarded unchanged never pays a
 second XML encode.  Code that mutates a header *element* in place (rather
 than replacing it) must call :meth:`Envelope.invalidate`; nothing in this
 repository does.
+
+Not every message on the wire was an :class:`Envelope` at its sender: what
+a node *originates* through ``SoapRuntime.send`` is written straight to
+bytes (:func:`repro.soap.runtime.originated_bytes`) unless something needs
+the object model -- a pre-built body element, extra header elements, an
+outbound handler.  Published, forwarded and fault envelopes are built
+here, and every *received* message is parsed into one.  The two writers
+emit identical bytes (docs/WIRE.md, "Serialization contract").
 """
 
 from __future__ import annotations

@@ -108,6 +108,19 @@ class HandlerChain:
         """Remove a handler (ValueError if absent)."""
         self._handlers.remove(handler)
 
+    @property
+    def intercepts_outbound(self) -> bool:
+        """True when some handler overrides ``on_outbound``.
+
+        Such a handler may edit or consume an outgoing envelope, so the
+        runtime has to build one for it; with none in the chain an
+        originated message can be written straight to bytes.
+        """
+        return any(
+            getattr(handler.on_outbound, "__func__", None) is not Handler.on_outbound
+            for handler in self._handlers
+        )
+
     def handlers(self) -> List[Handler]:
         """A copy of the chain, transport end first."""
         return list(self._handlers)

@@ -15,15 +15,22 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from typing import Any, Callable, Dict, Optional, Protocol, Tuple, Union
 
+from repro.obs.hub import current_hub
 from repro.simnet.metrics import MetricsRegistry
 from repro.soap import namespaces as ns
 from repro.soap.envelope import Envelope, EnvelopeError
 from repro.soap.fault import FaultCode, SoapFault
 from repro.soap.handler import Direction, HandlerChain, MessageContext
-from repro.soap.serializer import SerializationError, from_element, to_element
+from repro.soap.serializer import SerializationError, from_element, to_element, to_xml
 from repro.soap.service import Reply, Service
-from repro.wsa.addressing import AddressingHeaders, EndpointReference, new_message_id
-from repro.xmlutil import qname
+from repro.wsa.addressing import (
+    AddressingHeaders,
+    EndpointReference,
+    new_message_id,
+    reference_parameters_xml,
+)
+from repro.xmlutil import canonical_bytes, qname
+from repro.xmlutil.text import PrefixMap, TreeOnly, encode_document
 
 ReplyCallback = Callable[[MessageContext, Any], None]
 
@@ -45,6 +52,41 @@ def _default_tag(action: str) -> str:
     if not sep or not local:
         return qname(ns.WSGOSSIP, action.rpartition(":")[2] or "Message")
     return qname(base, local)
+
+
+def originated_bytes(
+    addressing: AddressingHeaders,
+    reference_parameters: Dict[str, str],
+    body_tag: str,
+    value: Any,
+) -> Optional[bytes]:
+    """Wire bytes of a message this node originates, written directly.
+
+    Byte for byte what a SOAP 1.1 :class:`Envelope` with the destination's
+    reference parameters and ``addressing`` as headers and
+    ``to_element(body_tag, value)`` as body serializes to, without building
+    the tree (docs/WIRE.md, "Serialization contract";
+    tests/soap/test_wire_writer.py holds the two against each other).
+    ``None`` when only ElementTree's serializer reproduces the document
+    (see :class:`PrefixMap`).
+
+    Raises:
+        SerializationError: exactly when ``to_element`` does.
+    """
+    names = PrefixMap()
+    try:
+        soap = names.prefix(ns.SOAP11_ENV)
+        headers = reference_parameters_xml(reference_parameters, names)
+        headers += addressing.to_xml(names)
+        payload = to_xml(body_tag, value, names)
+    except TreeOnly:
+        return None
+    if headers:
+        headers = f"<{soap}:Header>{headers}</{soap}:Header>"
+    return encode_document(
+        f"<{soap}:Envelope{names.declarations()}>{headers}"
+        f"<{soap}:Body>{payload}</{soap}:Body></{soap}:Envelope>"
+    )
 
 
 class SoapRuntime:
@@ -142,26 +184,9 @@ class SoapRuntime:
                 value is the :class:`SoapFault`.
         """
         if isinstance(to, EndpointReference):
-            destination = to.address
-            reference_headers = [
-                self._reference_parameter_header(key, text)
-                for key, text in sorted(to.reference_parameters.items())
-            ]
+            destination, reference_parameters = to.address, to.reference_parameters
         else:
-            destination = to
-            reference_headers = []
-
-        if isinstance(value, ET.Element):
-            body = value  # pre-built XML body (e.g. a CoordinationContext)
-        else:
-            body = to_element(tag or _default_tag(action), value)
-        envelope = Envelope(body=body)
-        for element in reference_headers:
-            envelope.add_header(element)
-        if extra_headers:
-            for element in extra_headers:
-                envelope.add_header(element)
-
+            destination, reference_parameters = to, {}
         message_id = new_message_id()
         addressing = AddressingHeaders(
             to=destination,
@@ -171,10 +196,33 @@ class SoapRuntime:
         )
         if on_reply is not None or reply_to_path is not None:
             addressing.reply_to = self.epr(reply_to_path or "/replies")
+
+        # Serialize first, so a payload that cannot be leaves no callback
+        # behind.  A message nobody needs as an object model is written
+        # straight to bytes; the rest become an envelope for the chain.
+        prebuilt = isinstance(value, ET.Element)  # e.g. a CoordinationContext
+        body_tag = None if prebuilt else tag or _default_tag(action)
+        data = envelope = None
+        if not (prebuilt or extra_headers or self.chain.intercepts_outbound):
+            data = originated_bytes(addressing, reference_parameters, body_tag, value)
+        if data is None:
+            envelope = Envelope(body=value if prebuilt else to_element(body_tag, value))
+            for key, text in sorted(reference_parameters.items()):
+                envelope.add_header(self._reference_parameter_header(key, text))
+            for element in extra_headers or ():
+                envelope.add_header(element)
         if on_reply is not None:
             self._reply_callbacks[message_id] = on_reply
 
-        self._dispatch_outbound(envelope, addressing, destination)
+        if envelope is not None:
+            context = self._run_outbound(envelope, addressing, destination)
+            if context is None:
+                return message_id
+            destination = context.destination
+            data = canonical_bytes(context.envelope.to_element())
+        # Both routes meet here, so each message counts once.
+        current_hub().wire.serialize_count += 1
+        self._transmit(destination, data)
         return message_id
 
     def cancel_reply(self, message_id: str) -> bool:
@@ -238,6 +286,14 @@ class SoapRuntime:
     def _dispatch_outbound(
         self, envelope: Envelope, addressing: AddressingHeaders, destination: str
     ) -> None:
+        context = self._run_outbound(envelope, addressing, destination)
+        if context is not None:
+            self._transmit(context.destination, context.envelope.to_bytes())
+
+    def _run_outbound(
+        self, envelope: Envelope, addressing: AddressingHeaders, destination: str
+    ) -> Optional[MessageContext]:
+        """Run the outbound chain; ``None`` when a handler consumed the message."""
         addressing.apply(envelope)
         context = MessageContext(
             envelope,
@@ -248,12 +304,14 @@ class SoapRuntime:
         )
         if not self.chain.run_outbound(context):
             self.metrics.counter("soap.outbound.consumed").inc()
-            return
+            return None
         # Handlers may have edited addressing; re-apply before serializing.
         context.addressing.apply(context.envelope)
-        data = context.envelope.to_bytes()
+        return context
+
+    def _transmit(self, destination: str, data: bytes) -> None:
         self.metrics.counter("soap.sent").inc()
-        self.transport.send(context.destination, data)
+        self.transport.send(destination, data)
 
     def _reference_parameter_header(self, key: str, text: str) -> ET.Element:
         element = ET.Element(qname(ns.WSGOSSIP, key))
@@ -405,14 +463,18 @@ class SoapRuntime:
     def _path_of(self, to: Optional[str]) -> Optional[str]:
         if to is None:
             return None
-        if not to.startswith(self.base_address):
-            # Addressed to someone else; in a correct deployment the
-            # transport would not have delivered it here.  Dispatch by path
-            # anyway (virtual hosting), matching permissive 2008 stacks.
-            path = "/" + to.rstrip("/").rpartition("/")[2]
-            return path
-        remainder = to[len(self.base_address):]
-        return remainder if remainder.startswith("/") else None
+        if to.startswith(self.base_address):
+            remainder = to[len(self.base_address):]
+            if not remainder:
+                return None
+            if remainder.startswith("/"):
+                return remainder
+        # Addressed to someone else -- which includes an authority that
+        # merely starts with ours (``sim://n10`` seen on ``sim://n1``).  In
+        # a correct deployment the transport would not have delivered it
+        # here.  Dispatch by path anyway (virtual hosting), matching
+        # permissive 2008 stacks.
+        return "/" + to.rstrip("/").rpartition("/")[2]
 
     @staticmethod
     def _body_value(envelope: Envelope) -> Any:

@@ -12,11 +12,12 @@ from __future__ import annotations
 import uuid
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.soap import namespaces as ns
 from repro.soap.envelope import Envelope
 from repro.xmlutil import qname
+from repro.xmlutil.text import PrefixMap, text_element
 
 _TO = qname(ns.WSA, "To")
 _ACTION = qname(ns.WSA, "Action")
@@ -31,6 +32,17 @@ _REFERENCE_PARAMETERS = qname(ns.WSA, "ReferenceParameters")
 def new_message_id() -> str:
     """A fresh ``urn:uuid:`` message identifier."""
     return f"urn:uuid:{uuid.uuid4()}"
+
+
+def reference_parameters_xml(parameters: Dict[str, str], names: PrefixMap) -> str:
+    """Reference parameters as serialized elements, sorted by key."""
+    if not parameters:
+        return ""
+    gossip = names.prefix(ns.WSGOSSIP)
+    return "".join(
+        text_element(f"{gossip}:{key}", value)
+        for key, value in sorted(parameters.items())
+    )
 
 
 @dataclass(frozen=True)
@@ -56,6 +68,16 @@ class EndpointReference:
                 child = ET.SubElement(params, qname(ns.WSGOSSIP, key))
                 child.text = value
         return element
+
+    def to_xml(self, name: str, names: PrefixMap) -> str:
+        """The serialized form of :meth:`to_element`, for the direct writer;
+        ``name`` is the element's resolved ``prefix:local`` name."""
+        wsa = names.prefix(ns.WSA)
+        xml = f"<{name}>" + text_element(f"{wsa}:Address", self.address)
+        if self.reference_parameters:
+            parameters = reference_parameters_xml(self.reference_parameters, names)
+            xml += f"<{wsa}:ReferenceParameters>{parameters}</{wsa}:ReferenceParameters>"
+        return f"{xml}</{name}>"
 
     @classmethod
     def from_element(cls, element: ET.Element) -> "EndpointReference":
@@ -90,31 +112,42 @@ class AddressingHeaders:
     reply_to: Optional[EndpointReference] = None
     from_: Optional[EndpointReference] = None
 
+    def _blocks(self) -> Iterator[Tuple[str, Union[str, EndpointReference]]]:
+        """The MAPs that are set, as ``(tag, value)`` in header order."""
+        for tag, value in (
+            (_TO, self.to),
+            (_ACTION, self.action),
+            (_MESSAGE_ID, self.message_id),
+            (_RELATES_TO, self.relates_to),
+            (_REPLY_TO, self.reply_to),
+            (_FROM, self.from_),
+        ):
+            if value is not None:
+                yield tag, value
+
     def apply(self, envelope: Envelope) -> None:
         """Write these MAPs into the envelope's headers (replacing any
         existing WS-A headers)."""
         for tag in (_TO, _ACTION, _MESSAGE_ID, _RELATES_TO, _REPLY_TO, _FROM):
             envelope.remove_header(tag)
-        if self.to is not None:
-            element = ET.Element(_TO)
-            element.text = self.to
+        for tag, value in self._blocks():
+            if isinstance(value, EndpointReference):
+                element = value.to_element(tag)
+            else:
+                element = ET.Element(tag)
+                element.text = value
             envelope.add_header(element)
-        if self.action is not None:
-            element = ET.Element(_ACTION)
-            element.text = self.action
-            envelope.add_header(element)
-        if self.message_id is not None:
-            element = ET.Element(_MESSAGE_ID)
-            element.text = self.message_id
-            envelope.add_header(element)
-        if self.relates_to is not None:
-            element = ET.Element(_RELATES_TO)
-            element.text = self.relates_to
-            envelope.add_header(element)
-        if self.reply_to is not None:
-            envelope.add_header(self.reply_to.to_element(_REPLY_TO))
-        if self.from_ is not None:
-            envelope.add_header(self.from_.to_element(_FROM))
+
+    def to_xml(self, names: PrefixMap) -> str:
+        """The header blocks :meth:`apply` adds, already serialized."""
+        parts = []
+        for tag, value in self._blocks():
+            name = f"{names.prefix(ns.WSA)}:{tag.rpartition('}')[2]}"
+            if isinstance(value, EndpointReference):
+                parts.append(value.to_xml(name, names))
+            else:
+                parts.append(text_element(name, value))
+        return "".join(parts)
 
     @classmethod
     def extract(cls, envelope: Envelope) -> "AddressingHeaders":

@@ -72,3 +72,20 @@ def test_custom_latency_model_applies():
     group.run_for(5.0)
     times = group.delivery_times(gossip_id)
     assert times and min(times) >= start + 0.5  # at least one slow hop
+
+
+def test_payload_strings_xml_cannot_carry_are_delivered():
+    # Written raw these made every receiver count the rumor as malformed
+    # XML and drop it, while publish() reported success.
+    value = {"note": "nul\x00 bell\x07 esc\x1b", "tail": "\uffff"}
+    group = GossipConfig(n_disseminators=6, seed=2).build()
+    group.setup()
+    gossip_id = group.publish(value)
+    group.run_for(5.0)
+    assert group.delivered_fraction(gossip_id) == 1.0
+    assert group.message_counts().get("soap.malformed", 0) == 0
+    assert all(
+        delivery.value == value
+        for node in group.disseminators
+        for delivery in node.deliveries
+    )

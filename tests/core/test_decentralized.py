@@ -47,6 +47,19 @@ def test_any_node_can_publish():
     assert group.delivered_fraction(second, publisher_index=5) == 1.0
 
 
+@pytest.mark.parametrize("publisher_index", range(14))
+def test_every_publisher_reaches_every_node_past_ten_nodes(publisher_index):
+    # With more than ten nodes the addresses sim://n1 and sim://n10 share
+    # a prefix; a rumor from n10..n13 whose stale To names its origin must
+    # still be dispatched by path on n1, not refused as ".../0/app".
+    group = DecentralizedGroup(n_nodes=14, seed=3)
+    group.setup()
+    gossip_id = group.publish({"from": publisher_index}, publisher_index=publisher_index)
+    group.run_for(10.0)
+    assert group.delivered_fraction(gossip_id, publisher_index=publisher_index) == 1.0
+    assert group.message_counts().get("soap.no-service", 0) == 0
+
+
 def test_delivery_survives_crashes_without_coordinator():
     group = DecentralizedGroup(n_nodes=20, seed=8)
     group.setup()

@@ -125,3 +125,52 @@ def test_stop_halts_periodic_rounds():
     engine.stop()
     scheduler.fire_due(scheduler.now + 10.0)
     assert runtime.metrics.counter("gossip.pull-request").value == 0
+
+
+def test_unanswered_pulls_expire_two_rounds_later():
+    # The peers do not exist, so no pull is ever answered.
+    transport, runtime, scheduler, engine = make_engine(GossipStyle.PULL)
+    engine.view = [f"test://p{index}/app" for index in range(5)]
+    engine._start_periodic_rounds()
+    pending = []
+    for round_index in range(1, 7):
+        scheduler.fire_due(round_index * 1.0)
+        pending.append(runtime.pending_replies)
+    # fanout 2: two rounds' worth stay pending, older ones are dropped.
+    assert pending == [2, 4, 4, 4, 4, 4]
+    assert runtime.metrics.counter("soap.reply-expired").value == 8
+
+
+def test_answered_pulls_are_not_counted_as_expired():
+    transport, runtime, scheduler, engine = make_engine(GossipStyle.PULL, name="a")
+    make_engine(GossipStyle.PULL, transport=transport, name="b")
+    engine.view = ["test://b/app"]
+    engine._start_periodic_rounds()
+    for round_index in range(1, 5):
+        scheduler.fire_due(round_index * 1.0)
+    assert runtime.metrics.counter("gossip.pull-request").value == 4
+    assert runtime.pending_replies == 0
+    assert runtime.metrics.counter("soap.reply-expired").value == 0
+
+
+def test_lossy_push_pull_group_does_not_accumulate_reply_callbacks():
+    from repro.core.api import GossipConfig
+
+    group = GossipConfig(
+        n_disseminators=30,
+        seed=5,
+        loss_rate=0.1,
+        params={"style": "push-pull", "fanout": 3, "rounds": 4, "period": 0.5},
+    ).build()
+    group.setup()
+    group.publish({"symbol": "QIM"})
+
+    def pending() -> int:
+        return sum(node.runtime.pending_replies for node in group.all_nodes())
+
+    group.run_for(40.0 - group.sim.now)
+    at_40 = pending()
+    group.run_for(60.0)
+    one_round_of_pulls = 31 * 3
+    assert pending() <= at_40 + one_round_of_pulls
+    assert group.message_counts()["soap.reply-expired"] > 0

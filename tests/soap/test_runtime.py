@@ -115,6 +115,34 @@ def test_no_service_faults_back(pair):
     assert server.metrics.counter("soap.no-service").value == 1
 
 
+@pytest.mark.parametrize(
+    "stale_to",
+    ["test://server0/svc", "test://server:80010/svc", "test://elsewhere/svc"],
+)
+def test_address_sharing_our_prefix_is_someone_elses(pair, stale_to):
+    # On ``test://server`` a To of ``test://server0/svc`` is not "our
+    # address plus the remainder 0/svc": it names another authority, and
+    # like any foreign To it is dispatched by path (virtual hosting).
+    transport, client, server = pair
+    envelope = Envelope()
+    AddressingHeaders(
+        to=stale_to, action="urn:t/OneWay", message_id="urn:uuid:stale"
+    ).apply(envelope)
+    server.receive(envelope.to_bytes())
+    assert server.metrics.counter("soap.no-service").value == 0
+    assert server.service_at("/svc").last is None
+
+
+def test_bare_base_address_has_no_service(pair):
+    transport, client, server = pair
+    envelope = Envelope()
+    AddressingHeaders(
+        to="test://server", action="urn:t/OneWay", message_id="urn:uuid:bare"
+    ).apply(envelope)
+    server.receive(envelope.to_bytes())
+    assert server.metrics.counter("soap.no-service").value == 1
+
+
 def test_no_operation_faults_back(pair):
     transport, client, server = pair
     out = []

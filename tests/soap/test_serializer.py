@@ -12,10 +12,14 @@ from repro.xmlutil import canonical_bytes, parse_bytes
 
 TAG = "{urn:test}payload"
 
-# Text that survives XML 1.0 (no control chars, no surrogates).
-xml_text = st.text(
+# Any string but lone surrogates is a payload value; strings XML 1.0
+# cannot carry as text (CR, control characters, U+FFFE/U+FFFF) ride as
+# ``str64``.
+any_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=60)
+# Map keys ride in an attribute, so they are limited to what XML can carry.
+key_text = st.text(
     alphabet=st.characters(
-        blacklist_categories=("Cs",), blacklist_characters="\x00\x0b\x0c\x0e\x0f"
+        blacklist_categories=("Cs",), blacklist_characters="\ufffe\uffff"
     ).filter(lambda c: c >= " " or c in "\t\n\r"),
     max_size=60,
 )
@@ -25,10 +29,10 @@ json_like = st.recursive(
     | st.booleans()
     | st.integers(min_value=-(2**62), max_value=2**62)
     | st.floats(allow_nan=False, allow_infinity=False)
-    | xml_text
+    | any_text
     | st.binary(max_size=60),
     lambda children: st.lists(children, max_size=5)
-    | st.dictionaries(xml_text, children, max_size=5),
+    | st.dictionaries(key_text, children, max_size=5),
     max_leaves=25,
 )
 
@@ -93,6 +97,42 @@ def test_non_string_map_key_rejected():
         to_element(TAG, {1: "x"})
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["\x00", "a\x08b", "\x0b", "\x0c", "\x0e", "\x1f", "\ufffe", "\uffff", "cr\rlf"],
+)
+def test_strings_xml_cannot_carry_ride_base64(value):
+    # Written raw, no parser accepts these: every receiver would count the
+    # message as malformed and drop it.
+    assert to_element(TAG, value).get("t") == "str64"
+    assert round_trip(value) == value
+    assert round_trip({"nested": [value]}) == {"nested": [value]}
+
+
+def test_plain_strings_stay_plain():
+    for value in ("", "tab\tnewline\n", "\x7f\x85\u2028", "\U0001f600"):
+        assert to_element(TAG, value).get("t") == "str"
+        assert round_trip(value) == value
+
+
+@pytest.mark.parametrize("value", ["\ud800", "ok\udfffok", ["\ud800"], {"k": "\udc00"}])
+def test_lone_surrogate_rejected_at_the_sender(value):
+    with pytest.raises(SerializationError):
+        to_element(TAG, value)
+
+
+@pytest.mark.parametrize("key", ["\x00", "a\x0bb", "\ufffe", "\ud800"])
+def test_map_key_xml_cannot_carry_rejected(key):
+    # Keys ride in an attribute; there is no base64 detour for them.
+    with pytest.raises(SerializationError):
+        to_element(TAG, {key: 1})
+
+
+def test_map_keys_with_line_breaks_round_trip():
+    value = {"cr\r": 1, "lf\n": 2, "tab\t": 3, 'quote"<&>': 4}
+    assert round_trip(value) == value
+
+
 def test_unknown_type_tag_rejected():
     element = ET.Element(TAG)
     element.set("t", "complex")
@@ -138,6 +178,6 @@ def test_round_trip_property(value):
     assert round_trip(value) == value
 
 
-@given(st.dictionaries(xml_text, st.integers(), max_size=8))
+@given(st.dictionaries(key_text, st.integers(), max_size=8))
 def test_map_preserves_all_keys(value):
     assert round_trip(value) == value
