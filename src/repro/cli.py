@@ -372,10 +372,10 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     )
     from repro.workloads import StockFeed
 
-    # The capacity rule from docs/DEPLOY.md: ~1000 deliveries/s on one
-    # core, each publish costing ~N deliveries.  No --rate derives a
-    # sustainable default from --nodes; an explicit over-budget rate is
-    # honored but flagged.
+    # The capacity rule from docs/DEPLOY.md: SOAK_DELIVERY_BUDGET
+    # deliveries/s on one core, each publish costing ~N deliveries.  No
+    # --rate derives a sustainable default from --nodes; an explicit
+    # over-budget rate is honored but flagged.
     capacity_rate = derive_soak_rate(args.nodes)
     if args.rate is None:
         args.rate = capacity_rate
@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument(
         "--rate", type=float, default=None,
         help="publish rate (ticks/s); default derives from --nodes via "
-             "the ~1000 deliveries/s capacity rule (docs/DEPLOY.md)",
+             "the single-core capacity rule (docs/DEPLOY.md)",
     )
     soak.add_argument("--period", type=float, default=0.5)
     soak.add_argument("--settle", type=float, default=4.0)

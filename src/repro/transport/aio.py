@@ -5,10 +5,10 @@ thread per request, which caps a live mesh at a few dozen nodes.  This
 module runs the same middleware stack over real sockets on **one event
 loop**, so hundreds to thousands of nodes fit in a single process:
 
-* :class:`AioUdpTransport` -- one datagram socket per node; an envelope
-  (or a multi-rumor :class:`~repro.core.batch.GossipBatch` frame up to
-  ``max_batch_bytes``) rides verbatim as one datagram.  Addresses look
-  like ``udp://127.0.0.1:9001/app``.
+* :class:`AioUdpTransport` -- one plain non-blocking datagram socket per
+  node; an envelope (or a multi-rumor :class:`~repro.core.batch.GossipBatch`
+  frame up to ``max_batch_bytes``) rides verbatim as one datagram.
+  Addresses look like ``udp://127.0.0.1:9001/app``.
 * :class:`AioHttpTransport` -- HTTP/1.1 keep-alive client with a
   per-destination connection pool and multiplexed request pipelining
   (many in-flight POSTs share one socket, responses matched in FIFO
@@ -23,17 +23,20 @@ Both transports subclass :class:`~repro.transport.base.ResilientTransport`
 and keep its whole observable contract -- bounded retry with backoff,
 per-destination circuit breakers, structured
 :class:`~repro.transport.base.SendOutcome` listeners, ``inject_fault`` --
-but run the orchestration as a coroutine per logical send instead of
-blocking a worker thread.
+with every send pinned to the loop thread.  A datagram costs no task:
+UDP runs the base class's synchronous path (one ``sendto`` on a socket
+the node owns outright, retries on loop timers) and its outcome fires
+inside ``send()``; HTTP, which must await a response, runs a task per
+attempt.
 
 Sync facade: ``send(address, data)`` stays an ordinary synchronous call.
-From outside the loop it schedules the send coroutine thread-safely; from
-a loop callback (engine timers under :class:`AioScheduler`, inbound
-dispatch) it spawns a task directly.  Existing sync callers --
-``GossipLayer``, ``SoapRuntime``, the role classes -- need no changes.
-When no loop is supplied, a process-wide background loop thread
-(:func:`shared_loop`) hosts everything, so plain scripts and tests can
-use the async transports without writing any ``async def``.
+From a loop callback (engine timers under :class:`AioScheduler`, inbound
+dispatch) it sends directly; from any other thread it is marshalled onto
+the loop.  Existing sync callers -- ``GossipLayer``, ``SoapRuntime``, the
+role classes -- need no changes.  When no loop is supplied, a
+process-wide background loop thread (:func:`shared_loop`) hosts
+everything, so plain scripts and tests can use the async transports
+without writing any ``async def``.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from repro.simnet.metrics import HealthStats
 from repro.soap.runtime import SoapRuntime
 from repro.transport.base import (
     BreakerPolicy,
-    CircuitBreaker,
     ResilientTransport,
     RetryPolicy,
     SendError,
@@ -80,6 +82,21 @@ from repro.transport.edge import (
 
 #: Largest datagram the loopback/UDP path will attempt (IPv4 ceiling).
 MAX_DATAGRAM_BYTES = 65507
+
+#: Most datagrams a UDP node reads per readiness wake-up.  High enough that
+#: one wake-up drains a gossip burst (so the engine's per-instant flush
+#: sees all of it), bounded so that a flooded socket cannot starve the
+#: timers and the other nodes sharing the loop: at tens of microseconds a
+#: datagram, 64 keep one callback to a few milliseconds.  A constant, not a
+#: knob -- it trades nothing a deployment could tune against.
+RECV_SWEEP_DATAGRAMS = 64
+
+#: Where a sweep reads each datagram before copying it out at its real size,
+#: one buffer per loop thread (a sweep never yields, so every node on the
+#: loop can share it).  Measured on the 100-node burst: a ceiling-sized
+#: ``recvfrom`` per datagram fragments the heap (+22% peak RSS), and a
+#: buffer per node keeps 64 KiB resident each (+27%).
+_recv_scratch = threading.local()
 
 _STATUS_REASONS = {
     200: "OK",
@@ -233,16 +250,20 @@ class _NullHandle:
         pass
 
 
-# -- the async resilient send path --------------------------------------------
+# -- the resilient send path on a loop -----------------------------------------
 
 
 class AsyncResilientTransport(ResilientTransport):
-    """Shared asyncio send path: the resilient contract, one task per send.
+    """The resilient contract with every send pinned to one event loop.
 
-    Subclasses implement the coroutine :meth:`_asend_once` (one delivery
-    attempt, raising on failure).  Retry backoff is ``asyncio.sleep`` --
-    no thread blocks -- and breaker state, fault hooks and outcome
-    listeners are exactly the base class's.
+    On the loop thread :meth:`send` runs the base class's synchronous
+    path (breaker gate, fault hook, :meth:`_send_once`, outcome) to
+    completion before it returns -- no task, no coroutine -- and a retry
+    waits on a loop timer.  That fits a binding whose attempt cannot
+    block (a datagram ``sendto``); one that must await the wire
+    overrides :meth:`_send_on_loop` (see :class:`AioHttpTransport`).
+    Breaker state, fault hooks and outcome listeners are exactly the
+    base class's.
     """
 
     def __init__(
@@ -255,46 +276,59 @@ class AsyncResilientTransport(ResilientTransport):
     ) -> None:
         super().__init__(retry=retry, breaker=breaker, rng=rng, stats=stats)
         self.loop = resolve_loop(loop)
-        self._tasks: set = set()
         self._queued = 0
         self._queued_lock = threading.Lock()
+        self._retrying = 0
         self._closed = False
         self.send_errors = 0
 
     # -- the sync facade ------------------------------------------------------
 
     def send(self, address: str, data: bytes) -> None:
-        """Schedule one resilient send on the loop (callable anywhere).
+        """One resilient send on the loop (callable from anywhere).
 
         Misuse (an address without a scheme) raises ``ValueError`` right
-        here, synchronously, matching the base transport; wire failures
-        are reported asynchronously through :class:`SendOutcome`.
+        here, synchronously, matching the base transport.  Called on the
+        loop thread the send -- and, for a binding that cannot block, its
+        :class:`SendOutcome` -- happens before this returns; from any
+        other thread it is marshalled onto the loop.
         """
-        split_address(address)  # validate eagerly: misuse is the caller's bug
+        self._check_address(address)  # eagerly: misuse is the caller's bug
         if self._closed:
             return  # shutting down: drop, exactly like a lost datagram
         if _on_loop(self.loop):
-            self._spawn(address, data)
+            self._send_on_loop(address, data)
         else:
             with self._queued_lock:
                 self._queued += 1
-            self.loop.call_soon_threadsafe(self._spawn_queued, address, data)
+            self.loop.call_soon_threadsafe(self._send_queued, address, data)
 
-    def _spawn_queued(self, address: str, data: bytes) -> None:
+    def _check_address(self, address: str) -> None:
+        split_address(address)
+
+    def _send_queued(self, address: str, data: bytes) -> None:
         with self._queued_lock:
             self._queued -= 1
-        self._spawn(address, data)
+        if not self._closed:
+            self._send_on_loop(address, data)
 
-    def _spawn(self, address: str, data: bytes) -> None:
-        task = self.loop.create_task(self._asend(address, data))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+    def _send_on_loop(self, address: str, data: bytes) -> None:
+        self._start_send(address, data)
+
+    def _defer(self, delay: float, callback: Callable[[], None]) -> None:
+        self._retrying += 1
+        self.loop.call_later(delay, self._run_deferred, callback)
+
+    def _run_deferred(self, callback: Callable[[], None]) -> None:
+        self._retrying -= 1
+        if not self._closed:
+            callback()
 
     @property
     def in_flight(self) -> int:
-        """Logical sends queued or running (0 = idle)."""
+        """Logical sends not yet finished: queued or awaiting a retry (0 = idle)."""
         with self._queued_lock:
-            return self._queued + len(self._tasks)
+            return self._queued + self._retrying
 
     def drain(self, timeout: float = 10.0) -> bool:
         """Block (off-loop) until every scheduled send finished."""
@@ -307,115 +341,26 @@ class AsyncResilientTransport(ResilientTransport):
 
     async def adrain(self) -> None:
         """Await (on-loop) until every scheduled send finished."""
-        while self._tasks or self._queued:
-            pending = list(self._tasks)
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-            else:
-                await asyncio.sleep(0.001)
+        while self.in_flight:
+            await asyncio.sleep(0.001)
 
     def close(self) -> None:
         """Stop accepting sends and release sockets (sync, idempotent)."""
-        if self._closed:
-            return
         self._closed = True
-        if _on_loop(self.loop):
-            self.loop.create_task(self._aclose())
-        elif self.loop.is_running():
+        if _on_loop(self.loop) or not self.loop.is_running():
+            self._release()
+        else:
             try:
-                run_on_loop(self.loop, self._aclose(), timeout=5.0)
+                run_on_loop(self.loop, self.aclose(), timeout=5.0)
             except Exception:
                 pass
 
     async def aclose(self) -> None:
         self._closed = True
-        await self._aclose()
+        self._release()
 
-    async def _aclose(self) -> None:
-        for task in list(self._tasks):
-            task.cancel()
-
-    # -- the coroutine mirror of ResilientTransport._attempt ------------------
-
-    async def _asend(self, address: str, data: bytes) -> None:
-        # One token per *logical* send, stable across its retries: the HTTP
-        # binding sends it as the Idempotency-Key, so a retried POST whose
-        # first attempt actually landed is answered as a replay instead of
-        # ingesting twice.  Distinct sends of the same bytes (gossip
-        # redundancy) get distinct tokens and are never edge-deduped.
-        token = uuid.uuid4().hex
-        breaker = self.breaker_for(address)
-        if breaker is not None:
-            with self._breaker_lock:
-                allowed = breaker.allow(self._clock())
-            if not allowed:
-                self._health_stats.sends_suppressed += 1
-                self._emit(
-                    SendOutcome(address, ok=False, error="circuit-open", attempts=0)
-                )
-                return
-        attempt = 1
-        while True:
-            try:
-                injected = self._fault_hook(address) if self._fault_hook else None
-                if injected is not None:
-                    raise SendError(injected, address)
-                await self._asend_once(address, data, token)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - every failure is an outcome
-                retry_after = getattr(exc, "retry_after", None)
-                if retry_after is not None:
-                    # Receiver-requested backoff (HTTP 429): breaker and
-                    # failure counters are left alone -- the peer is
-                    # alive, just saturated (see ResilientTransport.
-                    # _attempt_failed, the sync twin of this branch).
-                    if attempt <= self._retry.max_retries:
-                        self._overload_stats.retry_after_honored += 1
-                        self._health_stats.retries += 1
-                        await asyncio.sleep(max(0.0, retry_after))
-                        attempt += 1
-                        continue
-                    error = (
-                        exc.reason if isinstance(exc, SendError)
-                        else type(exc).__name__
-                    )
-                    self._emit(
-                        SendOutcome(
-                            address, ok=False, error=error,
-                            attempts=attempt, exception=exc,
-                        )
-                    )
-                    return
-                self._health_stats.send_failures += 1
-                opened = False
-                if breaker is not None:
-                    with self._breaker_lock:
-                        breaker.record_failure(self._clock())
-                        opened = breaker.state != CircuitBreaker.CLOSED
-                if attempt <= self._retry.max_retries and not opened:
-                    self._health_stats.retries += 1
-                    await asyncio.sleep(
-                        self._retry.delay(attempt, self._resilience_rng)
-                    )
-                    attempt += 1
-                    continue
-                error = (
-                    exc.reason if isinstance(exc, SendError) else type(exc).__name__
-                )
-                self._emit(
-                    SendOutcome(
-                        address, ok=False, error=error,
-                        attempts=attempt, exception=exc,
-                    )
-                )
-                return
-            else:
-                if breaker is not None:
-                    with self._breaker_lock:
-                        breaker.record_success()
-                self._emit(SendOutcome(address, ok=True, attempts=attempt))
-                return
+    def _release(self) -> None:
+        """Free sockets and pending work (idempotent; on the loop if it runs)."""
 
     def _emit(self, outcome: SendOutcome) -> None:
         if not outcome.ok:
@@ -424,31 +369,8 @@ class AsyncResilientTransport(ResilientTransport):
             self.send_errors += 1
         super()._emit(outcome)
 
-    async def _asend_once(self, address: str, data: bytes, token: str) -> None:
-        """One delivery attempt; raise on failure.
-
-        ``token`` identifies the logical send (stable across retries);
-        bindings with an idempotent edge forward it, datagram bindings
-        ignore it.
-        """
-        raise NotImplementedError
-
 
 # -- UDP ----------------------------------------------------------------------
-
-
-class _UdpProtocol(asyncio.DatagramProtocol):
-    """Feeds received datagrams to a callback (the node's runtime)."""
-
-    def __init__(self, on_datagram: Optional[Callable[[bytes, Tuple], None]]) -> None:
-        self._on_datagram = on_datagram
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        if self._on_datagram is not None:
-            self._on_datagram(data, addr)
-
-    def error_received(self, exc) -> None:  # pragma: no cover - ICMP noise
-        pass
 
 
 def _udp_socket(host: str, port: int, buffer_bytes: int) -> socket.socket:
@@ -459,18 +381,26 @@ def _udp_socket(host: str, port: int, buffer_bytes: int) -> socket.socket:
     except OSError:  # pragma: no cover - platform caps are advisory
         pass
     sock.setblocking(False)
-    sock.bind((host, port))
+    try:
+        sock.bind((host, port))
+    except OSError:
+        sock.close()
+        raise
     return sock
 
 
 class AioUdpTransport(AsyncResilientTransport):
     """Sends envelope bytes as single datagrams to ``udp://`` addresses.
 
-    One socket serves the whole node: when constructed by
-    :class:`AsyncUdpNode` the endpoint is shared with the receive path;
-    standalone (client-only) use binds an ephemeral socket on first send.
-    Datagrams above ``max_datagram_bytes`` fail with a structured
-    ``oversize-datagram`` outcome -- size your engine's
+    The transport owns one plain non-blocking socket -- the node's, when
+    constructed by :class:`AsyncUdpNode` (``sock=``), else an ephemeral
+    one bound on first send -- and an attempt is a size check plus one
+    ``sendto``, so a send made on the loop is finished, outcome
+    included, when :meth:`send` returns.  Nothing is queued in user
+    space: a full kernel send buffer is a ``send-buffer-full`` outcome
+    (retried per policy like any failure, else left to gossip
+    redundancy).  Datagrams above ``max_datagram_bytes`` fail with a
+    structured ``oversize-datagram`` outcome -- size your engine's
     ``max_batch_bytes`` below the ceiling so batch frames ride verbatim.
     """
 
@@ -482,28 +412,13 @@ class AioUdpTransport(AsyncResilientTransport):
         rng: Optional[random.Random] = None,
         max_datagram_bytes: int = MAX_DATAGRAM_BYTES,
         buffer_bytes: int = 1 << 22,
+        sock: Optional[socket.socket] = None,
     ) -> None:
         super().__init__(loop=loop, retry=retry, breaker=breaker, rng=rng)
         self.max_datagram_bytes = max_datagram_bytes
         self._buffer_bytes = buffer_bytes
-        self._endpoint: Optional[asyncio.DatagramTransport] = None
-        self._endpoint_lock = asyncio.Lock()
+        self._sock = sock
         self._resolved: Dict[str, Tuple[str, int]] = {}
-
-    def bind_endpoint(self, endpoint: asyncio.DatagramTransport) -> None:
-        """Adopt an existing datagram endpoint (the owning node's socket)."""
-        self._endpoint = endpoint
-
-    async def _ensure_endpoint(self) -> asyncio.DatagramTransport:
-        if self._endpoint is not None and not self._endpoint.is_closing():
-            return self._endpoint
-        async with self._endpoint_lock:
-            if self._endpoint is None or self._endpoint.is_closing():
-                sock = _udp_socket("127.0.0.1", 0, self._buffer_bytes)
-                self._endpoint, _ = await self.loop.create_datagram_endpoint(
-                    lambda: _UdpProtocol(None), sock=sock
-                )
-            return self._endpoint
 
     def _resolve(self, address: str) -> Tuple[str, int]:
         cached = self._resolved.get(address)
@@ -518,18 +433,21 @@ class AioUdpTransport(AsyncResilientTransport):
         self._resolved[address] = resolved
         return resolved
 
-    async def _asend_once(self, address: str, data: bytes, token: str) -> None:
+    _check_address = _resolve
+
+    def _send_once(self, address: str, data: bytes) -> None:
         if len(data) > self.max_datagram_bytes:
             raise SendError("oversize-datagram", address)
-        target = self._resolve(address)
-        endpoint = await self._ensure_endpoint()
-        endpoint.sendto(data, target)
+        if self._sock is None:
+            self._sock = _udp_socket("127.0.0.1", 0, self._buffer_bytes)
+        try:
+            self._sock.sendto(data, self._resolve(address))
+        except BlockingIOError:
+            raise SendError("send-buffer-full", address) from None
 
-    async def _aclose(self) -> None:
-        await super()._aclose()
-        if self._endpoint is not None:
-            self._endpoint.close()
-            self._endpoint = None
+    def _release(self) -> None:
+        if self._sock is not None:
+            self._sock.close()
 
 
 # -- HTTP/1.1 keep-alive client ----------------------------------------------
@@ -676,6 +594,9 @@ class AioHttpTransport(AsyncResilientTransport):
     (``/v1/gossip``) -- the WS-Addressing ``To`` header routes it to the
     right service on the receiving node; set ``ingest_path=None`` to POST
     to each address's literal path (the legacy, pre-``/v1/`` contract).
+
+    An attempt awaits a response, so this binding runs each attempt as a
+    task; gate, retry and outcome logic stay the base class's.
     """
 
     def __init__(
@@ -697,6 +618,7 @@ class AioHttpTransport(AsyncResilientTransport):
         self.max_inflight = max_inflight
         self.ingest_path = ingest_path
         self._pools: Dict[str, List[_PipelinedConnection]] = {}
+        self._tasks: set = set()
 
     def _connection_for(self, authority: str) -> _PipelinedConnection:
         pool = self._pools.get(authority)
@@ -727,7 +649,42 @@ class AioHttpTransport(AsyncResilientTransport):
             for authority, pool in self._pools.items()
         }
 
+    def _send_on_loop(self, address: str, data: bytes) -> None:
+        # One token per *logical* send, stable across its retries: sent as
+        # the Idempotency-Key, so a retried POST whose first attempt
+        # actually landed is answered as a replay instead of ingesting
+        # twice.  Distinct sends of the same bytes (gossip redundancy) get
+        # distinct tokens and are never edge-deduped.  It rides through the
+        # base class's retry path in the (opaque) payload slot.
+        self._start_send(address, (uuid.uuid4().hex, data))
+
+    def _attempt(self, address: str, keyed: Tuple[str, bytes], attempt: int) -> None:
+        task = self.loop.create_task(self._aattempt(address, keyed, attempt))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    async def _aattempt(
+        self, address: str, keyed: Tuple[str, bytes], attempt: int
+    ) -> None:
+        """``ResilientTransport._attempt`` with an awaited wire call."""
+        try:
+            injected = self._fault_hook(address) if self._fault_hook else None
+            if injected is not None:
+                raise SendError(injected, address)
+            await self._asend_once(address, keyed[1], keyed[0])
+        except asyncio.CancelledError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - every failure is an outcome
+            self._attempt_failed(address, keyed, attempt, exc)
+        else:
+            self._attempt_succeeded(address, attempt)
+
+    @property
+    def in_flight(self) -> int:
+        return super().in_flight + len(self._tasks)
+
     async def _asend_once(self, address: str, data: bytes, token: str) -> None:
+        """One POST; ``token`` identifies the logical send across retries."""
         _, authority, path = split_address(address)
         request_path = self.ingest_path if self.ingest_path is not None else path
         raw = _build_request(
@@ -764,8 +721,9 @@ class AioHttpTransport(AsyncResilientTransport):
         raw = _build_request("POST", authority, path or "/", body, headers=headers)
         return await self._connection_for(authority).request(raw)
 
-    async def _aclose(self) -> None:
-        await super()._aclose()
+    def _release(self) -> None:
+        for task in list(self._tasks):
+            task.cancel()
         for pool in self._pools.values():
             for connection in pool:
                 connection.close()
@@ -843,9 +801,20 @@ class _AsyncNodeBase:
 class AsyncUdpNode(_AsyncNodeBase):
     """A SOAP runtime served over a real UDP socket on the event loop.
 
-    The node's single datagram socket both receives (datagrams feed
-    ``runtime.receive``) and sends (shared with its
-    :class:`AioUdpTransport`).  Addresses: ``udp://host:port/path``.
+    The node binds one plain non-blocking socket at construction (so its
+    address is known before it starts) and shares it with its
+    :class:`AioUdpTransport`: sends are direct ``sendto`` calls, and a
+    ``loop.add_reader`` callback feeds ``runtime.receive`` up to
+    :data:`RECV_SWEEP_DATAGRAMS` datagrams per wake-up, so a backlog is
+    drained in one pass and the engine's per-instant flush batches what
+    it produced.  A datagram whose processing raises is counted
+    (``udp.receive-errors`` on the node hub), reported to the loop's
+    exception handler, and does not cost the rest of the sweep.
+
+    Stopping closes the socket, started or not, and is final: the port
+    is released, so ``astart()`` on a stopped node raises
+    ``RuntimeError`` -- build a new node.  Addresses:
+    ``udp://host:port/path``.
     """
 
     scheme = "udp"
@@ -859,35 +828,66 @@ class AsyncUdpNode(_AsyncNodeBase):
         max_datagram_bytes: int = MAX_DATAGRAM_BYTES,
         hub: Optional[MetricsHub] = None,
     ) -> None:
+        # Bind eagerly so the node's address is known before start().
+        self._sock = _udp_socket(host, port, buffer_bytes)
         transport = AioUdpTransport(
             loop=loop,
             max_datagram_bytes=max_datagram_bytes,
             buffer_bytes=buffer_bytes,
+            sock=self._sock,
         )
-        # Bind eagerly so the node's address is known before start().
-        self._sock = _udp_socket(host, port, buffer_bytes)
         bound_host, bound_port = self._sock.getsockname()[:2]
         super().__init__(bound_host, bound_port, loop, transport, hub=hub)
         self.datagrams_received = 0
 
+    def stop(self) -> None:
+        if self._started:
+            super().stop()
+        else:
+            self.transport.close()  # never started: only the eager socket
+
     async def astart(self) -> None:
         if self._started:
             return
-        endpoint, _ = await self.loop.create_datagram_endpoint(
-            lambda: _UdpProtocol(self._on_datagram), sock=self._sock
-        )
-        self.transport.bind_endpoint(endpoint)
+        if self._sock.fileno() < 0:
+            raise RuntimeError(
+                f"{self.base_address} was stopped and its socket closed; "
+                "a stopped AsyncUdpNode cannot be restarted"
+            )
+        self.loop.add_reader(self._sock, self._on_readable)
         self._started = True
 
     async def astop(self) -> None:
-        if not self._started:
-            return
-        self._started = False
+        if self._started:
+            self._started = False
+            self.loop.remove_reader(self._sock)
         await self.transport.aclose()
 
-    def _on_datagram(self, data: bytes, addr) -> None:
-        self.datagrams_received += 1
-        self.runtime.receive(data, source=f"udp://{addr[0]}:{addr[1]}")
+    def _on_readable(self) -> None:
+        try:
+            buffer = _recv_scratch.buffer
+        except AttributeError:
+            buffer = _recv_scratch.buffer = memoryview(bytearray(1 << 16))
+        for _ in range(RECV_SWEEP_DATAGRAMS):
+            try:
+                size, addr = self._sock.recvfrom_into(buffer)
+            except OSError:
+                # Drained (BlockingIOError), or an error queued on the
+                # socket such as ICMP port-unreachable for an earlier
+                # send: either way this wake-up is over, and the reader
+                # stays registered for the next datagram.
+                return
+            self.datagrams_received += 1
+            try:
+                self.runtime.receive(
+                    bytes(buffer[:size]), source=f"udp://{addr[0]}:{addr[1]}"
+                )
+            except Exception as exc:  # noqa: BLE001 - one datagram, not the sweep
+                self.hub.counter("udp.receive-errors").inc()
+                self.loop.call_exception_handler({
+                    "message": f"{self.base_address}: datagram from {addr} raised",
+                    "exception": exc,
+                })
 
 
 class AsyncHttpNode(_AsyncNodeBase):
