@@ -7,8 +7,11 @@ PYTHON ?= python
 install:
 	pip install -e . || pip install -e . --no-build-isolation
 
+# The six gate files carry the `gate` marker (pyproject.toml): each runs
+# once, at gate size, through its test-* target, and the final sweep
+# deselects them.  A plain `pytest` run still collects everything.
 test: test-chaos test-recovery test-obs test-adaptive test-overload test-telemetry soak-smoke bench-shard-smoke perf-check
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ -m "not gate"
 
 # Benchmark self-check (~15 s): all four perf/ workloads and every
 # correctness check at toy size, traced twin included, then the
@@ -32,7 +35,7 @@ soak:
 # deliver to >= 99% of survivors with the peer-health layer on, and
 # beat the same seed with it off (see docs/RESILIENCE.md).
 test-chaos:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/integration/test_chaos.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest -m gate tests/integration/test_chaos.py -q
 
 # Seeded recovery gate: 20% crash-restart with amnesia plus one
 # partition/heal cycle at N=500 must still deliver to >= 99% of the
@@ -40,14 +43,14 @@ test-chaos:
 # ablation on the same seed must be demonstrably worse
 # (see docs/RESILIENCE.md, "Crash-recovery and rejoin").
 test-recovery:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/integration/test_recovery.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest -m gate tests/integration/test_recovery.py -q
 
 # Seeded observability gate: an N=500 push run judged from the metrics
 # hub's causal rumor spans -- >= 99% delivery, and rounds-to-99% within
 # the epidemic bound from repro.core.analysis.expected_rounds
 # (see docs/OBSERVABILITY.md).
 test-obs:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/integration/test_obs_gate.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest -m gate tests/integration/test_obs_gate.py -q
 
 # Seeded adaptive-control gate: the self-tuning controller through
 # calm -> 30% crash-restart churn -> loss ramp -> 5x publish burst at
@@ -55,7 +58,7 @@ test-obs:
 # traffic than the static reference config that also holds it
 # (see docs/RESILIENCE.md, "Adaptive control").
 test-adaptive:
-	REPRO_ADAPTIVE_N=500 PYTHONPATH=src $(PYTHON) -m pytest tests/integration/test_adaptive.py -q
+	REPRO_ADAPTIVE_N=500 PYTHONPATH=src $(PYTHON) -m pytest -m gate tests/integration/test_adaptive.py -q
 
 # Seeded overload gate: every disseminator throttled to a slow consumer
 # while the initiator publishes at ~3x the remaining capacity, at N=500.
@@ -65,7 +68,7 @@ test-adaptive:
 # growth, degraded delivery).  See docs/RESILIENCE.md, "Overload and
 # backpressure".
 test-overload:
-	REPRO_OVERLOAD_N=500 PYTHONPATH=src $(PYTHON) -m pytest tests/integration/test_overload.py -q
+	REPRO_OVERLOAD_N=500 PYTHONPATH=src $(PYTHON) -m pytest -m gate tests/integration/test_overload.py -q
 
 # Seeded telemetry gate: a 120-node loopback UDP mesh with full path
 # sampling must reconstruct per-hop latency, infection curves, and
@@ -74,7 +77,7 @@ test-overload:
 # clear it after the network heals (see docs/OBSERVABILITY.md,
 # "Live telemetry").
 test-telemetry:
-	REPRO_TELEMETRY_N=120 PYTHONPATH=src $(PYTHON) -m pytest tests/integration/test_telemetry_gate.py -q
+	REPRO_TELEMETRY_N=120 PYTHONPATH=src $(PYTHON) -m pytest -m gate tests/integration/test_telemetry_gate.py -q
 
 # Telemetry overhead gate: the N=1000 drain with the default telemetry
 # policy must cost <= 5% CPU over telemetry=None (min-of-repeats,

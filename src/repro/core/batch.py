@@ -8,8 +8,8 @@ module is the wire codec for that: one ``GossipBatch`` envelope carries
 * a sequence of complete legacy single-rumor frames (their wire bytes
   embedded verbatim, XML declarations stripped), plus
 * optional piggybacked *control* sections -- lazy-push advertisements,
-  feedback ids, and pull digests -- that would otherwise each cost their
-  own envelope.
+  feedback ids, pull summaries and pull digests -- that would otherwise
+  each cost their own envelope.
 
 The frame is valid XML, but it is **assembled and split at the byte
 level**: a ``Sizes`` element lists the byte length of every embedded rumor
@@ -31,6 +31,7 @@ Layout (see docs/WIRE.md, "Batched frames")::
           <g:Rumors><!-- legacy frames, concatenated verbatim --></g:Rumors>
           [<g:Ads hops="H"><g:Id>...</g:Id>...</g:Ads>]
           [<g:Feedback><g:Id>...</g:Id>...</g:Feedback>]
+          [<g:Summary n="COUNT" h="16 HEX DIGITS"/>]
           [<g:Digest kind="req|rsp"><g:Id>...</g:Id>...</g:Digest>]
         </g:GossipBatch>
       </soap:Body>
@@ -66,6 +67,7 @@ _RUMORS_TAG = qname(ns.WSGOSSIP, "Rumors")
 _ADS_TAG = qname(ns.WSGOSSIP, "Ads")
 _FEEDBACK_TAG = qname(ns.WSGOSSIP, "Feedback")
 _DIGEST_TAG = qname(ns.WSGOSSIP, "Digest")
+_SUMMARY_TAG = qname(ns.WSGOSSIP, "Summary")
 _ID_TAG = qname(ns.WSGOSSIP, "Id")
 
 _PREFIX = (
@@ -98,17 +100,32 @@ class BatchControl:
             ``"req"`` (answer with missing frames *and* a counter-digest)
             or ``"rsp"`` (answer with missing frames only -- terminates
             the exchange).
+        summary: stage 1 of the batched pull, ``MessageStore.summary()``
+            of the sender as ``(count, hash)``: a receiver whose own
+            summary is equal stays silent, any other answers with its
+            full ``req`` digest.
     """
 
     ads: List[Tuple[List[str], int]] = field(default_factory=list)
     feedback: List[str] = field(default_factory=list)
     digest: Optional[Tuple[List[str], str]] = None
+    summary: Optional[Tuple[int, int]] = None
 
     def empty(self) -> bool:
-        return not self.ads and not self.feedback and self.digest is None
+        return self.section_count() == 0
 
     def section_count(self) -> int:
-        return len(self.ads) + bool(self.feedback) + (self.digest is not None)
+        return (
+            len(self.ads)
+            + bool(self.feedback)
+            + (self.digest is not None)
+            + (self.summary is not None)
+        )
+
+    def summary_only(self) -> bool:
+        """True when the summary is the one section present -- the frame a
+        pull round sends to every target alike."""
+        return self.summary is not None and self.section_count() == 1
 
 
 def strip_declaration(frame: bytes) -> bytes:
@@ -166,6 +183,8 @@ def build_batch(
             parts.append(
                 b"<g:Feedback>%s</g:Feedback>" % _ids_xml(control.feedback).encode("utf-8")
             )
+        if control.summary is not None:
+            parts.append(b'<g:Summary n="%d" h="%016x"/>' % control.summary)
         if control.digest is not None:
             ids, kind = control.digest
             parts.append(
@@ -201,7 +220,10 @@ def _scan_attr(tag: bytes, name: bytes) -> Optional[str]:
     end = tag.find(b'"', start)
     if end == -1:
         return None
-    return unescape(tag[start:end].decode("utf-8"))
+    try:
+        return unescape(tag[start:end].decode("utf-8"))
+    except UnicodeDecodeError:
+        return None
 
 
 def scan_batch_activity(data: bytes) -> Optional[str]:
@@ -276,12 +298,43 @@ def _scan_ids_region(region: bytes) -> List[str]:
         position = end + len(b"</g:Id>")
 
 
+#: ``n`` beyond this many digits is not a store size anyone retains.
+_SUMMARY_MAX_COUNT_DIGITS = 18
+_DECIMAL = frozenset("0123456789")
+_HEX = frozenset("0123456789abcdefABCDEF")
+
+
+def _parse_summary(
+    count_text: Optional[str], hash_text: Optional[str]
+) -> Optional[Tuple[int, int]]:
+    """``(count, hash)`` from the ``n``/``h`` attribute texts, or ``None``
+    unless ``n`` is a plain decimal and ``h`` is 1-16 hex digits."""
+    if not count_text or len(count_text) > _SUMMARY_MAX_COUNT_DIGITS:
+        return None
+    if not hash_text or len(hash_text) > 16:
+        return None
+    # Character sets, not int(): that also takes signs, "_", "0x", spaces
+    # and non-ASCII digits.
+    if not _DECIMAL.issuperset(count_text) or not _HEX.issuperset(hash_text):
+        return None
+    return int(count_text), int(hash_text, 16)
+
+
 def scan_batch_control(data: bytes) -> Optional[BatchControl]:
     """Recover the piggybacked control sections by byte scan (no parse).
 
     Returns ``None`` when the control region does not have the expected
-    hand-assembled shape -- the caller then falls back to a full XML parse.
+    hand-assembled shape (an unknown section, a malformed or repeated
+    ``Summary``, undecodable bytes) -- the caller then falls back to a
+    full XML parse (``GossipLayer._apply_batch_control``).
     """
+    try:
+        return _scan_control_tail(data)
+    except UnicodeDecodeError:
+        return None
+
+
+def _scan_control_tail(data: bytes) -> Optional[BatchControl]:
     tail_start = data.find(b"</g:Rumors>")
     if tail_start == -1:
         return None
@@ -324,6 +377,17 @@ def scan_batch_control(data: bytes) -> Optional[BatchControl]:
             )
             control.digest = (_scan_ids_region(tail[tag_end + 1 : close]), kind)
             position = close + len(b"</g:Digest>")
+        elif tail.startswith(b"<g:Summary ", position):
+            tag_end = tail.find(b"/>", position)
+            if tag_end == -1 or control.summary is not None:
+                return None
+            attributes = tail[position + len(b"<g:Summary") : tag_end]
+            control.summary = _parse_summary(
+                _scan_attr(attributes, b"n"), _scan_attr(attributes, b"h")
+            )
+            if control.summary is None:
+                return None
+            position = tag_end + len(b"/>")
         else:
             return None
     return control
@@ -337,8 +401,13 @@ def _ids_from_element(element: ET.Element) -> List[str]:
 
 
 def control_from_element(batch_element: ET.Element) -> BatchControl:
-    """Recover the control sections from a parsed ``GossipBatch`` element."""
+    """Recover the control sections from a parsed ``GossipBatch`` element.
+
+    Unknown sections are skipped; a ``Summary`` counts only when it is the
+    only one and well formed (otherwise the frame carries no summary).
+    """
     control = BatchControl()
+    summaries = []
     for child in batch_element:
         if child.tag == _ADS_TAG:
             try:
@@ -351,6 +420,10 @@ def control_from_element(batch_element: ET.Element) -> BatchControl:
         elif child.tag == _DIGEST_TAG:
             kind = child.get("kind", "req")
             control.digest = (_ids_from_element(child), kind)
+        elif child.tag == _SUMMARY_TAG:
+            summaries.append(child)
+    if len(summaries) == 1:
+        control.summary = _parse_summary(summaries[0].get("n"), summaries[0].get("h"))
     return control
 
 

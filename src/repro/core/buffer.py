@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from hashlib import blake2b
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 
 @dataclass
@@ -31,6 +32,17 @@ class StoredMessage:
     data: bytes
     received_at: float
     origin: str
+
+
+def id_hash(message_id: str) -> int:
+    """The 64-bit hash one identity contributes to :meth:`MessageStore.summary`.
+
+    A keyed-by-nothing ``blake2b`` so every process (and every
+    implementation) computes the same value -- Python's ``hash()`` is
+    salted per process and would never match across nodes.
+    """
+    digest = blake2b(message_id.encode("utf-8", "surrogatepass"), digest_size=8)
+    return int.from_bytes(digest.digest(), "big")
 
 
 class MessageStore:
@@ -44,6 +56,14 @@ class MessageStore:
     recorded -- outside that window, epidemic dedup upstream (peers that
     still remember) is the backstop, matching Demers-style death
     certificates aging out.
+
+    :meth:`summary` condenses the *retained* identities -- exactly what
+    :meth:`digest` lists, never the seen-set -- into a count and an
+    order-independent hash, maintained incrementally on ``add`` and on
+    eviction.  Two stores retaining the same identities agree whatever
+    the arrival order; stores whose retention differs only by eviction
+    skew (same history, different survivors) do not, by design: they can
+    serve different payloads.
     """
 
     def __init__(self, capacity: int = 1024, seen_capacity: Optional[int] = None) -> None:
@@ -58,6 +78,7 @@ class MessageStore:
         self.capacity = capacity
         self.seen_capacity = seen_capacity
         self._messages: "OrderedDict[str, StoredMessage]" = OrderedDict()
+        self._retained_hash = 0
         self._seen_current: Set[str] = set()
         self._seen_previous: Set[str] = set()
         self.rotations = 0
@@ -109,8 +130,10 @@ class MessageStore:
             received_at=received_at,
             origin=origin,
         )
+        self._retained_hash ^= id_hash(message_id)
         while len(self._messages) > self.capacity:
-            self._messages.popitem(last=False)
+            evicted, _ = self._messages.popitem(last=False)
+            self._retained_hash ^= id_hash(evicted)
         return True
 
     def get(self, message_id: str) -> Optional[StoredMessage]:
@@ -128,6 +151,16 @@ class MessageStore:
         identities are deliberately excluded (they can no longer be served).
         """
         return list(self._messages)
+
+    def summary(self) -> Tuple[int, int]:
+        """``(count, hash)`` of the retained identities, in O(1).
+
+        The hash is the XOR of :func:`id_hash` over what :meth:`digest`
+        would list, so equal summaries mean equal digests up to a 64-bit
+        collision -- what the batched pull round sends instead of the
+        list (docs/WIRE.md, "Batched frames").
+        """
+        return len(self._messages), self._retained_hash
 
     def missing_from(self, remote_digest: Iterable[str]) -> List[str]:
         """Identities in ``remote_digest`` that this store does not remember."""

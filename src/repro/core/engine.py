@@ -806,6 +806,8 @@ class GossipEngine:
     ) -> None:
         if control is not None and control.empty():
             control = None
+        elif control is not None and control.digest is not None:
+            control.summary = None  # the full list says everything it would
         chunks = self._chunk_frames(frames)
         if not chunks:
             if control is None:
@@ -820,19 +822,22 @@ class GossipEngine:
                 self.runtime.send_bytes(destination, chunk[0])
                 self.metrics.counter("gossip.fanout-send").inc()
                 continue
+            # Fan-out twins share one encode: an identical frame run
+            # resolves to the same buffer (the zero-copy batch path), and so
+            # does the summary-only frame a pull round sends every target.
+            key: Optional[tuple] = None
             if chunk_control is None:
-                # Fan-out twins share one encode: an identical frame run
-                # resolves to the same buffer (the zero-copy batch path).
                 key = tuple(map(id, chunk))
-                data = shared.get(key)
-                if data is None:
-                    data = build_batch(self.activity_id, holder, chunk)
-                    shared[key] = data
-                    self._batch_stats.batches_built += 1
             else:
+                if not chunk and chunk_control.summary_only():
+                    key = ("summary",) + chunk_control.summary
+                self._batch_stats.control_piggybacked += chunk_control.section_count()
+            data = shared.get(key) if key is not None else None
+            if data is None:
                 data = build_batch(self.activity_id, holder, chunk, chunk_control)
                 self._batch_stats.batches_built += 1
-                self._batch_stats.control_piggybacked += chunk_control.section_count()
+                if key is not None:
+                    shared[key] = data
             self._batch_stats.batches_sent += 1
             self._batch_stats.rumors_batched += len(chunk)
             self.runtime.send_bytes(destination, data)
@@ -869,6 +874,13 @@ class GossipEngine:
         if control.digest is not None:
             message_ids, kind = control.digest
             self._serve_batch_digest(message_ids, kind, holder)
+        elif control.summary is not None:
+            # Stage 1 of the batched pull: equal summaries end it here, a
+            # mismatch opens the full-list exchange from this side.
+            if control.summary == self.store.summary():
+                self.metrics.counter("gossip.pull-in-sync").inc()
+            elif not self._shed("digest"):
+                self._outbox_control_for(holder).digest = (self.store.digest(), "req")
 
     def _serve_batch_digest(
         self, remote_digest: List[str], kind: str, holder: str
@@ -1079,21 +1091,26 @@ class GossipEngine:
         self._schedule_next_round()
 
     def _pull_round(self) -> None:
-        """Send our digest to ``fanout`` peers; they reply with what we lack."""
+        """Send our digest to ``fanout`` peers; they reply with what we lack.
+
+        Batched, the round sends ``store.summary()`` -- a count and a hash,
+        not the list (docs/WIRE.md): an in-sync peer stays silent, any other
+        answers with its full ``req`` digest and the exchange runs from
+        there.  Stores that differ only by eviction skew never summarize
+        equal, so they fall back to the full exchange every round.
+        """
         if self._shed("digest"):
             return
         targets = self._select_targets(exclude=[self.app_address])
-        digest = self.store.digest()
         if self.batching:
-            # The digest piggybacks on whatever batch flushes next; the
+            # The summary piggybacks on whatever batch flushes next; the
             # answer arrives as batched rumors, not a correlated reply.
+            summary = self.store.summary()
             for target in targets:
                 self.metrics.counter("gossip.pull-request").inc()
-                self._outbox_control_for(gossip_address_of(target)).digest = (
-                    digest,
-                    "req",
-                )
+                self._outbox_control_for(gossip_address_of(target)).summary = summary
             return
+        digest = self.store.digest()
         for target in targets:
             self.metrics.counter("gossip.pull-request").inc()
             self._send_pull(target, digest, self._on_pull_reply)
@@ -1130,10 +1147,9 @@ class GossipEngine:
             return
         self.metrics.counter("gossip.anti-entropy").inc()
         if self.batching:
-            self._outbox_control_for(gossip_address_of(targets[0])).digest = (
-                self.store.digest(),
-                "req",
-            )
+            self._outbox_control_for(
+                gossip_address_of(targets[0])
+            ).summary = self.store.summary()
             return
         self._send_pull(targets[0], self.store.digest(), self._on_anti_entropy_reply)
 

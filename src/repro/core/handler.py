@@ -21,8 +21,10 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.batch import (
+    BATCH_TAG,
     BatchError,
     batch_has_control,
+    control_from_element,
     is_batch_frame,
     scan_batch_activity,
     scan_batch_control,
@@ -47,6 +49,7 @@ from repro.core.params import GossipParams
 from repro.core.peers import PeerSelector
 from repro.core.scheduling import Scheduler
 from repro.obs.hub import hub_of
+from repro.soap.envelope import Envelope, EnvelopeError
 from repro.soap.handler import Handler, MessageContext
 from repro.soap.runtime import SoapRuntime
 from repro.wscoord.context import CoordinationContext
@@ -427,10 +430,27 @@ class GossipLayer(Handler):
 
     def _apply_batch_control(self, data: bytes, source: Optional[str]) -> None:
         control = scan_batch_control(data)
-        if control is None or control.empty():
+        if control is not None:
+            activity = scan_batch_activity(data)
+            holder = scan_batch_holder(data)
+        else:
+            # The tail is not the shape our own writer emits (a section
+            # this version does not know, a foreign serializer): parse the
+            # frame once and apply the sections that are understood.
+            metrics = self.runtime.metrics
+            metrics.counter("gossip.batch-control-unscannable").inc()
+            try:
+                body = Envelope.from_bytes(data).body
+            except EnvelopeError:
+                metrics.counter("soap.malformed").inc()
+                return
+            if body is None or body.tag != BATCH_TAG:
+                return
+            control = control_from_element(body)
+            activity = body.get("activity")
+            holder = body.get("holder")
+        if control.empty():
             return
-        activity = scan_batch_activity(data)
-        holder = scan_batch_holder(data)
         engine = self._engines.get(activity) if activity else None
         if engine is None or holder is None:
             # Control sections only matter between joined peers; a node

@@ -734,18 +734,25 @@ class AioHttpTransport(AsyncResilientTransport):
 
 
 class _AsyncNodeBase:
-    """Shared shell of the asyncio node edges: hub, runtime, lifecycle."""
+    """Shared shell of the asyncio node edges: hub, runtime, lifecycle.
+
+    ``sock`` is the socket the subclass bound at construction (so the
+    node's address is known before it starts).  Stopping closes it and the
+    outbound transport, started or not, and is final: the port is
+    released, so ``astart()`` on a stopped node raises ``RuntimeError`` --
+    build a new node.
+    """
 
     scheme = "http"
 
     def __init__(
         self,
-        host: str,
-        port: int,
-        loop: Optional[asyncio.AbstractEventLoop],
+        sock: socket.socket,
         transport: AsyncResilientTransport,
         hub: Optional[MetricsHub] = None,
     ) -> None:
+        self._sock = sock
+        host, port = sock.getsockname()[:2]
         self.loop = transport.loop
         self.host = host
         self.port = port
@@ -770,10 +777,20 @@ class _AsyncNodeBase:
         run_on_loop(self.loop, self.astart())
 
     def stop(self) -> None:
-        """Stop serving and close the outbound transport."""
-        if not self._started:
-            return
-        run_on_loop(self.loop, self.astop())
+        """Stop serving; close the bound socket and the outbound transport."""
+        if self._started:
+            run_on_loop(self.loop, self.astop())
+        else:
+            # Never started: nothing is on the loop, only the eager socket.
+            self._sock.close()
+            self.transport.close()
+
+    def _check_not_stopped(self) -> None:
+        if self._sock.fileno() < 0:
+            raise RuntimeError(
+                f"{self.base_address} was stopped and its socket closed; "
+                f"a stopped {type(self).__name__} cannot be restarted"
+            )
 
     def __enter__(self):
         self.start()
@@ -811,10 +828,7 @@ class AsyncUdpNode(_AsyncNodeBase):
     (``udp.receive-errors`` on the node hub), reported to the loop's
     exception handler, and does not cost the rest of the sweep.
 
-    Stopping closes the socket, started or not, and is final: the port
-    is released, so ``astart()`` on a stopped node raises
-    ``RuntimeError`` -- build a new node.  Addresses:
-    ``udp://host:port/path``.
+    Addresses: ``udp://host:port/path``.
     """
 
     scheme = "udp"
@@ -828,32 +842,20 @@ class AsyncUdpNode(_AsyncNodeBase):
         max_datagram_bytes: int = MAX_DATAGRAM_BYTES,
         hub: Optional[MetricsHub] = None,
     ) -> None:
-        # Bind eagerly so the node's address is known before start().
-        self._sock = _udp_socket(host, port, buffer_bytes)
+        sock = _udp_socket(host, port, buffer_bytes)
         transport = AioUdpTransport(
             loop=loop,
             max_datagram_bytes=max_datagram_bytes,
             buffer_bytes=buffer_bytes,
-            sock=self._sock,
+            sock=sock,
         )
-        bound_host, bound_port = self._sock.getsockname()[:2]
-        super().__init__(bound_host, bound_port, loop, transport, hub=hub)
+        super().__init__(sock, transport, hub=hub)
         self.datagrams_received = 0
-
-    def stop(self) -> None:
-        if self._started:
-            super().stop()
-        else:
-            self.transport.close()  # never started: only the eager socket
 
     async def astart(self) -> None:
         if self._started:
             return
-        if self._sock.fileno() < 0:
-            raise RuntimeError(
-                f"{self.base_address} was stopped and its socket closed; "
-                "a stopped AsyncUdpNode cannot be restarted"
-            )
+        self._check_not_stopped()
         self.loop.add_reader(self._sock, self._on_readable)
         self._started = True
 
@@ -917,14 +919,16 @@ class AsyncHttpNode(_AsyncNodeBase):
         hub: Optional[MetricsHub] = None,
         admission: Optional[EdgeAdmission] = None,
     ) -> None:
-        transport = AioHttpTransport(loop=loop)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(backlog)
-        self._listener.setblocking(False)
-        bound_host, bound_port = self._listener.getsockname()[:2]
-        super().__init__(bound_host, bound_port, loop, transport, hub=hub)
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((host, port))
+            listener.listen(backlog)
+            listener.setblocking(False)
+        except OSError:
+            listener.close()
+            raise
+        super().__init__(listener, AioHttpTransport(loop=loop), hub=hub)
         self.idempotency = IdempotencyIndex(idempotency_capacity)
         #: Optional token-bucket gate on POST ingest (None = admit all).
         self.admission = admission
@@ -934,17 +938,18 @@ class AsyncHttpNode(_AsyncNodeBase):
     async def astart(self) -> None:
         if self._started:
             return
+        self._check_not_stopped()
         self._server = await asyncio.start_server(
-            self._serve_connection, sock=self._listener
+            self._serve_connection, sock=self._sock
         )
         self._started = True
 
     async def astop(self) -> None:
-        if not self._started:
-            return
-        self._started = False
-        self._server.close()
-        await self._server.wait_closed()
+        if self._started:
+            self._started = False
+            self._server.close()
+            await self._server.wait_closed()
+        self._sock.close()
         await self.transport.aclose()
 
     # -- request handling -----------------------------------------------------

@@ -6,7 +6,11 @@ batched wire path disseminates, interoperates with unbatched peers, and
 survives crash-recovery replay.
 """
 
+import xml.etree.ElementTree as ET
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import GossipConfig, ParamError
 from repro.core.batch import (
@@ -15,6 +19,7 @@ from repro.core.batch import (
     BatchError,
     batch_has_control,
     build_batch,
+    control_from_element,
     is_batch_frame,
     scan_batch_activity,
     scan_batch_control,
@@ -24,6 +29,7 @@ from repro.core.batch import (
 )
 from repro.core.params import GossipParams
 from repro.obs.hub import default_hub
+from repro.soap import namespaces as ns
 
 
 FRAMES = [
@@ -267,3 +273,88 @@ class TestDurability:
         assert victim.replayed_messages >= len(mids)
         for mid in mids:
             assert victim.has_delivered(mid)
+
+
+# -- the control codec, proven against the parsed path ------------------------
+
+# Any character XML 1.0 can carry, minus "\r" (a parser normalizes it to
+# "\n", so the two paths legitimately differ on it).
+XML_TEXT = st.text(
+    st.characters(
+        blacklist_categories=("Cs",),
+        blacklist_characters="\r\ufffe\uffff"
+        + "".join(chr(c) for c in range(0x20) if c not in (0x9, 0xA)),
+    ),
+    max_size=12,
+)
+IDS = st.lists(XML_TEXT | st.sampled_from(["a&b", "<id>", 'q"uote', "naïve-ü"]), max_size=5)
+CONTROLS = st.builds(
+    BatchControl,
+    ads=st.lists(st.tuples(IDS, st.integers(0, 99)), max_size=3),
+    feedback=IDS,
+    digest=st.none() | st.tuples(IDS, st.sampled_from(["req", "rsp"])),
+    summary=st.none() | st.tuples(st.integers(0, 10**18 - 1), st.integers(0, 2**64 - 1)),
+)
+
+
+def batch_element(data):
+    return ET.fromstring(data).find(f"{{{ns.SOAP11_ENV}}}Body")[0]
+
+
+def summary_frame(attributes, repeat=1):
+    data = build_batch("urn:act", "sim://n/gossip", [], BatchControl(summary=(3, 10)))
+    section = b'<g:Summary n="3" h="000000000000000a"/>'
+    assert section in data
+    return data.replace(section, b"<g:Summary %s/>" % attributes * repeat)
+
+
+class TestControlCodecProperties:
+    @given(control=CONTROLS, with_frames=st.booleans())
+    def test_scan_equals_input_equals_parsed_path(self, control, with_frames):
+        data = build_batch(
+            "urn:act", "sim://n/gossip", FRAMES if with_frames else [], control
+        )
+        if control.empty():
+            assert not batch_has_control(data)
+            return
+        assert scan_batch_control(data) == control
+        assert control_from_element(batch_element(data)) == control
+
+    @given(control=CONTROLS, data=st.data())
+    def test_damaged_frames_never_raise(self, control, data):
+        frame = build_batch("urn:act", "sim://n/gossip", FRAMES[:1], control)
+        cut = data.draw(st.integers(0, len(frame)))
+        assert isinstance(scan_batch_control(frame[:cut]), (BatchControl, type(None)))
+        at = data.draw(st.integers(0, len(frame) - 1))
+        flipped = frame[:at] + bytes([data.draw(st.integers(0, 255))]) + frame[at + 1 :]
+        assert isinstance(scan_batch_control(flipped), (BatchControl, type(None)))
+
+    @pytest.mark.parametrize(
+        "attributes",
+        [
+            b'n="3" h="xyz"',  # non-hex
+            b'n="3" h="0x1f"',
+            b'n="3" h="1_f"',
+            b'n="3" h="00000000000000001"',  # 17 digits
+            b'n="-3" h="0a"',
+            b'n="+3" h="0a"',
+            b'n="three" h="0a"',
+            b'n="3.0" h="0a"',
+            b'n="\xd9\xa3" h="0a"',  # ARABIC-INDIC DIGIT THREE: int() takes it
+            b'n="' + b"9" * 30 + b'" h="0a"',
+            b'n="" h="0a"',
+            b'n="3" h=""',
+            b'n="3"',
+            b'h="0a"',
+        ],
+    )
+    def test_malformed_summary_is_no_summary_on_either_path(self, attributes):
+        data = summary_frame(attributes)
+        assert scan_batch_control(data) is None
+        assert control_from_element(batch_element(data)).summary is None
+
+    def test_repeated_summary_is_no_summary_on_either_path(self):
+        data = summary_frame(b'n="3" h="0a"', repeat=2)
+        assert scan_batch_control(data) is None
+        assert control_from_element(batch_element(data)).summary is None
+        assert scan_batch_control(summary_frame(b'n="3" h="0a"')).summary == (3, 10)

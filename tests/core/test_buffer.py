@@ -1,10 +1,12 @@
 """Tests for the message store, including property tests on eviction."""
 
+from hashlib import blake2b
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.buffer import MessageStore
+from repro.core.buffer import MessageStore, id_hash
 
 
 def test_add_and_get():
@@ -157,3 +159,70 @@ def test_invariants_under_arbitrary_adds(message_ids, capacity):
     assert store.digest() == distinct_in_order[-capacity:] if len(
         distinct_in_order
     ) >= capacity else distinct_in_order
+
+
+# -- summary(): a count and an order-independent hash of the retained ids ------
+
+
+def summary_from_scratch(store):
+    value = 0
+    for message_id in store.digest():
+        value ^= id_hash(message_id)
+    return len(store.digest()), value
+
+
+def test_id_hash_is_a_fixed_function_of_the_text():
+    # Pinned values: every process and every implementation must agree,
+    # which Python's per-process hash() would not.
+    assert id_hash("") == 0xE4A6A0577479B2B4
+    assert id_hash("urn:ws-gossip:msg:1") == int.from_bytes(
+        blake2b(b"urn:ws-gossip:msg:1", digest_size=8).digest(), "big"
+    )
+    assert MessageStore().summary() == (0, 0)
+
+
+STORE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.text(max_size=6)),
+        st.tuples(st.just("mark_seen"), st.text(max_size=6)),
+        st.tuples(st.just("restore"), st.none()),
+    ),
+    max_size=80,
+)
+
+
+@given(STORE_OPS, st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=6))
+def test_summary_tracks_digest_through_any_history(ops, capacity, seen_slack):
+    # A small seen_capacity makes the seen-set rotate (and forget), so an
+    # evicted id can come back as new; duplicates come from the short ids.
+    store = MessageStore(capacity=capacity, seen_capacity=capacity + seen_slack)
+    for op, message_id in ops:
+        if op == "add":
+            store.add(message_id, b"x", 0.0, "o")
+        elif op == "mark_seen":
+            store.mark_seen(message_id)
+        else:
+            # What WAL replay does: seen identities first, then payloads.
+            restored = MessageStore(store.capacity, store.seen_capacity)
+            for seen in store.seen_identities():
+                if store.get(seen) is None:
+                    restored.mark_seen(seen)
+            for message in store.messages():
+                restored.add(message.message_id, message.data, 0.0, message.origin)
+            assert restored.summary() == store.summary()
+            store = restored
+        assert store.summary() == summary_from_scratch(store)
+
+
+@given(st.lists(st.text(max_size=8), unique=True, max_size=40), st.randoms(use_true_random=False))
+def test_summary_is_independent_of_arrival_order(message_ids, rng):
+    first, second = MessageStore(), MessageStore()
+    for message_id in message_ids:
+        first.add(message_id, b"x", 0.0, "o")
+    shuffled = list(message_ids)
+    rng.shuffle(shuffled)
+    for message_id in shuffled:
+        second.add(message_id, b"y", 1.0, "p")
+    assert first.summary() == second.summary()
+    second.add("a ninth character", b"", 0.0, "o")
+    assert first.summary() != second.summary()

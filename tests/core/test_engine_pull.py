@@ -4,6 +4,14 @@ import random
 
 import pytest
 
+from repro.core.batch import (
+    BatchControl,
+    build_batch,
+    is_batch_frame,
+    scan_batch_control,
+    split_batch,
+    strip_declaration,
+)
 from repro.core.engine import GossipEngine
 from repro.core.message import GossipStyle
 from repro.core.params import GossipParams
@@ -174,3 +182,255 @@ def test_lossy_push_pull_group_does_not_accumulate_reply_callbacks():
     one_round_of_pulls = 31 * 3
     assert pending() <= at_40 + one_round_of_pulls
     assert group.message_counts()["soap.reply-expired"] > 0
+
+
+# -- the batched exchange: summary first, full lists only on mismatch ----------
+
+
+class RecordingLoopback(LoopbackTransport):
+    """Loopback that keeps every frame put on the wire, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.frames = []
+
+    def send(self, address, data):
+        self.frames.append((address, data))
+        super().send(address, data)
+
+
+def make_batched(transport, name, capacity=1024):
+    """A pure-pull engine (publishing and receiving send nothing by
+    themselves) with batching on."""
+    from repro.core.handler import GossipLayer
+
+    runtime = SoapRuntime(f"test://{name}", transport)
+    transport.register(runtime)
+    scheduler = FakeScheduler()
+    layer = GossipLayer(
+        runtime=runtime,
+        scheduler=scheduler,
+        app_address=f"test://{name}/app",
+        rng=random.Random(5),
+        default_params=GossipParams(
+            fanout=2,
+            rounds=3,
+            style=GossipStyle.PULL,
+            period=0.5,
+            max_batch_rumors=8,
+            buffer_capacity=capacity,
+        ),
+    )
+    runtime.chain.add_first(layer)
+    engine = layer.create_engine(
+        CoordinationContext(
+            identifier="urn:wscoord:activity:test",
+            coordination_type="urn:ws-gossip:2008:coordination",
+            registration_service=EndpointReference("test://coord/registration"),
+        )
+    )
+    engine.registered = True
+    return engine
+
+
+def settle(*engines):
+    """Run the zero-delay flushes of every engine until none is left."""
+    while True:
+        due = [
+            (engine, timer)
+            for engine in engines
+            for timer in engine.scheduler.timers
+            if not timer[2] and timer[0] <= engine.scheduler.now
+        ]
+        if not due:
+            return
+        for engine, _ in due:
+            engine.scheduler.fire_due(engine.scheduler.now)
+
+
+def describe(data):
+    """One wire frame as ``(rumor count, control sections)``."""
+    if not is_batch_frame(data):
+        return 1, None
+    control = scan_batch_control(data)
+    kind = control.digest[1] if control.digest is not None else None
+    return len(split_batch(data)), ("summary" if control.summary else kind)
+
+
+def copy_rumor(source, message_id, *targets):
+    for target in targets:
+        target.runtime.receive(source.store.get(message_id).data, source=None)
+
+
+def counter(engine, name):
+    return engine.runtime.metrics.counter(name).value
+
+
+@pytest.mark.parametrize("retained", [3, 300])
+def test_in_sync_round_costs_fanout_small_frames_and_no_reply(retained):
+    transport = RecordingLoopback()
+    a, b, c = (make_batched(transport, name) for name in "abc")
+    for n in range(retained):
+        copy_rumor(a, a.publish("urn:app/Event", {"n": n}), b, c)
+    a.view = [b.app_address, c.app_address]
+    transport.frames.clear()
+    a._pull_round()
+    settle(a, b, c)
+    assert sorted(address for address, _ in transport.frames) == [
+        "test://b/gossip",
+        "test://c/gossip",
+    ]
+    first, second = (data for _, data in transport.frames)
+    assert first is second  # built once, shared by every target
+    assert describe(first) == (0, "summary")
+    assert len(first) <= 700  # a count and a hash, whatever the store holds
+    assert counter(b, "gossip.pull-in-sync") == 1
+    assert counter(c, "gossip.pull-in-sync") == 1
+    assert counter(a, "gossip.pull-served") == 0
+
+
+def test_mismatch_runs_the_full_exchange_once_and_repairs_both_sides():
+    transport = RecordingLoopback()
+    a, b = make_batched(transport, "a"), make_batched(transport, "b")
+    shared = a.publish("urn:app/Event", {"who": "both"})
+    copy_rumor(a, shared, b)
+    only_a = a.publish("urn:app/Event", {"who": "a"})
+    only_b = b.publish("urn:app/Event", {"who": "b"})
+    a.view, b.view = [b.app_address], [a.app_address]
+    transport.frames.clear()
+    a._pull_round()
+    settle(a, b)
+    assert [(address, describe(data)) for address, data in transport.frames] == [
+        ("test://b/gossip", (0, "summary")),
+        ("test://a/gossip", (0, "req")),
+        ("test://b/gossip", (1, "rsp")),
+        ("test://a/gossip", (1, None)),  # a lone rumor ships as a legacy frame
+    ]
+    assert a.store.digest() == [shared, only_a, only_b]
+    assert b.store.digest() == [shared, only_b, only_a]
+    assert a.store.summary() == b.store.summary()
+    assert counter(a, "gossip.pull-in-sync") == counter(b, "gossip.pull-in-sync") == 0
+
+
+def test_full_list_digest_without_summary_is_answered_as_before():
+    # Back-compat pin: what a pre-Summary node puts on the wire, by hand.
+    transport = RecordingLoopback()
+    old, b = make_batched(transport, "old"), make_batched(transport, "b")
+    known = b.publish("urn:app/Event", {"n": 0})
+    unknown = b.publish("urn:app/Event", {"n": 1})
+    head_frame = (
+        "<?xml version='1.0' encoding='utf-8'?>\n"
+        '<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/"'
+        ' xmlns:wsa="http://www.w3.org/2005/08/addressing"'
+        ' xmlns:g="urn:ws-gossip:2008:core">'
+        "<soap:Header><wsa:To>test://old/gossip</wsa:To>"
+        "<wsa:Action>urn:ws-gossip:2008:core/Batch</wsa:Action></soap:Header>"
+        '<soap:Body><g:GossipBatch activity="urn:wscoord:activity:test"'
+        ' holder="test://old/gossip" ctl="1">'
+        "<g:Sizes></g:Sizes><g:Rumors></g:Rumors>"
+        f'<g:Digest kind="req"><g:Id>{known}</g:Id><g:Id>urn:x:theirs</g:Id></g:Digest>'
+        "</g:GossipBatch></soap:Body></soap:Envelope>"
+    ).encode("utf-8")
+    b.runtime.receive(head_frame, source=None)
+    settle(old, b)
+    (address, reply), = transport.frames
+    assert address == "test://old/gossip"
+    assert split_batch(reply) == [strip_declaration(b.store.get(unknown).data)]
+    control = scan_batch_control(reply)
+    assert control.digest == ([known, unknown], "rsp")
+    assert control.summary is None
+    assert counter(b, "gossip.pull-served") == 1
+
+
+def test_eviction_skew_falls_back_to_full_lists_and_terminates():
+    transport = RecordingLoopback()
+    a, b = (make_batched(transport, name, capacity=4) for name in "ab")
+    origin = make_batched(transport, "origin")
+    ids = [origin.publish("urn:app/Event", {"n": n}) for n in range(5)]
+    for message_id in ids:
+        copy_rumor(origin, message_id, a)
+    for message_id in reversed(ids):
+        copy_rumor(origin, message_id, b)
+    assert set(a.store.digest()) != set(b.store.digest())  # same history
+    assert all(i in a.store and i in b.store for i in ids)
+    a.view, b.view = [b.app_address], [a.app_address]
+    for _ in range(2):  # every round pays the same, bounded exchange
+        transport.frames.clear()
+        a._pull_round()
+        settle(a, b)
+        assert [describe(data) for _, data in transport.frames] == [
+            (0, "summary"),
+            (0, "req"),
+            (1, "rsp"),
+            (1, None),
+        ]
+    assert counter(a, "gossip.fresh") == counter(b, "gossip.fresh") == 5
+    assert counter(a, "gossip.duplicate") == counter(b, "gossip.duplicate") == 2
+
+
+def unscannable_frame(engine, future):
+    """A control tail no byte scanner of this version recognises: an ad
+    for an unknown id, a section from the future, an in-sync summary."""
+    control = BatchControl(ads=[(["urn:x:new"], 2)], summary=engine.store.summary())
+    data = build_batch(engine.activity_id, "test://gone/gossip", [], control)
+    data = data.replace(b"<g:Summary ", future + b"<g:Summary ")
+    assert scan_batch_control(data) is None
+    return data
+
+
+def test_unscannable_control_is_parsed_and_its_known_sections_applied():
+    b = make_batched(RecordingLoopback(), "b")
+    b.publish("urn:app/Event", {"n": 0})
+    b.runtime.receive(unscannable_frame(b, b'<g:Future x="1"/>'), source=None)
+    assert counter(b, "gossip.batch-control-unscannable") == 1
+    assert counter(b, "gossip.fetch") == 1  # the section before it
+    assert counter(b, "gossip.pull-in-sync") == 1  # and the one after
+    assert counter(b, "soap.malformed") == 0
+
+
+def test_unscannable_control_that_does_not_parse_either_is_malformed():
+    b = make_batched(RecordingLoopback(), "b")
+    b.runtime.receive(unscannable_frame(b, b"<g:Future>"), source=None)
+    assert counter(b, "gossip.batch-control-unscannable") == 1
+    assert counter(b, "soap.malformed") == 1
+    assert counter(b, "gossip.fetch") == 0
+    assert counter(b, "gossip.pull-in-sync") == 0
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_lossy_batched_group_converges_then_idles_on_summaries(seed):
+    from repro.core.api import GossipConfig
+
+    nodes, fanout, period = 60, 3, 0.5
+    group = GossipConfig(
+        n_disseminators=nodes - 1,
+        seed=seed,
+        loss_rate=0.1,
+        auto_tune=False,
+        params={
+            "style": "push-pull",
+            "fanout": fanout,
+            "rounds": 4,
+            "period": period,
+            "jitter": 0.0,
+            "max_batch_rumors": 8,
+        },
+    ).build()
+    group.setup()
+    mids = [group.publish({"tick": n}) for n in range(5)]
+    group.run_for(20.0)
+    assert all(group.delivered_fraction(mid) == 1.0 for mid in mids)
+    before = group.message_counts()
+    periods = 10
+    group.run_for(periods * period)
+    after = group.message_counts()
+
+    def grew(name):
+        return after.get(name, 0) - before.get(name, 0)
+
+    # Idle tail: one summary per target per period and not one reply --
+    # the full-list exchange cost a second frame for every one of these.
+    assert grew("gossip.pull-request") == fanout * nodes * periods
+    assert grew("gossip.batch-send") == grew("gossip.pull-request")
+    assert grew("gossip.pull-served") == 0
+    assert 0 < grew("gossip.pull-in-sync") <= grew("gossip.pull-request")

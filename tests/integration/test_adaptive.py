@@ -20,11 +20,15 @@ Three claims are locked in here:
 import io
 import os
 
+import pytest
+
 from repro import GossipConfig
 from repro.core.engine import GossipEngine
 from repro.simnet.faults import FaultPlan
 from repro.simnet.traceio import dump_jsonl
 from repro.workloads import PublishDriver, churn_plan
+
+pytestmark = pytest.mark.gate  # run by `make test-adaptive` (pyproject.toml, markers)
 
 SEED = 11
 PHASES = ("calm", "churn", "loss", "burst")

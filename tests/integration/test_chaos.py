@@ -21,6 +21,8 @@ from repro.simnet.network import Network
 from repro.transport.base import BreakerPolicy, CircuitBreaker
 from repro.transport.inmem import WsProcess, sim_address
 
+pytestmark = pytest.mark.gate  # run by `make test-chaos` (pyproject.toml, markers)
+
 N = 500
 CRASH_FRACTION = 0.3
 LOSS_RATE = 0.10

@@ -7,8 +7,12 @@ coordinator's analysis module predicts (Eugster et al.; see
 ``repro.core.analysis.expected_rounds``).
 """
 
+import pytest
+
 from repro.core.analysis import expected_rounds
 from repro.core.api import GossipConfig
+
+pytestmark = pytest.mark.gate  # run by `make test-obs` (pyproject.toml, markers)
 
 N = 500
 FANOUT = 5

@@ -27,9 +27,13 @@ from __future__ import annotations
 import itertools
 import os
 
+import pytest
+
 from repro import GossipConfig
 from repro.core.overload import OverloadError
 from repro.simnet.faults import FaultPlan
+
+pytestmark = pytest.mark.gate  # run by `make test-overload` (pyproject.toml, markers)
 
 SEED = 19
 

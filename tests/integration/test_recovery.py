@@ -18,6 +18,8 @@ from repro import DurabilityPolicy, GossipConfig, GossipGroup
 from repro.obs.hub import default_hub
 from repro.simnet.faults import FaultPlan
 
+pytestmark = pytest.mark.gate  # run by `make test-recovery` (pyproject.toml, markers)
+
 N = 500
 CRASH_FRACTION = 0.2
 SEED = 1701

@@ -18,10 +18,14 @@ Two claims the live telemetry plane must hold (docs/OBSERVABILITY.md,
 import os
 import time
 
+import pytest
+
 from repro.core.aiodeploy import AsyncGossipMesh, soak_params
 from repro.core.api import GossipConfig
 from repro.core.telemetry import TelemetryPolicy
 from repro.simnet.faults import FaultPlan
+
+pytestmark = pytest.mark.gate  # run by `make test-telemetry` (pyproject.toml, markers)
 
 MESH_N = int(os.environ.get("REPRO_TELEMETRY_N", "60"))
 DELIVERY_FLOOR = 0.99

@@ -426,6 +426,26 @@ class TestUdpNode:
         assert loop.is_running()
 
 
+class TestHttpNode:
+    """The lifecycle contract of ``TestUdpNode``, on the HTTP edge."""
+
+    def test_stopping_a_never_started_node_closes_its_listener(self):
+        sync_stopped = AsyncHttpNode(loop=shared_loop())
+        sync_stopped.stop()
+        assert sync_stopped._sock.fileno() == -1
+        async_stopped = AsyncHttpNode(loop=shared_loop())
+        run_on_loop(shared_loop(), async_stopped.astop())
+        assert async_stopped._sock.fileno() == -1
+
+    def test_restarting_a_stopped_node_is_refused(self):
+        node = AsyncHttpNode(loop=shared_loop())
+        node.start()
+        node.stop()
+        assert node._sock.fileno() == -1
+        with pytest.raises(RuntimeError, match="cannot be restarted"):
+            node.start()
+
+
 class TestLiveMesh:
     def test_small_udp_mesh_disseminates(self):
         from repro.core.aiodeploy import AsyncGossipMesh, soak_params
