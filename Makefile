@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test perf-check test-chaos test-recovery test-obs test-adaptive test-overload test-telemetry soak-smoke soak bench bench-smoke bench-core bench-shard bench-shard-smoke bench-perturbation bench-perturbation-smoke bench-overload bench-overload-smoke bench-telemetry-smoke bench-telemetry profile examples clean coverage
+.PHONY: install test perf-check test-chaos test-recovery test-obs test-adaptive test-overload test-telemetry soak-smoke soak bench bench-smoke bench-core bench-shard bench-shard-smoke bench-perturbation bench-perturbation-smoke bench-overload bench-overload-smoke bench-telemetry-smoke bench-telemetry profile examples record clean coverage
 
 install:
 	pip install -e . || pip install -e . --no-build-isolation
@@ -10,7 +10,7 @@ install:
 # The six gate files carry the `gate` marker (pyproject.toml): each runs
 # once, at gate size, through its test-* target, and the final sweep
 # deselects them.  A plain `pytest` run still collects everything.
-test: test-chaos test-recovery test-obs test-adaptive test-overload test-telemetry soak-smoke bench-shard-smoke perf-check
+test: test-chaos test-recovery test-obs test-adaptive test-overload test-telemetry soak-smoke bench-shard-smoke perf-check examples
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -m "not gate"
 
 # Benchmark self-check (~15 s): all four perf/ workloads and every
@@ -143,12 +143,14 @@ bench-overload-smoke:
 profile:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_perf_core.py --profile
 
+# Every example script end to end (~20 s); they are the config API's
+# main non-test callers.
 examples:
-	for script in examples/*.py; do echo "== $$script =="; $(PYTHON) $$script || exit 1; done
+	for script in examples/*.py; do echo "== $$script =="; PYTHONPATH=src $(PYTHON) $$script || exit 1; done
 
 record:
-	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 clean:
 	rm -rf build dist *.egg-info .pytest_cache .hypothesis

@@ -64,8 +64,7 @@ def health_run(health, crash_fraction=0.3, loss_rate=0.1, seed=1):
         loss_rate=loss_rate,
         params={"fanout": 6, "rounds": 8, "peer_sample_size": 16},
         auto_tune=False,
-        health=health,
-        health_policy=HEALTH_POLICY if health else None,
+        health=HEALTH_POLICY if health else None,
     ).build()
     group.setup(settle=1.5, eager_join=True)
     plan = FaultPlan(group.network)

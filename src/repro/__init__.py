@@ -31,8 +31,10 @@ from repro.core import (
     GossipParams,
     GossipStyle,
     HealthPolicy,
+    OverloadPolicy,
     ParamError,
     PeerHealth,
+    TelemetryPolicy,
     atomic_delivery_probability,
     expected_rounds,
     fanout_for_atomicity,
@@ -42,25 +44,7 @@ from repro.simnet.events import Simulator
 from repro.simnet.metrics import ControlStats, HealthStats, RecoveryStats, WireStats
 from repro.stats import summarize
 
-#: Deprecated process-global stat aliases, resolved lazily so plain
-#: ``import repro`` never fires a DeprecationWarning.
-_DEPRECATED_STATS = (
-    "BATCH_STATS",
-    "CONTROL_STATS",
-    "HEALTH_STATS",
-    "RECOVERY_STATS",
-    "WIRE_STATS",
-)
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_STATS:
-        from repro.simnet import metrics as _metrics
-
-        return getattr(_metrics, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AdaptiveController",
@@ -72,10 +56,9 @@ __all__ = [
     "GossipLog",
     "GossipParams",
     "GossipStyle",
-    "CONTROL_STATS",
     "ControlStats",
-    "HEALTH_STATS",
     "HealthPolicy",
+    "OverloadPolicy",
     "MetricsHub",
     "Profiler",
     "RumorTracer",
@@ -83,10 +66,9 @@ __all__ = [
     "HealthStats",
     "ParamError",
     "PeerHealth",
-    "RECOVERY_STATS",
     "RecoveryStats",
+    "TelemetryPolicy",
     "Simulator",
-    "WIRE_STATS",
     "WireStats",
     "atomic_delivery_probability",
     "expected_rounds",

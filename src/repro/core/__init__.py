@@ -3,7 +3,8 @@
 The framework layers epidemic dissemination over the SOAP stack:
 
 * :mod:`repro.core.params`       -- gossip parameters (fanout ``f``,
-  rounds ``r``, period, style).
+  rounds ``r``, period, style) and the ``Knobs`` base every validated
+  knob set is declared through.
 * :mod:`repro.core.analysis`     -- epidemic math used to configure ``f``
   and ``r`` for a target reliability (Eugster et al. 2004).
 * :mod:`repro.core.message`      -- the ``Gossip`` SOAP header block.
@@ -48,6 +49,7 @@ from repro.core.decentralized import DecentralizedGossipNode, DecentralizedGroup
 from repro.core.engine import GossipEngine
 from repro.core.health import HealthPolicy, PeerHealth
 from repro.core.message import GossipHeader, GossipStyle
+from repro.core.overload import OverloadPolicy
 from repro.core.params import GossipParams, ParamError
 from repro.core.peers import HealthAwareSelector
 from repro.core.roles import (
@@ -63,6 +65,7 @@ from repro.core.store import (
     MemoryGossipLog,
     ReplayResult,
 )
+from repro.core.telemetry import TelemetryPolicy
 
 __all__ = [
     "AdaptiveController",
@@ -87,8 +90,10 @@ __all__ = [
     "HealthAwareSelector",
     "HealthPolicy",
     "InitiatorNode",
+    "OverloadPolicy",
     "ParamError",
     "PeerHealth",
+    "TelemetryPolicy",
     "atomic_delivery_probability",
     "effective_fanout",
     "expected_final_fraction",

@@ -29,10 +29,10 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from repro.core.control import AdaptiveController, AdaptivePolicy
 from repro.core.engine import PROTOCOL_DISSEMINATOR
-from repro.core.health import HealthPolicy, PeerHealth
+from repro.core.health import HealthPolicy, install_health
 from repro.core.message import GossipStyle
 from repro.core.overload import OverloadPolicy
-from repro.core.params import GossipParams, ParamError
+from repro.core.params import GossipParams, ParamError, reject_unknown_keys
 from repro.core.roles import (
     AppNode,
     ConsumerNode,
@@ -72,18 +72,13 @@ class GossipConfig:
         health: enable the peer-health layer on every gossip-capable
             node -- retrying transports with per-destination circuit
             breakers, failure suspicion, and degraded-mode peer
-            selection (see :mod:`repro.core.health`).
-        health_policy: knobs for the health layer; a plain dict is
-            accepted and validated via
-            :meth:`~repro.core.health.HealthPolicy.from_value`.
+            selection (see :mod:`repro.core.health`).  Takes a
+            :class:`~repro.core.health.HealthPolicy`.
         durability: enable the crash-recovery subsystem on every
             gossip-capable node -- each engine keeps a
             :class:`~repro.core.store.GossipLog` (WAL + snapshots) and
             restarted nodes rejoin via the bounded catch-up protocol.
-            Accepts a :class:`~repro.core.store.DurabilityPolicy`, a plain
-            dict (validated via
-            :meth:`~repro.core.store.DurabilityPolicy.from_value`), or
-            ``True`` for the defaults.
+            Takes a :class:`~repro.core.store.DurabilityPolicy`.
         shards: run the simulation across this many worker processes
             (conservative-PDES sharding, see docs/ARCHITECTURE.md,
             "Parallel simulation").  ``1`` (the default) is the plain
@@ -100,34 +95,29 @@ class GossipConfig:
         adaptive: attach an :class:`~repro.core.control.AdaptiveController`
             that re-tunes fanout/rounds/mode/batching from observed
             delivery every epoch (see docs/RESILIENCE.md, "Adaptive
-            control").  Accepts an
-            :class:`~repro.core.control.AdaptivePolicy`, a plain dict
-            (validated via
-            :meth:`~repro.core.control.AdaptivePolicy.from_value`), or
-            ``True`` for the defaults.  Requires ``rumor_tracing`` (the
-            delivery signal comes from the causal spans).
+            control").  Takes an :class:`~repro.core.control.AdaptivePolicy`.
+            Requires ``rumor_tracing`` (the delivery signal comes from
+            the causal spans).
         overload: enable overload protection on every gossip-capable
             node -- bounded outboxes and ingest queues with priority
             load shedding, publish backpressure at the hard limit, and
             a pressure signal the adaptive controller reads (see
-            docs/RESILIENCE.md, "Overload and backpressure").  Accepts
-            an :class:`~repro.core.overload.OverloadPolicy`, a plain
-            dict (validated via
-            :meth:`~repro.core.overload.OverloadPolicy.from_value`), or
-            ``True`` for the defaults.  ``None`` (the default) keeps
-            every overload code path dormant: the wire trace is
-            byte-for-byte identical to the pre-overload behaviour.
+            docs/RESILIENCE.md, "Overload and backpressure").  Takes an
+            :class:`~repro.core.overload.OverloadPolicy`.
         telemetry: enable the live telemetry plane -- wire-level trace
             context on gossip frames (per-hop latency from sampled
             publications), rolling-window counter rates, and the SLO
             burn-rate alert timeline (see docs/OBSERVABILITY.md, "Live
-            telemetry").  Accepts a
-            :class:`~repro.core.telemetry.TelemetryPolicy`, a plain dict
-            (validated via
-            :meth:`~repro.core.telemetry.TelemetryPolicy.from_value`), or
-            ``True`` for the defaults.  ``None`` (the default) emits no
-            trace section: the wire trace stays byte-for-byte identical
-            to the pre-telemetry behaviour.
+            telemetry").  Takes a
+            :class:`~repro.core.telemetry.TelemetryPolicy`.
+
+    The five subsystem fields (``health``, ``durability``, ``adaptive``,
+    ``overload``, ``telemetry``) each accept ``None`` or ``False`` (off,
+    the default), ``True`` (the policy's defaults), a plain dict of the
+    policy's fields (parsed by its ``from_value``), or a policy instance;
+    anything else raises :class:`~repro.core.params.ParamError` naming
+    the field.  ``overload`` and ``telemetry`` off keep the wire trace
+    byte-for-byte identical to the behaviour before they existed.
     """
 
     n_disseminators: int = 8
@@ -142,8 +132,7 @@ class GossipConfig:
     target_reliability: float = 0.99
     action: str = DEFAULT_ACTION
     trace: bool = False
-    health: bool = False
-    health_policy: Optional[HealthPolicy] = None
+    health: Optional[HealthPolicy] = None
     durability: Optional[DurabilityPolicy] = None
     rumor_tracing: bool = True
     adaptive: Optional[AdaptivePolicy] = None
@@ -189,71 +178,19 @@ class GossipConfig:
         # Freeze the activation parameters into a private copy so a caller
         # mutating the dict they passed cannot alter this config.
         object.__setattr__(self, "params", dict(self.params))
-        if isinstance(self.health_policy, dict):
-            object.__setattr__(
-                self, "health_policy", HealthPolicy.from_value(self.health_policy)
-            )
-        if self.durability is True:
-            object.__setattr__(self, "durability", DurabilityPolicy())
-        elif isinstance(self.durability, dict):
-            object.__setattr__(
-                self, "durability", DurabilityPolicy.from_value(self.durability)
-            )
-        elif self.durability is not None and not isinstance(
-            self.durability, DurabilityPolicy
+        for name, policy in (
+            ("health", HealthPolicy),
+            ("durability", DurabilityPolicy),
+            ("adaptive", AdaptivePolicy),
+            ("overload", OverloadPolicy),
+            ("telemetry", TelemetryPolicy),
         ):
-            raise ParamError(
-                "durability",
-                "durability must be a DurabilityPolicy, a dict of its "
-                f"fields, True, or None: {self.durability!r}",
-            )
-        if self.adaptive is True:
-            object.__setattr__(self, "adaptive", AdaptivePolicy())
-        elif isinstance(self.adaptive, dict):
-            object.__setattr__(
-                self, "adaptive", AdaptivePolicy.from_value(self.adaptive)
-            )
-        elif self.adaptive is not None and not isinstance(
-            self.adaptive, AdaptivePolicy
-        ):
-            raise ParamError(
-                "adaptive",
-                "adaptive must be an AdaptivePolicy, a dict of its "
-                f"fields, True, or None: {self.adaptive!r}",
-            )
+            object.__setattr__(self, name, policy.coerce(name, getattr(self, name)))
         if self.adaptive is not None and not self.rumor_tracing:
             raise ParamError(
                 "adaptive",
                 "adaptive control needs rumor_tracing=True (the delivery "
                 "signal is read from the causal rumor spans)",
-            )
-        if self.overload is True:
-            object.__setattr__(self, "overload", OverloadPolicy())
-        elif isinstance(self.overload, dict):
-            object.__setattr__(
-                self, "overload", OverloadPolicy.from_value(self.overload)
-            )
-        elif self.overload is not None and not isinstance(
-            self.overload, OverloadPolicy
-        ):
-            raise ParamError(
-                "overload",
-                "overload must be an OverloadPolicy, a dict of its "
-                f"fields, True, or None: {self.overload!r}",
-            )
-        if self.telemetry is True:
-            object.__setattr__(self, "telemetry", TelemetryPolicy())
-        elif isinstance(self.telemetry, dict):
-            object.__setattr__(
-                self, "telemetry", TelemetryPolicy.from_value(self.telemetry)
-            )
-        elif self.telemetry is not None and not isinstance(
-            self.telemetry, TelemetryPolicy
-        ):
-            raise ParamError(
-                "telemetry",
-                "telemetry must be a TelemetryPolicy, a dict of its "
-                f"fields, True, or None: {self.telemetry!r}",
             )
 
     @classmethod
@@ -268,12 +205,7 @@ class GossipConfig:
         Raises:
             ParamError: naming any unknown key.
         """
-        known = set(cls.field_names())
-        unknown = sorted(set(value) - known)
-        if unknown:
-            raise ParamError(
-                unknown[0], f"unknown GossipConfig key(s): {', '.join(unknown)}"
-            )
+        reject_unknown_keys(cls, cls.field_names(), value)
         return cls(**dict(value))
 
     def with_overrides(self, **overrides: Any) -> "GossipConfig":
@@ -282,12 +214,7 @@ class GossipConfig:
         Raises:
             ParamError: naming any unknown key.
         """
-        known = set(self.field_names())
-        unknown = sorted(set(overrides) - known)
-        if unknown:
-            raise ParamError(
-                unknown[0], f"unknown GossipConfig key(s): {', '.join(unknown)}"
-            )
+        reject_unknown_keys(type(self), self.field_names(), overrides)
         return dataclasses.replace(self, **overrides)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -301,14 +228,7 @@ class GossipConfig:
     def gossip_params(self, base: Optional[GossipParams] = None) -> GossipParams:
         """The validated :class:`GossipParams` the activation will produce
         (useful for inspecting a config before running it)."""
-        return GossipParams.from_activation(
-            {
-                key: value
-                for key, value in self.params.items()
-                if key in {f.name for f in fields(GossipParams)}
-            },
-            base=base,
-        )
+        return GossipParams.from_activation(self.params, base=base)
 
     def build(self) -> Any:
         """Construct the deployment this config describes.
@@ -384,8 +304,8 @@ class GossipGroup:
         self.sim = Simulator(seed=self.config.seed)
         self.trace = TraceLog(enabled=self.config.trace)
         # One observability hub per group: chained to the default hub so
-        # process-wide aggregates (the deprecated *_STATS aliases) still
-        # see this simulation, but never shared with another group.
+        # process-wide aggregates still see this simulation, but never
+        # shared with another group.
         self.metrics = MetricsHub(parent=default_hub(), name="gossip-group")
         self.hub = self.metrics
         self.hub.tracer.enabled = self.config.rumor_tracing
@@ -426,25 +346,13 @@ class GossipGroup:
             ConsumerNode(f"c{index}", self.network)
             for index in range(self.config.n_consumers)
         ]
-        if self.config.health:
-            policy = (
-                self.config.health_policy
-                if self.config.health_policy is not None
-                else HealthPolicy()
+        if self.config.health is not None:
+            install_health(
+                [self.initiator, *self.disseminators],
+                self.config.health,
+                clock=lambda: self.sim.now,
+                stats=self.hub.health,
             )
-            for node in [self.initiator, *self.disseminators]:
-                health = PeerHealth(
-                    policy,
-                    clock=lambda: self.sim.now,
-                    stats=self.hub.health,
-                )
-                node.runtime.transport.configure_resilience(
-                    retry=policy.retry_policy(),
-                    breaker=policy.breaker_policy(),
-                )
-                node.runtime.transport.add_outcome_listener(health.record_outcome)
-                node.gossip_layer.health = health
-                node.health = health
 
         self.controller: Optional[AdaptiveController] = None
         if self.config.adaptive is not None:
@@ -460,7 +368,7 @@ class GossipGroup:
                 ],
                 healths=(
                     (lambda: [node.health for node in gossip_nodes])
-                    if self.config.health
+                    if self.config.health is not None
                     else None
                 ),
             )

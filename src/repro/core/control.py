@@ -66,19 +66,19 @@ controller attached with a no-op policy does not perturb the simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.analysis import expected_rounds
 from repro.core.message import GossipStyle
-from repro.core.params import GossipParams, ParamError, _convert
+from repro.core.params import GossipParams, Knobs, ParamError, knob
 
 #: Styles the escalation ladder moves between (index = escalation level).
 _ESCALATION_LADDER = (GossipStyle.PUSH, GossipStyle.PUSH_PULL)
 
 
 @dataclass(frozen=True)
-class AdaptivePolicy:
+class AdaptivePolicy(Knobs):
     """Validated knobs of the adaptive controller.
 
     Attributes:
@@ -126,163 +126,38 @@ class AdaptivePolicy:
             the controller reduces offered load.
     """
 
-    slo_delivery: float = 0.99
-    epoch: float = 2.0
-    min_fanout: int = 2
+    slo_delivery: float = knob(0.99, gt=0, le=1)
+    epoch: float = knob(2.0, gt=0)
+    min_fanout: int = knob(2, ge=1)
     max_fanout: int = 10
-    min_rounds: int = 3
+    min_rounds: int = knob(3, ge=1)
     max_rounds: int = 12
     fanout_ceiling: int = 12
     escalate: bool = True
-    min_batch_rumors: int = 1
+    min_batch_rumors: int = knob(1, ge=1)
     max_batch_rumors: int = 64
-    shrink_margin: float = 0.005
-    suspicion_high: float = 0.10
-    failure_high: float = 0.02
-    duplicate_high: float = 1.5
-    burst_high: float = 3.0
-    burst_min_publishes: int = 4
-    cooldown_epochs: int = 3
-    pressure_high: float = 0.8
+    shrink_margin: float = knob(0.005, ge=0)
+    suspicion_high: float = knob(0.10, gt=0, le=1)
+    failure_high: float = knob(0.02, gt=0, le=1)
+    duplicate_high: float = knob(1.5, gt=0)
+    burst_high: float = knob(3.0, gt=1)
+    burst_min_publishes: int = knob(4, ge=1)
+    cooldown_epochs: int = knob(3, ge=0)
+    pressure_high: float = knob(0.8, gt=0, le=1)
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.slo_delivery <= 1.0:
-            raise ParamError(
-                "slo_delivery",
-                f"slo_delivery must be in (0, 1]: {self.slo_delivery!r}",
-            )
-        if self.epoch <= 0:
-            raise ParamError("epoch", f"epoch must be positive: {self.epoch!r}")
-        if self.min_fanout < 1:
-            raise ParamError(
-                "min_fanout", f"min_fanout must be >= 1: {self.min_fanout!r}"
-            )
-        if self.max_fanout < self.min_fanout:
-            raise ParamError(
-                "max_fanout",
-                f"max_fanout ({self.max_fanout}) must be >= "
-                f"min_fanout ({self.min_fanout})",
-            )
-        if self.min_rounds < 1:
-            raise ParamError(
-                "min_rounds", f"min_rounds must be >= 1: {self.min_rounds!r}"
-            )
-        if self.max_rounds < self.min_rounds:
-            raise ParamError(
-                "max_rounds",
-                f"max_rounds ({self.max_rounds}) must be >= "
-                f"min_rounds ({self.min_rounds})",
-            )
-        if self.fanout_ceiling < self.max_fanout:
-            raise ParamError(
-                "fanout_ceiling",
-                f"fanout_ceiling ({self.fanout_ceiling}) must be >= "
-                f"max_fanout ({self.max_fanout})",
-            )
-        if self.min_batch_rumors < 1:
-            raise ParamError(
-                "min_batch_rumors",
-                f"min_batch_rumors must be >= 1: {self.min_batch_rumors!r}",
-            )
-        if self.max_batch_rumors < self.min_batch_rumors:
-            raise ParamError(
-                "max_batch_rumors",
-                f"max_batch_rumors ({self.max_batch_rumors}) must be >= "
-                f"min_batch_rumors ({self.min_batch_rumors})",
-            )
-        if self.shrink_margin < 0:
-            raise ParamError(
-                "shrink_margin",
-                f"shrink_margin must be non-negative: {self.shrink_margin!r}",
-            )
-        for name in ("suspicion_high", "failure_high"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ParamError(name, f"{name} must be in (0, 1]: {value!r}")
-        if self.duplicate_high <= 0:
-            raise ParamError(
-                "duplicate_high",
-                f"duplicate_high must be positive: {self.duplicate_high!r}",
-            )
-        if self.burst_high <= 1.0:
-            raise ParamError(
-                "burst_high", f"burst_high must be > 1: {self.burst_high!r}"
-            )
-        if self.burst_min_publishes < 1:
-            raise ParamError(
-                "burst_min_publishes",
-                "burst_min_publishes must be >= 1: "
-                f"{self.burst_min_publishes!r}",
-            )
-        if self.cooldown_epochs < 0:
-            raise ParamError(
-                "cooldown_epochs",
-                f"cooldown_epochs must be non-negative: {self.cooldown_epochs!r}",
-            )
-        if not 0.0 < self.pressure_high <= 1.0:
-            raise ParamError(
-                "pressure_high",
-                f"pressure_high must be in (0, 1]: {self.pressure_high!r}",
-            )
-
-    # -- wire/config form ----------------------------------------------------
-
-    def to_value(self) -> Dict[str, Any]:
-        """Serialize to a plain mapping."""
-        return {
-            "slo_delivery": self.slo_delivery,
-            "epoch": self.epoch,
-            "min_fanout": self.min_fanout,
-            "max_fanout": self.max_fanout,
-            "min_rounds": self.min_rounds,
-            "max_rounds": self.max_rounds,
-            "fanout_ceiling": self.fanout_ceiling,
-            "escalate": self.escalate,
-            "min_batch_rumors": self.min_batch_rumors,
-            "max_batch_rumors": self.max_batch_rumors,
-            "shrink_margin": self.shrink_margin,
-            "suspicion_high": self.suspicion_high,
-            "failure_high": self.failure_high,
-            "duplicate_high": self.duplicate_high,
-            "burst_high": self.burst_high,
-            "burst_min_publishes": self.burst_min_publishes,
-            "cooldown_epochs": self.cooldown_epochs,
-            "pressure_high": self.pressure_high,
-        }
-
-    @classmethod
-    def from_value(cls, value: Dict[str, Any]) -> "AdaptivePolicy":
-        """Parse from a (partial) mapping over the defaults.
-
-        Raises:
-            ParamError: naming the malformed or unknown key.
-        """
-        if not isinstance(value, dict):
-            raise ParamError(
-                "adaptive", f"adaptive policy map expected, got {value!r}"
-            )
-        known = set(cls().to_value())
-        unknown = sorted(set(value) - known)
-        if unknown:
-            raise ParamError(
-                unknown[0], f"unknown adaptive policy key(s): {', '.join(unknown)}"
-            )
-        base = cls()
-        casters = {"escalate": bool}
-        ints = {
-            "min_fanout", "max_fanout", "min_rounds", "max_rounds",
-            "fanout_ceiling", "min_batch_rumors", "max_batch_rumors",
-            "burst_min_publishes", "cooldown_epochs",
-        }
-        kwargs: Dict[str, Any] = {}
-        for name, default in base.to_value().items():
-            caster = casters.get(name, int if name in ints else float)
-            kwargs[name] = _convert(value, name, caster, default=default)
-        return cls(**kwargs)
-
-    def with_overrides(self, **overrides: Any) -> "AdaptivePolicy":
-        """A copy with the given fields replaced."""
-        return replace(self, **overrides)
+    def _check(self) -> None:
+        for low, high in (
+            ("min_fanout", "max_fanout"),
+            ("max_fanout", "fanout_ceiling"),
+            ("min_rounds", "max_rounds"),
+            ("min_batch_rumors", "max_batch_rumors"),
+        ):
+            if not getattr(self, high) >= getattr(self, low):
+                raise ParamError(
+                    high,
+                    f"{high} ({getattr(self, high)}) must be >= "
+                    f"{low} ({getattr(self, low)})",
+                )
 
 
 @dataclass
@@ -305,21 +180,8 @@ class EpochSignals:
     spans_assessed: int = 0
     pressure: float = 0.0
 
-    def to_value(self) -> Dict[str, Any]:
-        """Serialize for the JSONL export."""
-        return {
-            "time": self.time,
-            "delivery": self.delivery,
-            "rounds_to_slo": self.rounds_to_slo,
-            "rounds_bound": self.rounds_bound,
-            "duplicate_ratio": self.duplicate_ratio,
-            "suspicion": self.suspicion,
-            "failure_rate": self.failure_rate,
-            "publish_rate": self.publish_rate,
-            "burst": self.burst,
-            "spans_assessed": self.spans_assessed,
-            "pressure": self.pressure,
-        }
+    #: Serialize for the JSONL export.
+    to_value = asdict
 
 
 @dataclass
@@ -336,19 +198,8 @@ class ControlDecision:
     style: str = GossipStyle.PUSH.value
     max_batch_rumors: int = 1
 
-    def to_value(self) -> Dict[str, Any]:
-        """Serialize for the JSONL export."""
-        return {
-            "time": self.time,
-            "epoch": self.epoch,
-            "action": self.action,
-            "reasons": list(self.reasons),
-            "signals": self.signals.to_value(),
-            "fanout": self.fanout,
-            "rounds": self.rounds,
-            "style": self.style,
-            "max_batch_rumors": self.max_batch_rumors,
-        }
+    #: Serialize for the JSONL export (signals nested as a dict).
+    to_value = asdict
 
     def __repr__(self) -> str:
         return (

@@ -31,10 +31,10 @@ one health record.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.params import ParamError, _convert
+from repro.core.params import Knobs, knob
 from repro.simnet.metrics import HealthStats
 from repro.transport.base import (
     BreakerPolicy,
@@ -45,7 +45,7 @@ from repro.transport.base import (
 
 
 @dataclass(frozen=True)
-class HealthPolicy:
+class HealthPolicy(Knobs):
     """Validated knobs of the peer-health layer.
 
     Attributes:
@@ -63,119 +63,15 @@ class HealthPolicy:
             probe that tests recovery.
     """
 
-    suspicion_threshold: float = 1.5
-    failure_weight: float = 1.0
-    success_relief: float = 1.0
-    half_life: float = 10.0
-    boost_cap: float = 2.0
-    max_retries: int = 1
-    retry_backoff: float = 0.05
-    breaker_threshold: int = 3
-    breaker_reset: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.suspicion_threshold <= 0:
-            raise ParamError(
-                "suspicion_threshold",
-                f"suspicion_threshold must be positive: {self.suspicion_threshold!r}",
-            )
-        if self.failure_weight <= 0:
-            raise ParamError(
-                "failure_weight",
-                f"failure_weight must be positive: {self.failure_weight!r}",
-            )
-        if self.success_relief < 0:
-            raise ParamError(
-                "success_relief",
-                f"success_relief must be non-negative: {self.success_relief!r}",
-            )
-        if self.half_life <= 0:
-            raise ParamError(
-                "half_life", f"half_life must be positive: {self.half_life!r}"
-            )
-        if self.boost_cap < 1.0:
-            raise ParamError(
-                "boost_cap", f"boost_cap must be >= 1: {self.boost_cap!r}"
-            )
-        if self.max_retries < 0:
-            raise ParamError(
-                "max_retries",
-                f"max_retries must be non-negative: {self.max_retries!r}",
-            )
-        if self.retry_backoff <= 0:
-            raise ParamError(
-                "retry_backoff",
-                f"retry_backoff must be positive: {self.retry_backoff!r}",
-            )
-        if self.breaker_threshold < 1:
-            raise ParamError(
-                "breaker_threshold",
-                f"breaker_threshold must be >= 1: {self.breaker_threshold!r}",
-            )
-        if self.breaker_reset <= 0:
-            raise ParamError(
-                "breaker_reset",
-                f"breaker_reset must be positive: {self.breaker_reset!r}",
-            )
-
-    # -- wire/config form ----------------------------------------------------
-
-    def to_value(self) -> Dict[str, Any]:
-        """Serialize to a plain mapping."""
-        return {
-            "suspicion_threshold": self.suspicion_threshold,
-            "failure_weight": self.failure_weight,
-            "success_relief": self.success_relief,
-            "half_life": self.half_life,
-            "boost_cap": self.boost_cap,
-            "max_retries": self.max_retries,
-            "retry_backoff": self.retry_backoff,
-            "breaker_threshold": self.breaker_threshold,
-            "breaker_reset": self.breaker_reset,
-        }
-
-    @classmethod
-    def from_value(cls, value: Dict[str, Any]) -> "HealthPolicy":
-        """Parse from a (partial) mapping over the defaults.
-
-        Raises:
-            ParamError: naming the malformed or unknown key.
-        """
-        if not isinstance(value, dict):
-            raise ParamError("health", f"health policy map expected, got {value!r}")
-        known = set(cls().to_value())
-        unknown = sorted(set(value) - known)
-        if unknown:
-            raise ParamError(
-                unknown[0], f"unknown health policy key(s): {', '.join(unknown)}"
-            )
-        base = cls()
-        return cls(
-            suspicion_threshold=_convert(
-                value, "suspicion_threshold", float,
-                default=base.suspicion_threshold,
-            ),
-            failure_weight=_convert(
-                value, "failure_weight", float, default=base.failure_weight
-            ),
-            success_relief=_convert(
-                value, "success_relief", float, default=base.success_relief
-            ),
-            half_life=_convert(value, "half_life", float, default=base.half_life),
-            boost_cap=_convert(value, "boost_cap", float, default=base.boost_cap),
-            max_retries=_convert(
-                value, "max_retries", int, default=base.max_retries
-            ),
-            retry_backoff=_convert(
-                value, "retry_backoff", float, default=base.retry_backoff
-            ),
-            breaker_threshold=_convert(
-                value, "breaker_threshold", int, default=base.breaker_threshold
-            ),
-            breaker_reset=_convert(
-                value, "breaker_reset", float, default=base.breaker_reset
-            ),
-        )
+    suspicion_threshold: float = knob(1.5, gt=0)
+    failure_weight: float = knob(1.0, gt=0)
+    success_relief: float = knob(1.0, ge=0)
+    half_life: float = knob(10.0, gt=0)
+    boost_cap: float = knob(2.0, ge=1)
+    max_retries: int = knob(1, ge=0)
+    retry_backoff: float = knob(0.05, gt=0)
+    breaker_threshold: int = knob(3, ge=1)
+    breaker_reset: float = knob(5.0, gt=0)
 
     # -- derived transport policies -----------------------------------------
 
@@ -189,10 +85,6 @@ class HealthPolicy:
             failure_threshold=self.breaker_threshold,
             reset_timeout=self.breaker_reset,
         )
-
-    def with_overrides(self, **overrides: Any) -> "HealthPolicy":
-        """A copy with the given fields replaced."""
-        return replace(self, **overrides)
 
 
 def key_of(address: str) -> str:
@@ -370,3 +262,25 @@ class PeerHealth:
             f"PeerHealth(known={len(self._scores)}, "
             f"suspected={len(self._suspected)})"
         )
+
+
+def install_health(
+    nodes: Iterable[Any],
+    policy: HealthPolicy,
+    clock: Callable[[], float],
+    stats: HealthStats,
+) -> None:
+    """Put each gossip node of a simulated group under ``policy``.
+
+    Every node gets its own :class:`PeerHealth`, fed by each send outcome
+    of a transport that now retries and breaks per destination, and its
+    gossip layer selects peers in degraded mode.
+    """
+    for node in nodes:
+        health = PeerHealth(policy, clock=clock, stats=stats)
+        node.runtime.transport.configure_resilience(
+            retry=policy.retry_policy(), breaker=policy.breaker_policy()
+        )
+        node.runtime.transport.add_outcome_listener(health.record_outcome)
+        node.gossip_layer.health = health
+        node.health = health

@@ -31,10 +31,9 @@ until pressure falls back below ``low_watermark``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Dict
+from dataclasses import dataclass
 
-from repro.core.params import ParamError, _convert
+from repro.core.params import Knobs, ParamError, knob
 
 
 class OverloadError(RuntimeError):
@@ -56,7 +55,7 @@ class OverloadError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class OverloadPolicy:
+class OverloadPolicy(Knobs):
     """Validated knobs of the overload-protection subsystem.
 
     Attributes:
@@ -84,117 +83,33 @@ class OverloadPolicy:
             header (and in :class:`OverloadError`).
     """
 
-    outbox_bound: int = 256
-    ingest_capacity: int = 256
-    high_watermark: float = 0.8
-    low_watermark: float = 0.5
-    shed_digest: float = 0.6
-    shed_feedback: float = 0.75
-    shed_pull: float = 0.9
-    admission_rate: float = 500.0
-    admission_burst: int = 64
-    retry_after: float = 1.0
+    outbox_bound: int = knob(256, ge=1)
+    ingest_capacity: int = knob(256, ge=1)
+    high_watermark: float = knob(0.8, gt=0, le=1)
+    low_watermark: float = knob(0.5, gt=0)
+    shed_digest: float = knob(0.6, gt=0, le=1)
+    shed_feedback: float = knob(0.75, gt=0, le=1)
+    shed_pull: float = knob(0.9, gt=0, le=1)
+    admission_rate: float = knob(500.0, gt=0)
+    admission_burst: int = knob(64, ge=1)
+    retry_after: float = knob(1.0, gt=0)
 
-    def __post_init__(self) -> None:
-        if self.outbox_bound < 1:
-            raise ParamError(
-                "outbox_bound",
-                f"outbox_bound must be >= 1: {self.outbox_bound!r}",
-            )
-        if self.ingest_capacity < 1:
-            raise ParamError(
-                "ingest_capacity",
-                f"ingest_capacity must be >= 1: {self.ingest_capacity!r}",
-            )
-        if not 0.0 < self.high_watermark <= 1.0:
-            raise ParamError(
-                "high_watermark",
-                f"high_watermark must be in (0, 1]: {self.high_watermark!r}",
-            )
-        if not 0.0 < self.low_watermark < self.high_watermark:
+    def _check(self) -> None:
+        if not self.low_watermark < self.high_watermark:
             raise ParamError(
                 "low_watermark",
-                f"low_watermark must be in (0, high_watermark): "
+                f"low_watermark must be < high_watermark: "
                 f"{self.low_watermark!r} (high={self.high_watermark!r})",
             )
-        ladder = (
-            ("shed_digest", self.shed_digest),
-            ("shed_feedback", self.shed_feedback),
-            ("shed_pull", self.shed_pull),
-        )
-        previous = 0.0
-        for name, value in ladder:
-            if not 0.0 < value <= 1.0:
-                raise ParamError(name, f"{name} must be in (0, 1]: {value!r}")
-            if value < previous:
-                raise ParamError(
-                    name,
-                    "shed ladder must be ordered shed_digest <= "
-                    f"shed_feedback <= shed_pull: {name} ({value!r}) < "
-                    f"{previous!r}",
-                )
-            previous = value
-        if self.admission_rate <= 0:
+        if not self.shed_digest <= self.shed_feedback <= self.shed_pull:
             raise ParamError(
-                "admission_rate",
-                f"admission_rate must be positive: {self.admission_rate!r}",
+                "shed_feedback"
+                if self.shed_feedback < self.shed_digest
+                else "shed_pull",
+                "shed ladder must be ordered shed_digest <= shed_feedback <= "
+                f"shed_pull: {self.shed_digest!r}, {self.shed_feedback!r}, "
+                f"{self.shed_pull!r}",
             )
-        if self.admission_burst < 1:
-            raise ParamError(
-                "admission_burst",
-                f"admission_burst must be >= 1: {self.admission_burst!r}",
-            )
-        if self.retry_after <= 0:
-            raise ParamError(
-                "retry_after",
-                f"retry_after must be positive: {self.retry_after!r}",
-            )
-
-    # -- wire/config form ----------------------------------------------------
-
-    def to_value(self) -> Dict[str, Any]:
-        """Serialize to a plain mapping."""
-        return {
-            "outbox_bound": self.outbox_bound,
-            "ingest_capacity": self.ingest_capacity,
-            "high_watermark": self.high_watermark,
-            "low_watermark": self.low_watermark,
-            "shed_digest": self.shed_digest,
-            "shed_feedback": self.shed_feedback,
-            "shed_pull": self.shed_pull,
-            "admission_rate": self.admission_rate,
-            "admission_burst": self.admission_burst,
-            "retry_after": self.retry_after,
-        }
-
-    @classmethod
-    def from_value(cls, value: Dict[str, Any]) -> "OverloadPolicy":
-        """Parse from a (partial) mapping over the defaults.
-
-        Raises:
-            ParamError: naming the malformed or unknown key.
-        """
-        if not isinstance(value, dict):
-            raise ParamError(
-                "overload", f"overload policy map expected, got {value!r}"
-            )
-        known = set(cls().to_value())
-        unknown = sorted(set(value) - known)
-        if unknown:
-            raise ParamError(
-                unknown[0], f"unknown overload policy key(s): {', '.join(unknown)}"
-            )
-        base = cls()
-        ints = {"outbox_bound", "ingest_capacity", "admission_burst"}
-        kwargs: Dict[str, Any] = {}
-        for name, default in base.to_value().items():
-            caster = int if name in ints else float
-            kwargs[name] = _convert(value, name, caster, default=default)
-        return cls(**kwargs)
-
-    def with_overrides(self, **overrides: Any) -> "OverloadPolicy":
-        """A copy with the given fields replaced."""
-        return replace(self, **overrides)
 
 
 #: The shed-ladder classes, cheapest first (docs/RESILIENCE.md).

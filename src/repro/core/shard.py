@@ -37,6 +37,13 @@ class ShardedGossipGroup:
                 "controller reads one process-local hub); run adaptive "
                 "scenarios with shards=1",
             )
+        if config.telemetry is not None:
+            raise ParamError(
+                "shards",
+                "telemetry is not supported with shards > 1 (the workers "
+                "emit no trace sections and the rollups read one "
+                "process-local hub); run telemetry scenarios with shards=1",
+            )
         self.config = config
         try:
             self.plan = ShardPlan(

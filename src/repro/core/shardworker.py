@@ -32,7 +32,7 @@ import xml.etree.ElementTree as ET
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.core.engine import PROTOCOL_DISSEMINATOR
-from repro.core.health import HealthPolicy, PeerHealth
+from repro.core.health import install_health
 from repro.core.roles import (
     ConsumerNode,
     CoordinatorNode,
@@ -129,25 +129,13 @@ class GossipShardRuntime:
             if f"c{index}" in local
         ]
 
-        if config.health:
-            policy = (
-                config.health_policy
-                if config.health_policy is not None
-                else HealthPolicy()
+        if config.health is not None:
+            install_health(
+                self._gossip_nodes(),
+                config.health,
+                clock=lambda: self.sim.now,
+                stats=self.hub.health,
             )
-            for node in self._gossip_nodes():
-                health = PeerHealth(
-                    policy,
-                    clock=lambda: self.sim.now,
-                    stats=self.hub.health,
-                )
-                node.runtime.transport.configure_resilience(
-                    retry=policy.retry_policy(),
-                    breaker=policy.breaker_policy(),
-                )
-                node.runtime.transport.add_outcome_listener(health.record_outcome)
-                node.gossip_layer.health = health
-                node.health = health
 
         for node in self._app_nodes():
             node.bind(self.action)

@@ -17,9 +17,8 @@ rejoining with amnesia:
   the last complete record, a bad record is skipped, and neither ever
   raises out of :meth:`~GossipLog.replay`.
 * :class:`DurabilityPolicy` -- the validated knob set (`fsync` policy,
-  snapshot cadence, catch-up bounds), following the same
-  ``ParamError``-naming convention as :class:`~repro.core.params.GossipParams`
-  and :class:`~repro.core.health.HealthPolicy`.
+  snapshot cadence, catch-up bounds), declared through
+  :class:`~repro.core.params.Knobs` like every other knob set.
 
 Record framing (file mode): ``<length:uint32-le> <crc32:uint32-le>
 <payload>`` where the payload is UTF-8 JSON with ``bytes`` values encoded
@@ -35,10 +34,10 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.core.params import ParamError, _convert
+from repro.core.params import Knobs, ParamError, knob
 from repro.simnet.metrics import RecoveryStats
 
 _HEADER = struct.Struct("<II")
@@ -332,7 +331,7 @@ class FileGossipLog(GossipLog):
 
 
 @dataclass(frozen=True)
-class DurabilityPolicy:
+class DurabilityPolicy(Knobs):
     """Validated knobs for the crash-recovery subsystem.
 
     Attributes:
@@ -348,101 +347,20 @@ class DurabilityPolicy:
             resumes regardless.
     """
 
-    mode: str = "memory"
+    mode: str = knob("memory", choices=DURABILITY_MODES)
     directory: Optional[str] = None
-    fsync: str = "batch"
-    fsync_every: int = 64
-    snapshot_every: int = 256
+    fsync: str = knob("batch", choices=FSYNC_POLICIES)
+    fsync_every: int = knob(64, ge=1)
+    snapshot_every: int = knob(256, ge=1)
     catch_up: bool = True
-    catch_up_peers: int = 3
-    catch_up_rounds: int = 3
+    catch_up_peers: int = knob(3, ge=1)
+    catch_up_rounds: int = knob(3, ge=1)
 
-    def __post_init__(self) -> None:
-        if self.mode not in DURABILITY_MODES:
-            raise ParamError(
-                "mode", f"mode must be one of {DURABILITY_MODES}: {self.mode!r}"
-            )
+    def _check(self) -> None:
         if self.mode == "file" and not self.directory:
             raise ParamError(
                 "directory", "file-mode durability requires a directory"
             )
-        if self.fsync not in FSYNC_POLICIES:
-            raise ParamError(
-                "fsync", f"fsync must be one of {FSYNC_POLICIES}: {self.fsync!r}"
-            )
-        if self.fsync_every < 1:
-            raise ParamError(
-                "fsync_every", f"fsync_every must be >= 1: {self.fsync_every!r}"
-            )
-        if self.snapshot_every < 1:
-            raise ParamError(
-                "snapshot_every",
-                f"snapshot_every must be >= 1: {self.snapshot_every!r}",
-            )
-        if self.catch_up_peers < 1:
-            raise ParamError(
-                "catch_up_peers",
-                f"catch_up_peers must be >= 1: {self.catch_up_peers!r}",
-            )
-        if self.catch_up_rounds < 1:
-            raise ParamError(
-                "catch_up_rounds",
-                f"catch_up_rounds must be >= 1: {self.catch_up_rounds!r}",
-            )
-
-    @classmethod
-    def field_names(cls) -> List[str]:
-        return [f.name for f in fields(cls)]
-
-    @classmethod
-    def from_value(cls, value: Dict[str, Any]) -> "DurabilityPolicy":
-        """Build from a plain mapping; :class:`ParamError` names any
-        unknown or malformed key."""
-        if not isinstance(value, dict):
-            raise ParamError(
-                "durability", f"durability map expected, got {value!r}"
-            )
-        known = set(cls.field_names())
-        unknown = sorted(set(value) - known)
-        if unknown:
-            raise ParamError(
-                unknown[0],
-                f"unknown DurabilityPolicy key(s): {', '.join(unknown)}",
-            )
-        base = cls()
-        return cls(
-            mode=_convert(value, "mode", str, default=base.mode),
-            directory=(
-                None
-                if value.get("directory", base.directory) is None
-                else _convert(value, "directory", str, default=base.directory)
-            ),
-            fsync=_convert(value, "fsync", str, default=base.fsync),
-            fsync_every=_convert(value, "fsync_every", int, default=base.fsync_every),
-            snapshot_every=_convert(
-                value, "snapshot_every", int, default=base.snapshot_every
-            ),
-            catch_up=_convert(value, "catch_up", bool, default=base.catch_up),
-            catch_up_peers=_convert(
-                value, "catch_up_peers", int, default=base.catch_up_peers
-            ),
-            catch_up_rounds=_convert(
-                value, "catch_up_rounds", int, default=base.catch_up_rounds
-            ),
-        )
-
-    def to_value(self) -> Dict[str, Any]:
-        return {name: getattr(self, name) for name in self.field_names()}
-
-    def with_overrides(self, **overrides: Any) -> "DurabilityPolicy":
-        known = set(self.field_names())
-        unknown = sorted(set(overrides) - known)
-        if unknown:
-            raise ParamError(
-                unknown[0],
-                f"unknown DurabilityPolicy key(s): {', '.join(unknown)}",
-            )
-        return replace(self, **overrides)
 
     def make_log(
         self, name: str, stats: Optional[RecoveryStats] = None
@@ -466,21 +384,10 @@ class DurabilityPolicy:
         )
 
 
-def __getattr__(name: str):
-    # RECOVERY_STATS used to be re-exported here; delegate to the metrics
-    # module so the deprecation story is identical everywhere.
-    if name == "RECOVERY_STATS":
-        from repro.simnet import metrics
-
-        return metrics.RECOVERY_STATS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "DurabilityPolicy",
     "FileGossipLog",
     "GossipLog",
     "MemoryGossipLog",
     "ReplayResult",
-    "RECOVERY_STATS",
 ]

@@ -14,9 +14,8 @@ identical (gated by ``tests/integration/test_trace_identity.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
 
-from repro.core.params import ParamError, _convert
+from repro.core.params import Knobs, knob
 
 #: Delivery SLO the burn-rate monitor defends when the policy leaves
 #: ``slo_delivery`` at its default -- matches ``AdaptivePolicy.slo_delivery``.
@@ -24,7 +23,7 @@ DEFAULT_SLO_DELIVERY = 0.99
 
 
 @dataclass(frozen=True)
-class TelemetryPolicy:
+class TelemetryPolicy(Knobs):
     """Validated knobs for the live telemetry plane.
 
     Attributes:
@@ -52,72 +51,9 @@ class TelemetryPolicy:
         window: seconds of history the SLO burn-rate window spans.
     """
 
-    sample_rate: float = 0.1
-    max_path_length: int = 32
-    clock_skew_guard: float = 2.0
-    epoch: float = 2.0
-    slo_delivery: float = DEFAULT_SLO_DELIVERY
-    window: float = 30.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.sample_rate <= 1.0:
-            raise ParamError(
-                "sample_rate",
-                f"sample_rate must be in [0, 1]: {self.sample_rate!r}",
-            )
-        if self.max_path_length < 1:
-            raise ParamError(
-                "max_path_length",
-                f"max_path_length must be >= 1: {self.max_path_length!r}",
-            )
-        if self.clock_skew_guard < 0:
-            raise ParamError(
-                "clock_skew_guard",
-                f"clock_skew_guard must be non-negative: {self.clock_skew_guard!r}",
-            )
-        if self.epoch <= 0:
-            raise ParamError("epoch", f"epoch must be positive: {self.epoch!r}")
-        if not 0.0 < self.slo_delivery < 1.0:
-            raise ParamError(
-                "slo_delivery",
-                f"slo_delivery must be in (0, 1): {self.slo_delivery!r}",
-            )
-        if self.window <= 0:
-            raise ParamError("window", f"window must be positive: {self.window!r}")
-
-    def to_value(self) -> Dict[str, Any]:
-        """Serialize to a plain map (config dumps, wire activation)."""
-        return {
-            "sample_rate": self.sample_rate,
-            "max_path_length": self.max_path_length,
-            "clock_skew_guard": self.clock_skew_guard,
-            "epoch": self.epoch,
-            "slo_delivery": self.slo_delivery,
-            "window": self.window,
-        }
-
-    @classmethod
-    def from_value(cls, value: Dict[str, Any]) -> "TelemetryPolicy":
-        """Parse from a plain map, raising :class:`ParamError` with the
-        offending key on any malformed entry."""
-        if not isinstance(value, dict):
-            raise ParamError(
-                "telemetry", f"telemetry policy map expected, got {value!r}"
-            )
-        base = cls()
-        return cls(
-            sample_rate=_convert(
-                value, "sample_rate", float, default=base.sample_rate
-            ),
-            max_path_length=_convert(
-                value, "max_path_length", int, default=base.max_path_length
-            ),
-            clock_skew_guard=_convert(
-                value, "clock_skew_guard", float, default=base.clock_skew_guard
-            ),
-            epoch=_convert(value, "epoch", float, default=base.epoch),
-            slo_delivery=_convert(
-                value, "slo_delivery", float, default=base.slo_delivery
-            ),
-            window=_convert(value, "window", float, default=base.window),
-        )
+    sample_rate: float = knob(0.1, ge=0, le=1)
+    max_path_length: int = knob(32, ge=1)
+    clock_skew_guard: float = knob(2.0, ge=0)
+    epoch: float = knob(2.0, gt=0)
+    slo_delivery: float = knob(DEFAULT_SLO_DELIVERY, gt=0, lt=1)
+    window: float = knob(30.0, gt=0)

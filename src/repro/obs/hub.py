@@ -10,9 +10,8 @@ two simulations in one process never share metric state.
 
 Hubs chain to the process-wide **default hub**: a child hub's stat-group
 writes propagate their deltas upward (see
-:class:`~repro.simnet.metrics.StatGroup`), which is what keeps the
-deprecated ``WIRE_STATS``-style aliases -- now bound to the default hub --
-reporting process-wide aggregates.
+:class:`~repro.simnet.metrics.StatGroup`), so ``default_hub().wire`` and
+its siblings report process-wide aggregates.
 
 Call sites that have no handle on a hub (the :mod:`repro.soap.envelope`
 codec, deep inside ``to_bytes``/``from_bytes``) use :func:`current_hub`,
@@ -422,8 +421,8 @@ _DEFAULT_LOCK = threading.Lock()
 def default_hub() -> MetricsHub:
     """The process-wide root hub (created on first use).
 
-    Per-simulation hubs chain to it, and the deprecated ``*_STATS`` module
-    aliases resolve to its stat groups.
+    Per-simulation hubs chain to it, so its stat groups hold process-wide
+    aggregates.
     """
     global _DEFAULT_HUB
     if _DEFAULT_HUB is None:

@@ -7,19 +7,15 @@ machinery.
 
 The stat groups (:class:`WireStats`, :class:`BatchStats`,
 :class:`HealthStats`, :class:`RecoveryStats`, :class:`ControlStats`,
-:class:`OverloadStats`) used
-to be module-level singletons.  They are now plain value objects owned by a
+:class:`OverloadStats`) are plain value objects owned by a
 :class:`repro.obs.MetricsHub`; each group may chain to a parent group so
-per-simulation hubs still feed the process-wide default hub.  The old
-module-level names (``WIRE_STATS`` et al.) keep working as deprecated
-aliases for the default hub's groups -- see the module ``__getattr__`` at
-the bottom.
+per-simulation hubs still feed the process-wide default hub
+(``repro.obs.default_hub().wire`` and so on).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 
@@ -609,32 +605,3 @@ class MetricsRegistry:
             f"histograms={len(self._histograms)}, series={len(self._series)})"
         )
 
-
-# -- deprecated module-level singletons ---------------------------------------
-
-#: Old singleton name -> attribute of the default MetricsHub it now aliases.
-_DEPRECATED_STATS = {
-    "WIRE_STATS": "wire",
-    "BATCH_STATS": "batch",
-    "HEALTH_STATS": "health",
-    "RECOVERY_STATS": "recovery",
-    "CONTROL_STATS": "control",
-    "OVERLOAD_STATS": "overload",
-}
-
-
-def __getattr__(name: str):
-    """PEP 562 hook: the retired ``*_STATS`` singletons resolve to the
-    default hub's stat groups, with a :class:`DeprecationWarning`."""
-    group = _DEPRECATED_STATS.get(name)
-    if group is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"{name} is deprecated; use repro.obs.default_hub().{group} "
-        f"(or the hub owned by your Network/GossipGroup)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.obs.hub import default_hub
-
-    return getattr(default_hub(), group)

@@ -147,10 +147,9 @@ def test_controller_and_health_boost_never_pass_ceiling(monkeypatch):
         seed=3,
         params={"style": "push", "fanout": 4, "rounds": 5, "period": 0.5},
         auto_tune=False,
-        health=True,
         # Generous health boost, tight controller ceiling: only the
         # ceiling can be the reason nothing exceeds it.
-        health_policy={"boost_cap": 3.0},
+        health={"boost_cap": 3.0},
         adaptive={"max_fanout": ceiling, "fanout_ceiling": ceiling,
                   "epoch": 1.0, "cooldown_epochs": 1},
     )

@@ -32,6 +32,17 @@ SEED = 1701
 # (including its health stat group) around every test.
 HEALTH_STATS = default_hub().health
 
+# One observed failure is enough to suspect, and a crash-length half-life
+# keeps warmup-learned suspicions alive through the measured publish;
+# breakers probe again after 5 s.
+HEALTH_POLICY = {
+    "suspicion_threshold": 0.9,
+    "half_life": 60.0,
+    "max_retries": 1,
+    "breaker_threshold": 2,
+    "breaker_reset": 5.0,
+}
+
 
 def chaos_delivery(health: bool, seed: int = SEED) -> float:
     """Survivor delivery fraction for one seeded chaos run."""
@@ -41,17 +52,7 @@ def chaos_delivery(health: bool, seed: int = SEED) -> float:
         loss_rate=LOSS_RATE,
         params={"fanout": 6, "rounds": 7, "peer_sample_size": 16},
         auto_tune=False,
-        health=health,
-        # One observed failure is enough to suspect, and a crash-length
-        # half-life keeps warmup-learned suspicions alive through the
-        # measured publish; breakers probe again after 5 s.
-        health_policy={
-            "suspicion_threshold": 0.9,
-            "half_life": 60.0,
-            "max_retries": 1,
-            "breaker_threshold": 2,
-            "breaker_reset": 5.0,
-        },
+        health=HEALTH_POLICY if health else None,
     )
     group = GossipGroup(config=config)
     group.setup(eager_join=True)

@@ -117,9 +117,10 @@ class TestShardParamErrors:
             ).build()
         assert excinfo.value.key == "shard_map"
 
-    def test_adaptive_with_shards_rejected(self):
-        with pytest.raises(ParamError, match="adaptive") as excinfo:
-            GossipConfig(n_disseminators=10, shards=2, adaptive=True).build()
+    @pytest.mark.parametrize("subsystem", ["adaptive", "telemetry"])
+    def test_adaptive_with_shards_rejected(self, subsystem):
+        with pytest.raises(ParamError, match=subsystem) as excinfo:
+            GossipConfig(n_disseminators=10, shards=2, **{subsystem: True}).build()
         assert excinfo.value.key == "shards"
 
     def test_zero_lookahead_latency_rejected(self):

@@ -1,8 +1,4 @@
-"""The MetricsHub: scoping, chaining, node labels, deprecated aliases."""
-
-import warnings
-
-import pytest
+"""The MetricsHub: scoping, chaining, node labels."""
 
 from repro.obs.hub import (
     MetricsHub,
@@ -114,32 +110,3 @@ def test_hub_reset_keeps_bound_objects_live():
     assert hub.counter("x") is counter
     assert counter.value == 0
     assert gauge.value == 0.0
-
-
-@pytest.mark.parametrize(
-    "alias, group",
-    [
-        ("WIRE_STATS", "wire"),
-        ("BATCH_STATS", "batch"),
-        ("HEALTH_STATS", "health"),
-        ("RECOVERY_STATS", "recovery"),
-    ],
-)
-def test_deprecated_aliases_warn_and_resolve_to_default_hub(alias, group):
-    from repro.simnet import metrics
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        resolved = getattr(metrics, alias)
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-    assert resolved is getattr(default_hub(), group)
-
-
-def test_deprecated_aliases_reachable_from_repro_package():
-    import repro
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        resolved = repro.HEALTH_STATS
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-    assert resolved is default_hub().health
