@@ -356,7 +356,8 @@ def write_section(results: dict, path: str = BASELINE_PATH) -> None:
 
 
 def smoke() -> int:
-    """Fast gate for ``make test``: determinism contract + K=2 speedup."""
+    """Fast gate for ``make test``: determinism contract + K=2
+    critical-path speedup (the wall speedup is printed, not gated)."""
     failures = []
 
     failures += check_contract([SMOKE_K, 4], seeds=CONTRACT_SEEDS[:1])
@@ -380,19 +381,20 @@ def smoke() -> int:
     add_speedups(rows)
     _emit_table(rows)
     sharded = rows[1]
-    cores = os.cpu_count() or 1
-    # With real cores for the workers, demand the wall itself improves;
-    # core-starved hosts are judged on the critical path instead.
-    measure = "wall_speedup" if cores >= SMOKE_K else "critical_path_speedup"
-    speedup = sharded[measure]
+    # Judged on the critical path on every host: the wall depends on how
+    # many cores the host has and on what else runs on them, so it is
+    # reported, never gated.
+    speedup = sharded["critical_path_speedup"]
     print(
         f"N={SMOKE_N} K={SMOKE_K}: drain {sharded['drain_wall_s']}s "
-        f"(K=1 {rows[0]['drain_wall_s']}s), {measure} {speedup}x "
-        f"on {cores} core(s), delivered {sharded['delivered_fraction']}"
+        f"(K=1 {rows[0]['drain_wall_s']}s), critical_path_speedup {speedup}x, "
+        f"delivered {sharded['delivered_fraction']}; wall_speedup "
+        f"{sharded['wall_speedup']}x on {os.cpu_count() or 1} core(s) "
+        "(information only)"
     )
     if speedup < SMOKE_SPEEDUP_FLOOR:
         failures.append(
-            f"{measure} below floor: {speedup} < {SMOKE_SPEEDUP_FLOOR}"
+            f"critical_path_speedup below floor: {speedup} < {SMOKE_SPEEDUP_FLOOR}"
         )
     if sharded["delivered_fraction"] < DELIVERED_FLOOR:
         failures.append(
@@ -408,7 +410,8 @@ def smoke() -> int:
 
 
 def test_shard_smoke():
-    """Pytest entry point: the smoke gate (determinism + K=2 speedup)."""
+    """Pytest entry point: the smoke gate (determinism + K=2 critical-path
+    speedup)."""
     assert smoke() == 0
 
 
@@ -417,7 +420,8 @@ def main() -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="fast K=2/N=1000 gate: determinism contract + speedup floor",
+        help="fast K=2/N=1000 gate: determinism contract + critical-path "
+        "speedup floor",
     )
     parser.add_argument(
         "--sizes", type=int, nargs="+", default=SIZES,

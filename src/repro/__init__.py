@@ -44,7 +44,7 @@ from repro.simnet.events import Simulator
 from repro.simnet.metrics import ControlStats, HealthStats, RecoveryStats, WireStats
 from repro.stats import summarize
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 __all__ = [
     "AdaptiveController",

@@ -49,7 +49,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
-from xml.sax.saxutils import escape, quoteattr, unescape
+from xml.sax.saxutils import escape, unescape
 
 from repro.soap import namespaces as ns
 from repro.xmlutil import canonical_bytes, qname
@@ -83,6 +83,12 @@ _ACTION_HEADER = (
 _SUFFIX = b"</g:GossipBatch></soap:Body></soap:Envelope>"
 
 _XML_DECL = b"<?xml"
+
+#: Attribute values are always double-quoted.  Besides ``&<>`` the writer
+#: escapes ``"`` and the whitespace controls, which a parser would fold to
+#: spaces if they went out literally; ``_scan_attr`` undoes exactly this.
+_ATTR_ESCAPES = {'"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
+_ATTR_UNESCAPES = {ref: char for char, ref in _ATTR_ESCAPES.items()}
 
 
 class BatchError(ValueError):
@@ -139,6 +145,10 @@ def strip_declaration(frame: bytes) -> bytes:
     return frame[end + 2 :].lstrip()
 
 
+def _attr(value: str) -> bytes:
+    return b'"' + escape(value, _ATTR_ESCAPES).encode("utf-8") + b'"'
+
+
 def _ids_xml(ids: Sequence[str]) -> str:
     return "".join(f"<g:Id>{escape(i)}</g:Id>" for i in ids)
 
@@ -163,11 +173,7 @@ def build_batch(
         _ACTION_HEADER,
         b"</soap:Header><soap:Body>",
         b"<g:GossipBatch activity=%s holder=%s%s>"
-        % (
-            quoteattr(activity).encode("utf-8"),
-            quoteattr(holder).encode("utf-8"),
-            b' ctl="1"' if has_control else b"",
-        ),
+        % (_attr(activity), _attr(holder), b' ctl="1"' if has_control else b""),
         b"<g:Sizes>" + " ".join(str(len(f)) for f in stripped).encode("ascii") + b"</g:Sizes>",
         b"<g:Rumors>",
     ]
@@ -176,8 +182,7 @@ def build_batch(
     if has_control:
         for ids, hops in control.ads:
             parts.append(
-                b"<g:Ads hops=%s>%s</g:Ads>"
-                % (quoteattr(str(hops)).encode("ascii"), _ids_xml(ids).encode("utf-8"))
+                b'<g:Ads hops="%d">%s</g:Ads>' % (hops, _ids_xml(ids).encode("utf-8"))
             )
         if control.feedback:
             parts.append(
@@ -189,7 +194,7 @@ def build_batch(
             ids, kind = control.digest
             parts.append(
                 b"<g:Digest kind=%s>%s</g:Digest>"
-                % (quoteattr(kind).encode("ascii"), _ids_xml(ids).encode("utf-8"))
+                % (_attr(kind), _ids_xml(ids).encode("utf-8"))
             )
     parts.append(_SUFFIX)
     return b"".join(parts)
@@ -221,7 +226,7 @@ def _scan_attr(tag: bytes, name: bytes) -> Optional[str]:
     if end == -1:
         return None
     try:
-        return unescape(tag[start:end].decode("utf-8"))
+        return unescape(tag[start:end].decode("utf-8"), _ATTR_UNESCAPES)
     except UnicodeDecodeError:
         return None
 

@@ -7,11 +7,12 @@ behaviour of every gossip style:
 * **push**: a fresh message is immediately forwarded to ``fanout`` peers
   with a decremented round budget (infect-and-die rumor mongering).
 * **pull**: no eager forwarding; every ``period`` the engine sends its
-  digest to ``fanout`` random peers, which return the messages it lacks.
+  store summary to ``fanout`` random peers; one whose store differs opens
+  the digest exchange that returns the messages either side lacks.
 * **push-pull**: eager push plus the periodic pull as a repair path.
 * **anti-entropy**: every ``period`` the engine reconciles bidirectionally
-  with one random peer (digest exchange, then both sides complete).
-* **lazy-push**: eager hops carry only message *identifiers* (Advertise);
+  with one random peer (the same summary-first digest exchange).
+* **lazy-push**: eager hops carry only message *identifiers* (ads);
   peers that lack the item Fetch it from the advertiser -- the
   Plumtree-style bandwidth optimization.
 * **feedback**: re-forward each period while "hot"; duplicate feedback
@@ -29,8 +30,7 @@ re-runs local dispatch when gaps close.
 from __future__ import annotations
 
 import random
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.batch import BatchControl, build_batch
 from repro.core.buffer import MessageStore
@@ -58,7 +58,10 @@ from repro.transport.base import split_address
 from repro.wsa.addressing import AddressingHeaders
 from repro.wscoord.context import CoordinationContext
 
-GOSSIP_ACTION = f"{ns.WSGOSSIP}/Gossip"
+# The gossip port type.  An engine originates only ``Fetch``; it sends
+# everything else as rumor frames and batch control sections through the
+# outbox, and ``GossipService`` still serves the rest for peers that send
+# them (docs/WIRE.md, "Control exchanges").
 PULL_ACTION = f"{ns.WSGOSSIP}/Pull"
 PULL_RESPONSE_ACTION = f"{ns.WSGOSSIP}/PullResponse"
 DELIVER_ACTION = f"{ns.WSGOSSIP}/Deliver"
@@ -155,10 +158,6 @@ class GossipEngine:
         self._on_params = on_params
         self._periodic_started = False
         self._stopped = False
-        # MessageIDs of the pulls sent since the last periodic round and
-        # during the one before; a reply still missing two periods on is
-        # taken for lost and its callback dropped.
-        self._pulls_awaiting_reply: Deque[List[str]] = deque(([], []))
         # Messages that arrived before registration completed: the paper's
         # flow is register -> obtain targets -> forward, so fresh messages
         # wait here until the RegisterResponse delivers a peer view.
@@ -187,13 +186,14 @@ class GossipEngine:
         self._recovering = False
         self._catch_up_rounds_left = 0
         self._last_protocol = PROTOCOL_DISSEMINATOR
-        # Multi-rumor batching (params.max_batch_rumors > 1): outgoing
-        # traffic is parked here and coalesced by a zero-delay flush event,
-        # so everything a node emits within one simulated instant -- eager
-        # payloads, advertisements, feedback, pull digests -- shares one
-        # envelope per destination.  Fan-out entries are grouped by their
-        # exclusion key and resolve to concrete targets at flush time, so
-        # a whole burst shares one peer selection.
+        # The outbox: every gossip send is parked here and coalesced by a
+        # zero-delay flush event, so everything a node emits within one
+        # simulated instant -- eager payloads, advertisements, feedback,
+        # pull summaries and digests -- shares one envelope per destination
+        # (split at ``params.max_batch_rumors``; unbatched is a batch of
+        # one).  Fan-out entries are grouped by their exclusion key and
+        # resolve to concrete targets at flush time, so a whole burst
+        # shares one peer selection.
         self._outbox_fanout: Dict[tuple, List[bytes]] = {}
         self._outbox_direct: Dict[str, List[bytes]] = {}
         self._outbox_control: Dict[str, BatchControl] = {}
@@ -387,15 +387,9 @@ class GossipEngine:
         # store share the same wire bytes (the zero-copy fast path).
         data = self._publication_envelope(action, value, tag, header).to_bytes()
         if self.params.style in (GossipStyle.PUSH, GossipStyle.PUSH_PULL):
-            if self.batching:
-                # Park the frame; a burst of publications flushes as one
-                # batched envelope per destination.
-                self._enqueue_fanout(data, self.app_address, None)
-            else:
-                targets = self._select_targets(exclude=[self.app_address])
-                for target in targets:
-                    self.runtime.send_bytes(target, data)
-                    self.metrics.counter("gossip.fanout-send").inc()
+            # Park the frame; a burst of publications flushes together,
+            # batched per destination up to ``max_batch_rumors``.
+            self._enqueue_fanout(data, self.app_address, None)
         # Pull-family and lazy styles: the payload waits at the origin;
         # peers pull digests or fetch advertised identifiers.
         # Remember our own message (so an echo is not treated as fresh) and
@@ -611,49 +605,30 @@ class GossipEngine:
             # Eager rumor payloads are the last rung of the shed ladder:
             # this only fires at the hard limit (pressure 1.0).
             return
-        if self.batching:
-            # Hop decrement by byte splice -- no parse, no re-encode; the
-            # flush resolves targets and folds the frame into its batches.
-            # A carried trace section gets its path counter spliced in the
-            # same single pass, keeping telemetry off the re-encode path.
-            raw = envelope.to_bytes()
-            if header.trace is not None:
-                data = splice_forward(raw, header.hops - 1, header.trace.path + 1)
-            else:
-                data = splice_hops(raw, header.hops - 1)
-            if data is None:
-                header.decremented().replace_in(envelope)
-                data = envelope.to_bytes()
-            self._enqueue_fanout(data, header.origin, source)
-            self.metrics.counter("gossip.forward").inc()
-            if self._tracer.enabled:
-                # Batched sends resolve targets at flush time; attribute
-                # the configured fanout as the intended spread.
-                self._tracer.on_forward(
-                    header.message_id, self.app_address, self.scheduler.now,
-                    targets=self.params.fanout,
-                )
-            return
-        exclude = [self.app_address, header.origin]
-        if source is not None:
-            exclude.append(source)
-        targets = self._select_targets(exclude=exclude)
-        if not targets:
-            return
-        # Swap in the decremented header and encode once; every target
-        # receives the same bytes object.  The stale per-hop WS-A headers
-        # are deliberately kept: receivers dispatch by service path and
-        # dedup by the gossip MessageId, so rewriting To / MessageID per
-        # copy would buy nothing but an XML encode per target.
-        header.decremented().replace_in(envelope)
-        data = envelope.to_bytes()
-        for target in targets:
-            self.runtime.send_bytes(target, data)
-            self.metrics.counter("gossip.forward").inc()
+        # Hop decrement by byte splice -- no parse, no re-encode, header
+        # order kept; the flush resolves targets and every one of them gets
+        # the same bytes object.  A carried trace section gets its path
+        # counter spliced in the same single pass.  The stale per-hop WS-A
+        # headers are deliberately kept: receivers dispatch by service path
+        # and dedup by the gossip MessageId.
+        raw = envelope.to_bytes()
+        if header.trace is not None:
+            data = splice_forward(raw, header.hops - 1, header.trace.path + 1)
+        else:
+            data = splice_hops(raw, header.hops - 1)
+        if data is None:
+            # A frame the splicers do not vouch for (a foreign writer's
+            # shape): swap in the decremented header and encode once.
+            header.decremented().replace_in(envelope)
+            data = envelope.to_bytes()
+        self._enqueue_fanout(data, header.origin, source)
+        self.metrics.counter("gossip.forward").inc()
         if self._tracer.enabled:
+            # Targets resolve at flush time; attribute the configured
+            # fanout as the intended spread.
             self._tracer.on_forward(
                 header.message_id, self.app_address, self.scheduler.now,
-                targets=len(targets),
+                targets=self.params.fanout,
             )
 
     def _select_targets(self, exclude: Sequence[str]) -> List[str]:
@@ -722,12 +697,7 @@ class GossipEngine:
             return True
         return False
 
-    # -- batched outbox (multi-rumor envelopes) -----------------------------------
-
-    @property
-    def batching(self) -> bool:
-        """True when multi-rumor batching is enabled for this activity."""
-        return self.params.max_batch_rumors > 1
+    # -- the outbox (every gossip send goes through it) ---------------------------
 
     def _enqueue_fanout(
         self, data: bytes, origin: Optional[str], source: Optional[str]
@@ -891,13 +861,7 @@ class GossipEngine:
         directions; the ``rsp`` digest terminates it."""
         if self._shed("pull"):
             return
-        served = 0
-        for message_id in self.store.not_in(remote_digest):
-            stored = self.store.get(message_id)
-            if stored is not None and stored.data:
-                self._enqueue_direct(holder, stored.data)
-                served += 1
-        if served:
+        if self._enqueue_stored(holder, self.store.not_in(remote_digest)):
             self.metrics.counter("gossip.pull-served").inc()
         if kind == "req":
             self._outbox_control_for(holder).digest = (self.store.digest(), "rsp")
@@ -911,26 +875,10 @@ class GossipEngine:
             return
         if self._shed("digest"):
             return
-        targets = self._select_targets(exclude=[self.app_address])
-        holder = gossip_address_of(self.app_address)
-        if self.batching:
-            for target in targets:
-                self.metrics.counter("gossip.advertise").inc()
-                self._outbox_control_for(gossip_address_of(target)).ads.append(
-                    (list(message_ids), hops)
-                )
-            return
-        for target in targets:
+        for target in self._select_targets(exclude=[self.app_address]):
             self.metrics.counter("gossip.advertise").inc()
-            self.runtime.send(
-                gossip_address_of(target),
-                ADVERTISE_ACTION,
-                value={
-                    "activity": self.activity_id,
-                    "ids": list(message_ids),
-                    "hops": hops,
-                    "holder": holder,
-                },
+            self._outbox_control_for(gossip_address_of(target)).ads.append(
+                (list(message_ids), hops)
             )
 
     def on_advertise(self, message_ids: List[str], hops: int, holder: str) -> None:
@@ -985,16 +933,8 @@ class GossipEngine:
             return
         # The store remembers the origin, so re-forwarding needs neither a
         # parse nor a re-encode: the retained wire bytes go out as-is.
-        if self.batching:
-            self._enqueue_fanout(stored.data, stored.origin, source)
-            self.metrics.counter("gossip.feedback-forward").inc()
-            return
-        exclude = [self.app_address, stored.origin]
-        if source is not None:
-            exclude.append(source)
-        for target in self._select_targets(exclude):
-            self.runtime.send_bytes(target, stored.data)
-            self.metrics.counter("gossip.feedback-forward").inc()
+        self._enqueue_fanout(stored.data, stored.origin, source)
+        self.metrics.counter("gossip.feedback-forward").inc()
 
     def _feedback_round(self) -> None:
         """Re-forward every hot rumor; the rounds cap bounds lifetime."""
@@ -1013,15 +953,8 @@ class GossipEngine:
         if self._shed("feedback"):
             return
         self.metrics.counter("gossip.feedback-sent").inc()
-        if self.batching:
-            self._outbox_control_for(gossip_address_of(source)).feedback.append(
-                message_id
-            )
-            return
-        self.runtime.send(
-            gossip_address_of(source),
-            FEEDBACK_ACTION,
-            value={"activity": self.activity_id, "ids": [message_id]},
+        self._outbox_control_for(gossip_address_of(source)).feedback.append(
+            message_id
         )
 
     def on_feedback(self, message_ids: List[str]) -> None:
@@ -1081,7 +1014,6 @@ class GossipEngine:
             # so a later escalation can restart it cleanly.
             self._periodic_started = False
             return
-        self._expire_pull_replies()
         if self.params.style is GossipStyle.ANTI_ENTROPY:
             self._anti_entropy_round()
         elif self.params.style is GossipStyle.FEEDBACK:
@@ -1091,50 +1023,21 @@ class GossipEngine:
         self._schedule_next_round()
 
     def _pull_round(self) -> None:
-        """Send our digest to ``fanout`` peers; they reply with what we lack.
+        """Send ``store.summary()`` -- a count and a hash, not the list
+        (docs/WIRE.md) -- to ``fanout`` peers.
 
-        Batched, the round sends ``store.summary()`` -- a count and a hash,
-        not the list (docs/WIRE.md): an in-sync peer stays silent, any other
-        answers with its full ``req`` digest and the exchange runs from
-        there.  Stores that differ only by eviction skew never summarize
-        equal, so they fall back to the full exchange every round.
+        An in-sync peer stays silent, any other answers with its full
+        ``req`` digest and the exchange runs from there; the answer arrives
+        as rumor frames, not a correlated reply.  Stores that differ only by
+        eviction skew never summarize equal, so they fall back to the full
+        exchange every round.
         """
         if self._shed("digest"):
             return
-        targets = self._select_targets(exclude=[self.app_address])
-        if self.batching:
-            # The summary piggybacks on whatever batch flushes next; the
-            # answer arrives as batched rumors, not a correlated reply.
-            summary = self.store.summary()
-            for target in targets:
-                self.metrics.counter("gossip.pull-request").inc()
-                self._outbox_control_for(gossip_address_of(target)).summary = summary
-            return
-        digest = self.store.digest()
-        for target in targets:
+        summary = self.store.summary()
+        for target in self._select_targets(exclude=[self.app_address]):
             self.metrics.counter("gossip.pull-request").inc()
-            self._send_pull(target, digest, self._on_pull_reply)
-
-    def _send_pull(self, target: str, digest: List[str], on_reply) -> None:
-        message_id = self.runtime.send(
-            gossip_address_of(target),
-            PULL_ACTION,
-            value={"activity": self.activity_id, "digest": digest},
-            on_reply=on_reply,
-        )
-        self._pulls_awaiting_reply[-1].append(message_id)
-
-    def _expire_pull_replies(self) -> None:
-        """Drop the reply callbacks of pulls sent two rounds ago.
-
-        A lost pull (or a lost reply) would otherwise pin its callback in
-        the runtime for good; the next round pulls again anyway.
-        """
-        stale = self._pulls_awaiting_reply.popleft()
-        self._pulls_awaiting_reply.append([])
-        for message_id in stale:
-            if self.runtime.cancel_reply(message_id):
-                self.metrics.counter("soap.reply-expired").inc()
+            self._outbox_control_for(gossip_address_of(target)).summary = summary
 
     def _anti_entropy_round(self) -> None:
         """Reconcile with one random peer, both directions."""
@@ -1146,57 +1049,31 @@ class GossipEngine:
         if not targets:
             return
         self.metrics.counter("gossip.anti-entropy").inc()
-        if self.batching:
-            self._outbox_control_for(
-                gossip_address_of(targets[0])
-            ).summary = self.store.summary()
-            return
-        self._send_pull(targets[0], self.store.digest(), self._on_anti_entropy_reply)
-
-    def _on_pull_reply(self, reply_context, value) -> None:
-        self._ingest_pull_reply(value, serve_wants=False)
-
-    def _on_anti_entropy_reply(self, reply_context, value) -> None:
-        self._ingest_pull_reply(value, serve_wants=True)
-
-    def _ingest_pull_reply(self, value, serve_wants: bool) -> None:
-        if not isinstance(value, dict):
-            return
-        messages = value.get("messages")
-        if isinstance(messages, list):
-            for data in messages:
-                if isinstance(data, (bytes, bytearray)):
-                    self.metrics.counter("gossip.pulled").inc()
-                    self.runtime.receive(bytes(data), source=None)
-        if serve_wants:
-            wants = value.get("wants")
-            peer = value.get("peer")
-            if isinstance(wants, list) and isinstance(peer, str):
-                self.push_messages(peer, [w for w in wants if isinstance(w, str)])
+        self._outbox_control_for(
+            gossip_address_of(targets[0])
+        ).summary = self.store.summary()
 
     def push_messages(self, gossip_address: str, message_ids: List[str]) -> None:
-        """Send retained messages to a peer's gossip port (Deliver op)."""
+        """Send retained messages to a peer's gossip port.
+
+        The frames ride the outbox instead of a base64 ``Deliver`` body: no
+        re-wrapping, and they coalesce with anything else pending.
+        """
         if self._shed("pull"):
             return
-        payload = []
+        if self._enqueue_stored(gossip_address, message_ids):
+            self.metrics.counter("gossip.deliver-sent").inc()
+
+    def _enqueue_stored(self, gossip_address: str, message_ids: List[str]) -> int:
+        """Park the retained frames of ``message_ids`` for one peer; returns
+        how many were found."""
+        found = 0
         for message_id in message_ids:
             stored = self.store.get(message_id)
             if stored is not None and stored.data:
-                payload.append(stored.data)
-        if not payload:
-            return
-        self.metrics.counter("gossip.deliver-sent").inc()
-        if self.batching:
-            # The frames ride the outbox instead of a base64 Deliver body:
-            # no re-wrapping, and they coalesce with anything else pending.
-            for data in payload:
-                self._enqueue_direct(gossip_address, data)
-            return
-        self.runtime.send(
-            gossip_address,
-            DELIVER_ACTION,
-            value={"activity": self.activity_id, "messages": payload},
-        )
+                self._enqueue_direct(gossip_address, stored.data)
+                found += 1
+        return found
 
     # -- pull serving (called by the gossip service) ------------------------------------
 
@@ -1314,7 +1191,6 @@ class GossipEngine:
         self.register_pending = False
         self._periodic_started = False
         self._stopped = False
-        self._pulls_awaiting_reply = deque(([], []))
         self._recovering = False
         self._catch_up_rounds_left = 0
         self._pending_forwards = []
@@ -1501,9 +1377,11 @@ class GossipEngine:
         targets = self.selector.select(
             view, policy.catch_up_peers, self.rng, exclude=[self.app_address]
         )
+        # A full ``req`` digest, not a summary: a restarted node knows its
+        # store is stale, so stage 1 would only cost a round trip.
         digest = self.store.digest()
         for target in targets:
-            self._send_pull(target, digest, self._on_pull_reply)
+            self._outbox_control_for(gossip_address_of(target)).digest = (digest, "req")
         before = self.store.seen_count
         self.scheduler.call_after(
             self.params.period, lambda: self._catch_up_check(before)

@@ -11,6 +11,8 @@ the paper's unchanged *Consumer*.
 from __future__ import annotations
 
 import enum
+import functools
+import re
 import uuid
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
@@ -111,7 +113,105 @@ def scan_gossip_message_ids(data: bytes) -> List[str]:
     return ids
 
 
-_HOPS_TAG_SUFFIX = b":Hops>"
+# -- in-place splices of the Gossip header (the forward hot path) -------------
+#
+# A forward changes at most two digit runs of a frame: the ``Hops`` budget
+# and, on a traced frame, the ``Trace`` path.  Splicing them into the wire
+# bytes skips the parse -> mutate -> serialize round trip and keeps the
+# header order, but it is only sound where the bytes say unambiguously which
+# elements a parser reads as *the* header's Hops and Trace.
+# ``_gossip_block`` vouches for the shape ElementTree-based writers (ours
+# included) emit, and returns ``None`` for anything else -- the caller then
+# re-encodes:
+#
+# * an optional XML declaration, then the root ``<E:Envelope ...>`` holding
+#   every namespace declaration (double-quoted, no ``<>&`` in a value),
+#   exactly one of them binding a prefix P to the gossip namespace, and no
+#   ``xmlns`` from there to the end of the Gossip block -- no prefix is
+#   rebound, no default namespace applies;
+# * ``<E:Header>`` as the root's first child, and the first ``<P:Gossip``
+#   of the document a direct child of it: in between, no comment, CDATA
+#   section or processing instruction (so every ``<`` opens a tag), no
+#   ``>`` outside a tag (so every ``/>`` ends an empty element), no
+#   ``</E:Header``, and as many elements closed as opened;
+# * the block itself in the writer's child order with leaf children only;
+#   the Trace attributes may come in any order.
+#
+# The first two checks read only the bytes before the block, which every
+# frame one writer emits for one activity repeats, so they are cached.
+
+_ROOT = re.compile(
+    rb'(?:<\?xml[^>]*\?>\s*)?<([A-Za-z_][\w.-]*):Envelope((?:\s+[\w.:-]+="[^"<>&]*")*)\s*>'
+)
+_GOSSIP_BINDING = re.compile(
+    rb'\sxmlns(?::([\w.-]+))?="' + re.escape(ns.WSGOSSIP.encode("ascii")) + rb'"'
+)
+
+
+@functools.lru_cache(maxsize=256)
+def _head_shape(head: bytes) -> Optional[Tuple[bytes, bytes, "re.Pattern[bytes]"]]:
+    """For the declaration plus root start tag: the ``<E:Header>`` tag, the
+    ``<P:Gossip`` marker and the block pattern, or ``None``."""
+    root = _ROOT.fullmatch(head)
+    if root is None:
+        return None
+    bindings = _GOSSIP_BINDING.findall(root.group(2))
+    if len(bindings) != 1 or not bindings[0]:
+        return None
+    prefix = bindings[0]
+    return b"<%s:Header>" % root.group(1), b"<%s:Gossip" % prefix, _block_pattern(prefix)
+
+
+def _block_pattern(prefix: bytes) -> "re.Pattern[bytes]":
+    """The Gossip block as our writer emits it, under prefix ``prefix``:
+    group 1 is the Hops digits, group 2 the Trace path digits."""
+    p = re.escape(prefix.decode("ascii"))
+
+    def leaf(name: str) -> str:
+        return f"<{p}:{name}>[^<]*</{p}:{name}>"
+
+    return re.compile(
+        (
+            f"<{p}:Gossip>{leaf('Activity')}{leaf('MessageId')}{leaf('Origin')}"
+            f"<{p}:Hops>([0-9]+)</{p}:Hops>{leaf('Style')}(?:{leaf('Sequence')})?"
+            f'(?:<{p}:Trace(?:\\s+(?!xmlns)[\\w.:-]+="[^"<>]*")*\\s*>([0-9]+)</{p}:Trace>)?'
+            f"</{p}:Gossip>"
+        ).encode("ascii")
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _keeps_direct_child(preamble: bytes) -> bool:
+    """Whether an element right after ``preamble`` (the header's start tag
+    and the header blocks before the Gossip block) is a direct child of
+    the header."""
+    header_close = b"</" + preamble[1 : preamble.index(b">")]
+    for marker in (b"<!", b"<?", b"xmlns", header_close):
+        if preamble.find(marker, 1) != -1:
+            return False
+    tags = preamble.count(b"<") - 1
+    if tags != preamble.count(b">") - 1:
+        return False
+    return tags == 2 * preamble.count(b"</") + preamble.count(b"/>")
+
+
+def _gossip_block(data: bytes) -> Optional["re.Match[bytes]"]:
+    """The match of the header's ``Gossip`` block (see above), or ``None``."""
+    end = data.find(b">") + 1
+    if data.startswith(b"<?"):
+        end = data.find(b">", end) + 1
+    if end == 0:
+        return None
+    shape = _head_shape(data[:end])
+    if shape is None:
+        return None
+    header, marker, pattern = shape
+    if not data.startswith(header, end):
+        return None
+    last = data.find(marker, end + len(header))
+    if last == -1 or not _keeps_direct_child(data[end:last]):
+        return None
+    return pattern.match(data, last)
 
 
 def splice_hops(data: bytes, hops: int) -> Optional[bytes]:
@@ -119,39 +219,14 @@ def splice_hops(data: bytes, hops: int) -> Optional[bytes]:
 
     The per-forward header update only changes the hop counter; splicing the
     digits in place avoids a full XML parse + re-serialize on the hottest
-    path in the engine.  Returns ``None`` when the bytes do not contain
-    exactly the expected shape (caller falls back to the re-encode path).
+    path in the engine.  Returns ``None`` when the bytes do not have the
+    shape the splice vouches for (caller falls back to the re-encode path).
     """
-    position = data.find(_HOPS_TAG_SUFFIX)
-    if position == -1:
+    block = _gossip_block(data)
+    if block is None:
         return None
-    start = position + len(_HOPS_TAG_SUFFIX)
-    end = data.find(b"<", start)
-    if end == -1 or not data[start:end].isdigit():
-        return None
+    start, end = block.span(1)
     return b"%s%d%s" % (data[:start], hops, data[end:])
-
-
-_TRACE_TAG_SUFFIX = b":Trace "
-
-
-def _trace_path_bounds(data: bytes) -> Optional[Tuple[int, int]]:
-    """``(start, end)`` of the trace path digits, or ``None`` if absent.
-
-    ElementTree escapes ``>`` inside attribute values, so the first ``>``
-    after the tag name reliably closes the start tag.
-    """
-    position = data.find(_TRACE_TAG_SUFFIX)
-    if position == -1:
-        return None
-    start = data.find(b">", position + len(_TRACE_TAG_SUFFIX))
-    if start == -1:
-        return None
-    start += 1
-    end = data.find(b"<", start)
-    if end == -1 or not data[start:end].isdigit():
-        return None
-    return start, end
 
 
 def splice_trace_path(data: bytes, path: int) -> Optional[bytes]:
@@ -159,13 +234,13 @@ def splice_trace_path(data: bytes, path: int) -> Optional[bytes]:
 
     The trace element's only text is the hop-path counter, so the
     per-forward update is the same digit splice :func:`splice_hops` does
-    for the rounds budget.  Returns ``None`` when the bytes do not contain
-    exactly the expected shape (caller falls back to the re-encode path).
+    for the rounds budget.  Returns ``None`` when there is no trace section
+    or the bytes do not have the shape the splice vouches for.
     """
-    bounds = _trace_path_bounds(data)
-    if bounds is None:
+    block = _gossip_block(data)
+    if block is None or block.start(2) == -1:
         return None
-    start, end = bounds
+    start, end = block.span(2)
     return b"%s%d%s" % (data[:start], path, data[end:])
 
 
@@ -175,31 +250,21 @@ def splice_forward(data: bytes, hops: int, path: int) -> Optional[bytes]:
     The per-forward update of a traced frame touches two digit runs;
     splicing both into a single output buffer halves the copies
     :func:`splice_hops` + :func:`splice_trace_path` would make.  Returns
-    ``None`` when either site is missing or malformed (caller falls back
-    to the re-encode path).
+    ``None`` when there is no trace section or the bytes do not have the
+    shape the splice vouches for (caller falls back to the re-encode path).
     """
-    position = data.find(_HOPS_TAG_SUFFIX)
-    if position == -1:
+    block = _gossip_block(data)
+    if block is None or block.start(2) == -1:
         return None
-    hops_start = position + len(_HOPS_TAG_SUFFIX)
-    hops_end = data.find(b"<", hops_start)
-    if hops_end == -1 or not data[hops_start:hops_end].isdigit():
-        return None
-    bounds = _trace_path_bounds(data)
-    if bounds is None:
-        return None
-    path_start, path_end = bounds
-    first, second = sorted(
-        ((hops_start, hops_end, b"%d" % hops),
-         (path_start, path_end, b"%d" % path))
-    )
+    hops_start, hops_end = block.span(1)
+    path_start, path_end = block.span(2)
     return b"".join(
         (
-            data[: first[0]],
-            first[2],
-            data[first[1]: second[0]],
-            second[2],
-            data[second[1]:],
+            data[:hops_start],
+            b"%d" % hops,
+            data[hops_end:path_start],
+            b"%d" % path,
+            data[path_end:],
         )
     )
 

@@ -1,14 +1,20 @@
-"""The gossip port type: digest pulls and explicit delivery.
+"""The gossip port type mounted at ``/gossip`` on every gossip-capable node.
 
 Push gossip needs no service of its own (the handler intercepts plain
-application messages), but the pull, push-pull and anti-entropy styles need
-two operations on every gossip-capable node:
+application messages), and an engine sends its pulls, advertisements,
+feedback and served frames as batch control sections and rumor frames that
+the gossip layer consumes before any parse.  This service answers what
+arrives as SOAP operations instead -- from an interop stack, an older peer,
+or a batch that defeated the byte-level split:
 
 * ``Pull`` -- request/response digest reconciliation: the caller sends its
   digest, the service returns the retained messages the caller lacks plus
   the identities it wants back.
 * ``Deliver`` -- one-way batch of wire messages, fed straight back through
   the stack so the gossip layer handles them like any arrival.
+* ``Advertise`` / ``Fetch`` / ``Feedback`` -- lazy-push and feedback style
+  control (an engine still originates ``Fetch``).
+* ``Batch`` -- the parsed fallback for a ``GossipBatch`` frame.
 """
 
 from __future__ import annotations

@@ -207,8 +207,8 @@ _HELP_TEXTS = {
     "gossip.publish": "Rumors published by this hub's nodes.",
     "gossip.fresh": "First-time rumor deliveries.",
     "gossip.duplicate": "Duplicate rumor arrivals consumed by dedup.",
-    "gossip.forward": "Eager rumor forwards sent.",
-    "gossip.fanout-send": "Publication fan-out sends.",
+    "gossip.forward": "Fresh rumors forwarded, once per rumor whatever the fanout.",
+    "gossip.fanout-send": "Single-rumor frames sent (one per target copy).",
     "gossip.hops-exhausted": "Rumors dropped with no forwarding budget left.",
     "net.sent": "Messages handed to the network fabric.",
     "net.delivered": "Messages delivered by the network fabric.",

@@ -40,6 +40,10 @@ class FakeScheduler:
             timer[2] = True
             timer[1]()
 
+    def flush(self):
+        """Run the engine's zero-delay outbox flush (sends leave there)."""
+        self.fire_due(self.now)
+
 
 def make_context(registration_address="test://coord/registration"):
     return CoordinationContext(
@@ -103,7 +107,9 @@ def test_forwarding_respects_fanout_and_hops(setup):
     engine.view = [f"test://peer{index}/app" for index in range(6)]
     envelope, header = make_gossip_envelope(hops=2)
     engine.on_gossip(envelope, header, source=None)
-    assert runtime.metrics.counter("gossip.forward").value == 2  # fanout
+    scheduler.flush()
+    assert runtime.metrics.counter("gossip.forward").value == 1
+    assert runtime.metrics.counter("soap.sent").value == 2  # fanout copies
 
 
 def test_no_forward_when_hops_exhausted(setup):
@@ -124,8 +130,9 @@ def test_forward_excludes_origin_source_self(setup):
     engine.view = [origin, source, "test://node/app", "test://other/app"]
     envelope, header = make_gossip_envelope(hops=2, origin=origin)
     engine.on_gossip(envelope, header, source=source)
+    scheduler.flush()
     # Only "other" is eligible even though fanout is 2.
-    assert runtime.metrics.counter("gossip.forward").value == 1
+    assert runtime.metrics.counter("soap.sent").value == 1
 
 
 def test_forward_deferred_until_registered(setup):
@@ -142,7 +149,9 @@ def test_forward_deferred_until_registered(setup):
          "peers": ["test://p1/app", "test://p2/app", "test://p3/app"]},
     )
     assert engine.registered
-    assert runtime.metrics.counter("gossip.forward").value == 2
+    scheduler.flush()
+    assert runtime.metrics.counter("gossip.forward").value == 1
+    assert runtime.metrics.counter("soap.sent").value == 2
 
 
 def test_register_reply_updates_params_and_view(setup):
@@ -173,6 +182,7 @@ def test_publish_push_sends_fanout_copies(setup):
     engine.registered = True
     engine.view = [f"test://peer{index}/app" for index in range(5)]
     message_id = engine.publish("urn:app/Event", {"n": 1})
+    scheduler.flush()
     assert runtime.metrics.counter("gossip.fanout-send").value == 2
     assert not engine.store.is_new(message_id)  # own message remembered
     assert engine.store.get(message_id).data  # retained for pull serving
@@ -184,6 +194,7 @@ def test_publish_pull_style_stores_only(setup):
     engine.registered = True
     engine.view = ["test://peer/app"]
     message_id = engine.publish("urn:app/Event", {"n": 1})
+    scheduler.flush()
     assert runtime.metrics.counter("gossip.fanout-send").value == 0
     assert engine.store.get(message_id).data
 

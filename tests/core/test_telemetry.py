@@ -23,6 +23,7 @@ from repro.core.message import (
 )
 from repro.core.params import ParamError
 from repro.core.telemetry import TelemetryPolicy
+from repro.soap.envelope import Envelope
 
 
 class TestTelemetryPolicy:
@@ -127,6 +128,17 @@ class TestTraceContext:
         assert trace.path == 2  # frozen original untouched
 
 
+def _frame_bytes(header):
+    """A frame carrying ``header``, as the publish path writes it."""
+    envelope = Envelope(body=ET.Element("{urn:app}Event"))
+    envelope.add_header(header.to_element())
+    return envelope.to_bytes()
+
+
+def _parsed_header(data):
+    return GossipHeader.from_envelope(Envelope.from_bytes(data))
+
+
 def _traced_header_bytes(hops=5, path=2):
     header = GossipHeader(
         activity="urn:act",
@@ -136,7 +148,7 @@ def _traced_header_bytes(hops=5, path=2):
         style=GossipStyle.PUSH,
         trace=TraceContext(origin="http://n0/app", publish_ts=7.25, path=path),
     )
-    return header, ET.tostring(header.to_element())
+    return header, _frame_bytes(header)
 
 
 class TestSplices:
@@ -144,7 +156,7 @@ class TestSplices:
         header, data = _traced_header_bytes(path=2)
         spliced = splice_trace_path(data, 3)
         assert spliced is not None
-        parsed = GossipHeader.from_element(ET.fromstring(spliced))
+        parsed = _parsed_header(spliced)
         assert parsed.trace.path == 3
         assert parsed.hops == header.hops
 
@@ -156,17 +168,13 @@ class TestSplices:
 
     def test_splice_forward_parses_back(self):
         _, data = _traced_header_bytes(hops=9, path=0)
-        parsed = GossipHeader.from_element(
-            ET.fromstring(splice_forward(data, 8, 1))
-        )
+        parsed = _parsed_header(splice_forward(data, 8, 1))
         assert parsed.hops == 8
         assert parsed.trace.path == 1
 
     def test_splice_forward_grows_and_shrinks_digit_runs(self):
         _, data = _traced_header_bytes(hops=10, path=9)
-        parsed = GossipHeader.from_element(
-            ET.fromstring(splice_forward(data, 9, 10))
-        )
+        parsed = _parsed_header(splice_forward(data, 9, 10))
         assert parsed.hops == 9
         assert parsed.trace.path == 10
 
@@ -174,7 +182,7 @@ class TestSplices:
         header = GossipHeader(
             activity="urn:act", message_id="m", origin="o", hops=4
         )
-        data = ET.tostring(header.to_element())
+        data = _frame_bytes(header)
         assert splice_forward(data, 3, 1) is None
         assert splice_hops(data, 3) is not None  # hops splice still applies
 
@@ -188,8 +196,7 @@ class TestSplices:
 class TestHeaderWithTrace:
     def test_header_roundtrip_carries_trace(self):
         header, data = _traced_header_bytes()
-        parsed = GossipHeader.from_element(ET.fromstring(data))
-        assert parsed.trace == header.trace
+        assert _parsed_header(data).trace == header.trace
 
     def test_decremented_advances_trace_path(self):
         header, _ = _traced_header_bytes(hops=5, path=2)

@@ -1,30 +1,42 @@
 """The zero-copy wire fast path: shared fan-out buffers and pre-parse dedup.
 
-Covers the three legs of the optimization:
+Covers the legs of the optimization:
 
 * a publication / forward encodes exactly one payload and every target
   receives the *same* ``bytes`` object (byte identity, not just equality);
 * ``scan_gossip_message_id`` extracts the gossip id from raw wire bytes
   without parsing, and never misfires on non-gossip traffic;
 * the runtime's pre-parse gate consumes duplicates before the XML parse,
-  with the same observable protocol behaviour as the post-parse branch.
+  with the same observable protocol behaviour as the post-parse branch;
+* a forward's hop splice equals parse -> decrement -> serialize, or bails.
 """
 
 import random
+import re
+import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import GossipEngine
 from repro.core.message import (
+    GOSSIP_HEADER_TAG,
     GossipHeader,
     GossipStyle,
+    TraceContext,
     new_gossip_message_id,
     scan_gossip_message_id,
+    splice_forward,
+    splice_hops,
 )
 from repro.core.params import GossipParams
 from repro.obs.hub import default_hub
+from repro.soap import namespaces as ns
 from repro.soap.envelope import Envelope
 from repro.soap.runtime import SoapRuntime
+from repro.xmlutil import canonical_bytes
 from repro.wsa.addressing import AddressingHeaders, EndpointReference
 from repro.wscoord.context import CoordinationContext
 
@@ -69,6 +81,7 @@ def test_publish_fanout_shares_one_buffer(recording_engine):
     transport, runtime, engine = recording_engine
     WIRE_STATS.reset()
     engine.publish("urn:app/Event", {"price": 42})
+    engine.scheduler.flush()
     payloads = [data for _address, data in transport.sent]
     assert len(payloads) == engine.params.fanout
     assert all(data is payloads[0] for data in payloads)
@@ -80,6 +93,7 @@ def test_forward_fanout_shares_one_buffer(recording_engine):
     transport, runtime, engine = recording_engine
     envelope, header = make_gossip_envelope(hops=3)
     engine.on_gossip(envelope, header, source=None)
+    engine.scheduler.flush()
     payloads = [data for _address, data in transport.sent]
     assert len(payloads) == engine.params.fanout
     assert all(data is payloads[0] for data in payloads)
@@ -90,6 +104,7 @@ def test_forwarded_buffer_carries_decremented_hops(recording_engine):
     transport, _runtime, engine = recording_engine
     envelope, header = make_gossip_envelope(hops=3)
     engine.on_gossip(envelope, header, source=None)
+    engine.scheduler.flush()
     _, data = transport.sent[0]
     parsed = GossipHeader.from_envelope(Envelope.from_bytes(data))
     assert parsed.hops == 2
@@ -192,11 +207,10 @@ def test_simulated_run_exercises_fast_path():
     assert group.delivered_fraction(message_id) == 1.0
     stats = WIRE_STATS.snapshot()
     counts = group.message_counts()
-    # Every gossip copy rides the shared-buffer path ...
-    assert (
-        counts["soap.sent-shared"]
-        == counts["gossip.fanout-send"] + counts["gossip.forward"]
-    )
+    # Every gossip copy rides the shared-buffer path, one single-rumor
+    # frame per target copy (a push-only group never sends a batch) ...
+    assert counts["soap.sent-shared"] == counts["gossip.fanout-send"]
+    assert counts.get("gossip.batch-send", 0) == 0
     # ... fanning each encode out to multiple targets (more copies sent
     # than gossip hops that could have encoded) ...
     assert counts["soap.sent-shared"] > counts["gossip.publish"] + counts["gossip.fresh"]
@@ -205,3 +219,194 @@ def test_simulated_run_exercises_fast_path():
     assert stats["dedup_preparse_hits"] > 0
     assert counts["soap.preparse-dropped"] == stats["dedup_preparse_hits"]
     assert counts["gossip.dedup-preparse"] == stats["dedup_preparse_hits"]
+
+
+# -- the forward splices against parse -> decrement -> serialize ---------------
+#
+# A frame a foreign SOAP stack wrote (other prefixes, local namespace
+# declarations, comments, CDATA, whitespace, a ``Hops`` element somewhere
+# other than the Gossip header, attributes in another order) must splice
+# to what the slow path yields, or not splice at all.
+
+OTHER = "urn:example:other"
+# No digits: the prefix renaming below rewrites ``ns<digits>`` runs.
+TEXT = st.text(st.sampled_from("abcxyz -_.:/&<>\"'é\t"), min_size=1, max_size=10)
+SLOT = "SLOT"
+
+
+def header_block(kind):
+    """A header block that is not the Gossip header but looks like one."""
+    block = ET.Element(f"{{{OTHER}}}Info")
+    if kind == "other-hops":
+        ET.SubElement(block, f"{{{OTHER}}}Hops").text = "7"
+    elif kind == "gossip-hops":
+        ET.SubElement(block, f"{{{ns.WSGOSSIP}}}Hops").text = "7"
+    elif kind == "nested-gossip":
+        decoy = GossipHeader(activity="a", message_id="m", origin="o", hops=99)
+        block.append(decoy.to_element())
+    else:
+        block.text = SLOT
+    return block
+
+
+@st.composite
+def frames(draw):
+    header = GossipHeader(
+        activity=draw(TEXT),
+        message_id="urn:ws-gossip:msg:" + draw(TEXT),
+        origin=draw(TEXT),
+        hops=draw(st.integers(1, 120)),
+        style=draw(st.sampled_from(list(GossipStyle))),
+        sequence=draw(st.none() | st.integers(0, 99)),
+        trace=draw(
+            st.none()
+            | st.builds(
+                TraceContext,
+                origin=TEXT,
+                publish_ts=st.floats(0, 1e6),
+                path=st.integers(0, 60),
+                sampled=st.booleans(),
+            )
+        ),
+    )
+    kinds = st.sampled_from(["other-hops", "gossip-hops", "nested-gossip", "plain"])
+    body = ET.Element("{urn:app}Event")
+    body.text = SLOT
+    for tag_ns in draw(st.lists(st.sampled_from([OTHER, ns.WSGOSSIP]), max_size=2)):
+        ET.SubElement(body, f"{{{tag_ns}}}Hops").text = "3"
+    envelope = Envelope(body=body)
+    for kind in draw(st.lists(kinds, max_size=2)):
+        envelope.add_header(header_block(kind))
+    envelope.add_header(header.to_element())
+    for kind in draw(st.lists(kinds, max_size=2)):
+        envelope.add_header(header_block(kind))
+    return foreign(envelope.to_bytes(), draw)
+
+
+def foreign(data, draw):
+    """Rewrite our writer's bytes the ways another stack might write them."""
+    if draw(st.booleans()):  # other prefixes, consistently renamed
+        names = draw(
+            st.permutations(["soap", "g", "wsa", "x", "a.b", "_q", "s-1", "n", "ns", "y"])
+        )
+        data = re.sub(
+            rb"(?<![\w.-])ns(\d)(?=[:=])",
+            lambda m: names[int(m.group(1))].encode(),
+            data,
+        )
+    slot = draw(
+        st.sampled_from(
+            [
+                SLOT,
+                "<![CDATA[<g:Hops>1</g:Hops>]]>",
+                "<!-- <g:Hops>1</g:Hops> -->" + SLOT,
+                "<?pi <g:Hops>1</g:Hops>?>",
+            ]
+        )
+    )
+    data = data.replace(SLOT.encode(), slot.encode())
+    if draw(st.booleans()):  # pretty-printed header
+        data = re.sub(rb"(:Header>)(?=<)", rb"\1\n  ", data, count=1)
+    if draw(st.booleans()):  # a namespace declared where it is used
+        data = re.sub(
+            rb"(<[\w.-]+:Info)(?=[ >])", rb'\1 xmlns:zz="urn:zz"', data, count=1
+        )
+    trace = re.search(rb"(<[\w.-]+:Trace) ([^>]*)>", data)
+    if trace is not None:  # attributes in another order
+        attributes = re.findall(rb'[\w.:-]+="[^"]*"', trace.group(2))
+        order = draw(st.permutations(attributes))
+        data = (
+            data[: trace.start(2)] + b" ".join(order) + data[trace.end(2) :]
+        )
+    return data
+
+
+def normalized(data):
+    """The envelope as a receiver sees it, Gossip header position aside."""
+    envelope = Envelope.from_bytes(data)
+    return (
+        GossipHeader.from_envelope(envelope),
+        [canonical_bytes(h) for h in envelope.headers if h.tag != GOSSIP_HEADER_TAG],
+        canonical_bytes(envelope.body),
+    )
+
+
+def slow_path(data, hops, path=None):
+    envelope = Envelope.from_bytes(data)
+    header = GossipHeader.from_envelope(envelope)
+    trace = header.trace if path is None else replace(header.trace, path=path)
+    replace(header, hops=hops, trace=trace).replace_in(envelope)
+    return normalized(envelope.to_bytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=frames(), hops=st.integers(0, 500), path=st.integers(0, 500))
+def test_splices_equal_the_slow_path_or_bail(data, hops, path):
+    spliced = splice_hops(data, hops)
+    assert spliced is None or normalized(spliced) == slow_path(data, hops)
+    spliced = splice_forward(data, hops, path)
+    if GossipHeader.from_envelope(Envelope.from_bytes(data)).trace is None:
+        assert spliced is None
+    else:
+        assert spliced is None or normalized(spliced) == slow_path(data, hops, path)
+
+
+def decoyed_frame(trace=None):
+    """A ``Hops`` in a header block ahead of the Gossip header, one in the
+    body, other prefixes and a pretty-printed header: all still ours to
+    splice."""
+    header = GossipHeader(
+        activity="urn:act", message_id="urn:ws-gossip:msg:m1", origin="o",
+        hops=5, trace=trace,
+    )
+    body = ET.Element("{urn:app}Event")
+    ET.SubElement(body, f"{{{OTHER}}}Hops").text = "3"
+    envelope = Envelope(body=body)
+    envelope.add_header(header_block("other-hops"))
+    envelope.add_header(header.to_element())
+    data = envelope.to_bytes()
+    for prefix, uri in re.findall(rb'xmlns:(ns\d)="([^"]*)"', data):
+        name = {ns.SOAP11_ENV: b"s", ns.WSGOSSIP: b"g"}.get(uri.decode(), prefix + b"x")
+        data = re.sub(rb"(?<![\w.-])%s(?=[:=])" % prefix, name, data)
+    return data.replace(b"<s:Header><", b"<s:Header>\n  <", 1)
+
+
+def test_misplaced_hops_is_not_the_one_spliced():
+    data = decoyed_frame()
+    spliced = splice_hops(data, 4)
+    assert spliced is not None
+    assert normalized(spliced) == slow_path(data, 4)
+    assert GossipHeader.from_envelope(Envelope.from_bytes(spliced)).hops == 4
+    assert spliced.count(b"Hops>7<") == 1  # the decoy is untouched
+
+
+def test_traced_decoyed_frame_splices_both_counters():
+    trace = TraceContext(origin="o", publish_ts=1.5, path=2)
+    data = decoyed_frame(trace)
+    spliced = splice_forward(data, 4, 3)
+    assert spliced is not None
+    assert normalized(spliced) == slow_path(data, 4, 3)
+
+
+GOSSIP_BINDING = b'xmlns:g="urn:ws-gossip:2008:core"'
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b"<g:Gossip>", b"<!-- x --><g:Gossip>"),
+        (b"<g:Gossip>", b'<g:Gossip xmlns:g="urn:ws-gossip:2008:core">'),
+        (b"<g:Hops>5", b"<g:Hops><![CDATA[5]]>"),
+        (b"<g:Hops>5", b'<g:Hops a="1">5'),
+        (GOSSIP_BINDING, GOSSIP_BINDING + b' xmlns:h="urn:ws-gossip:2008:core"'),
+        (GOSSIP_BINDING, b'xmlns:g="urn:ws-gossip:2008&#58;core"'),
+        (b"\n  <", b"<s:Header></s:Header><"),  # a Header nested in the header
+    ],
+)
+def test_shapes_the_splice_cannot_vouch_for_bail(old, new):
+    data = decoyed_frame()
+    assert data.count(old) == 1
+    mutated = data.replace(old, new)
+    assert mutated != data
+    Envelope.from_bytes(mutated)  # still a well-formed envelope
+    assert splice_hops(mutated, 4) is None

@@ -7,10 +7,13 @@ wire trace *identical* to the pre-overload behavior -- same sends, same
 order, same bytes.
 
 The baseline digests in ``tests/baselines/trace_identity.json`` were
-captured from the tree immediately before the overload subsystem landed.
-This test replays the same seeded scenarios and asserts the byte-exact
-trace digest still matches.  Regenerate (only when an *intentional*
-wire-visible change lands) with::
+first captured immediately before the overload subsystem landed, and
+regenerated once since, for the deliberate wire change of 2.1.0: every
+engine sends through the outbox, so an unbatched engine is a batch of
+one (summary-first pull, digest catch-up, byte-spliced forwards; see
+docs/WIRE.md).  This test replays the same seeded scenarios and asserts
+the byte-exact trace digest still matches.  Regenerate (only when an
+*intentional* wire-visible change lands) with::
 
     PYTHONPATH=src python tests/integration/test_trace_identity.py --regen
 
@@ -176,8 +179,11 @@ if __name__ == "__main__":
             json.dumps(
                 {
                     "comment": (
-                        "Byte-exact wire-trace digests per seeded scenario, "
-                        "captured before the overload subsystem landed. "
+                        "Byte-exact wire-trace digests per seeded scenario. "
+                        "Regenerated for the 2.1.0 wire change: an unbatched "
+                        "engine is a batch of one (every send goes through "
+                        "the outbox: summary-first pull, digest catch-up, "
+                        "byte-spliced forwards). "
                         "See tests/integration/test_trace_identity.py."
                     ),
                     "digests": digests,

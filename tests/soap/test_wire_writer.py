@@ -306,12 +306,13 @@ def test_send_emits_tree_bytes_for_any_arguments(to, action, value, tag, relates
 # -- one seeded whole-system run ----------------------------------------------------
 
 
-def test_every_originated_frame_of_a_lossy_push_pull_run_equals_the_tree_path(monkeypatch):
+def test_every_originated_frame_of_a_lossy_lazy_push_run_equals_tree_path(monkeypatch):
+    # Lazy push still originates SOAP requests: every fetch is a Fetch.
     group = GossipConfig(
         n_disseminators=39,
         seed=17,
         loss_rate=0.1,
-        params={"style": "push-pull", "fanout": 3, "rounds": 4, "period": 0.5},
+        params={"style": "lazy-push", "fanout": 3, "rounds": 4, "period": 0.5},
     ).build()
     sending = []  # stack of frame lists, one per send() in progress
     checked = []
@@ -341,8 +342,9 @@ def test_every_originated_frame_of_a_lossy_push_pull_run_equals_the_tree_path(mo
         group.run_for(2.0)
 
     kinds = {action.rpartition("/")[2] for action in checked}
-    assert {"Pull", "PullResponse", "Register", "RegisterResponse"} <= kinds
-    assert len(checked) > 1000
+    assert {"Fetch", "Register", "RegisterResponse", "Subscribe"} <= kinds
+    assert sum(action.endswith("/Fetch") for action in checked) > 100
+    assert len(checked) > 250
 
 
 # -- canonical_bytes against ElementTree's file writer ------------------------------
