@@ -2,8 +2,8 @@
 
 A full reproduction of Campos & Pereira (Middleware '08): epidemic
 dissemination layered over a from-scratch SOAP / WS-Coordination stack,
-runnable on a deterministic discrete-event simulator or over real
-localhost HTTP.
+runnable on a deterministic discrete-event simulator or over real UDP or
+HTTP sockets on one event loop.
 
 Quickstart::
 
@@ -44,7 +44,7 @@ from repro.simnet.events import Simulator
 from repro.simnet.metrics import ControlStats, HealthStats, RecoveryStats, WireStats
 from repro.stats import summarize
 
-__version__ = "2.1.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AdaptiveController",

@@ -1,36 +1,51 @@
-"""Live gossip meshes over the asyncio transports (real sockets).
+"""The live deploy layer: WS-Gossip over the asyncio transports.
 
 The simulator answers "does the protocol work at N=5000"; this module
-answers "does the *stack* work at N=300+ real sockets in one process" --
-the deployment half the paper claims (WS nodes coordinating over an
-actual network).  Every node here is a full middleware stack -- a
+answers "does the *stack* work over real sockets" -- the deployment half
+the paper claims (WS nodes coordinating over an actual network).  Every
+gossip node here is a full middleware stack -- a
 :class:`~repro.soap.runtime.SoapRuntime`, a
 :class:`~repro.core.handler.GossipLayer` with its engines, a per-node
 :class:`~repro.obs.hub.MetricsHub` -- bound to its own UDP or keep-alive
-HTTP socket, all sharing one event loop.
+HTTP socket, all sharing one event loop.  It comes in two shapes:
 
-Membership is static: the mesh samples each node's peer view once at
-build time (the coordinator-less ``register=False`` join from the
-decentralized mode), so a soak run measures the transport and engine hot
-paths, not view convergence.  ``benchmarks/bench_soak.py`` drives this
-with the stock workload; ``repro soak`` is the CLI front end.
+* :class:`AsyncGossipMesh` -- N nodes with static membership: the mesh
+  samples each node's peer view once at build time (the coordinator-less
+  ``register=False`` join from the decentralized mode), so a soak run
+  measures the transport and engine hot paths, not view convergence.
+  ``benchmarks/bench_soak.py`` drives it with the stock workload;
+  ``repro soak`` is the CLI front end.
+* The paper's Figure-1 roles over HTTP: :class:`AsyncCoordinatorNode`
+  (Activation, Registration, Subscription); :class:`AsyncGossipNode`
+  without a static view as Initiator (:meth:`~AsyncGossipNode.activate`)
+  and Disseminator -- it registers with the coordinator and auto-joins
+  on its first gossip message, exactly like the simulator's
+  :class:`~repro.core.roles.DisseminatorNode`; and
+  :class:`AsyncConsumerNode`, the unchanged node with no gossip layer.
 
-All engine state lives on the loop thread: publishes from foreign
-threads hop onto the loop first (:func:`~repro.transport.aio.run_on_loop`),
-so the single-threaded engine invariants hold exactly as they do under
-the simulator.
+All engine state lives on the loop thread: lifecycle, publish, activate,
+subscribe and view refresh calls from foreign threads hop onto the loop
+first (:func:`~repro.transport.aio.run_on_loop`), so the single-threaded
+engine invariants hold exactly as they do under the simulator.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.coordination import GossipCoordinationProtocol
 from repro.core.decentralized import DEFAULT_ACTION, make_static_context
+from repro.core.engine import PROTOCOL_INITIATOR, GossipEngine
 from repro.core.handler import GossipLayer
+from repro.core.message import GossipHeader
 from repro.core.params import GossipParams
+from repro.core.roles import ACTIVATION_PATH, REGISTRATION_PATH, SUBSCRIPTION_PATH
 from repro.core.service import GossipService
+from repro.core.subscription import SUBSCRIBE_ACTION, SubscriptionService
+from repro.soap import namespaces as ns
+from repro.soap.runtime import SoapRuntime
 from repro.soap.service import Service
 from repro.transport.aio import (
     MAX_DATAGRAM_BYTES,
@@ -41,7 +56,10 @@ from repro.transport.aio import (
     resolve_loop,
     run_on_loop,
 )
+from repro.wscoord.activation import CREATE_ACTION, ActivationService
 from repro.wscoord.context import CoordinationContext
+from repro.wscoord.coordinator import Coordinator
+from repro.wscoord.registration import RegistrationService
 
 APP_PATH = "/app"
 
@@ -92,8 +110,38 @@ def soak_params(transport: str = "udp", period: float = 0.5) -> GossipParams:
     )
 
 
+def _call_on_loop(loop: asyncio.AbstractEventLoop, function: Callable, *args, **kwargs):
+    """``function(*args, **kwargs)`` on ``loop``'s thread; returns its result.
+
+    A role call made from any other thread hops onto the loop and waits;
+    one made on the loop runs directly.
+    """
+    if _on_loop(loop):
+        return function(*args, **kwargs)
+
+    async def call():
+        return function(*args, **kwargs)
+
+    return run_on_loop(loop, call(), timeout=30.0)
+
+
+def _subscribe(
+    runtime: SoapRuntime, participant: str, address: str, activity_id: str
+) -> None:
+    """Subscribe ``participant`` to an activity (Figure 1's ``subscribe``)."""
+    value = {"activity": activity_id, "participant": participant}
+    _call_on_loop(
+        runtime.transport.loop, runtime.send, address, SUBSCRIBE_ACTION, value=value
+    )
+
+
 class AsyncGossipNode:
     """One live node: socket edge + gossip layer + app endpoint.
+
+    With a static peer view (:meth:`set_view`, what the mesh installs) the
+    node gossips coordinator-less.  Without one it is the paper's
+    Disseminator -- and, through :meth:`activate`, its Initiator: engines
+    register with the coordinator and take their view from it.
 
     The app endpoint records first-delivery wall-clock times per gossip
     id (the loop's monotonic clock), which is what the soak harness turns
@@ -140,7 +188,6 @@ class AsyncGossipNode:
             app_address=self.app_address,
             rng=rng if rng is not None else random.Random(),
             default_params=params,
-            view_provider=self._view,
             overload=overload,
             telemetry=telemetry,
         )
@@ -156,30 +203,168 @@ class AsyncGossipNode:
         return self.runtime.address_of(APP_PATH)
 
     def set_view(self, peers: Sequence[str]) -> None:
-        """Install the node's static peer view (app addresses)."""
+        """Install the node's static peer view (app addresses).
+
+        From then on the node's engines draw peers from it and never
+        register with a coordinator.
+        """
         self._peers = [peer for peer in peers if peer != self.app_address]
+        self.gossip_layer.view_provider = self._view
 
     def _view(self) -> List[str]:
         return self._peers
 
     def _on_delivery(self, context, value) -> None:
-        from repro.core.message import GossipHeader
-
         header = GossipHeader.from_envelope(context.envelope)
         self.delivery_count += 1
         if header is not None and header.message_id not in self.delivered:
             self.delivered[header.message_id] = self.loop.time()
 
+    def has_delivered(self, gossip_id: str) -> bool:
+        """True when this node's app saw the data item at least once."""
+        return gossip_id in self.delivered
+
     def join(self, context: CoordinationContext):
         """Join coordinator-less; periodic rounds start immediately."""
         return self.gossip_layer.join(context, register=False)
+
+    # -- the Figure-1 role calls (safe from any thread) -------------------------
+
+    def activate(
+        self,
+        activation_address: str,
+        parameters: Optional[Dict[str, Any]] = None,
+        on_ready: Optional[Callable[[GossipEngine], None]] = None,
+    ) -> None:
+        """Initiator: create a gossip activity at the coordinator.
+
+        When the coordination context arrives this node joins as the
+        activity's initiator and ``on_ready(engine)`` runs on the loop.
+        """
+
+        def handle_context(reply_context, value) -> None:
+            context = CoordinationContext.from_element(reply_context.envelope.body)
+            engine = self.gossip_layer.join(context, protocol=PROTOCOL_INITIATOR)
+            if on_ready is not None:
+                on_ready(engine)
+
+        _call_on_loop(
+            self.loop,
+            self.runtime.send,
+            activation_address,
+            CREATE_ACTION,
+            value={
+                "coordination_type": ns.WSGOSSIP_COORD,
+                "parameters": parameters or {},
+            },
+            on_reply=handle_context,
+        )
+
+    def subscribe(self, subscription_address: str, activity_id: str) -> None:
+        """Subscribe this node's app endpoint to an activity."""
+        _subscribe(self.runtime, self.app_address, subscription_address, activity_id)
+
+    def publish(self, activity_id: str, value: Any) -> str:
+        """Disseminate one invocation of this node's action; returns its
+        gossip id."""
+        return _call_on_loop(
+            self.loop, self._joined(activity_id).publish, self.action, value
+        )
+
+    def refresh_view(self, activity_id: str) -> None:
+        """Ask the coordinator for a fresh peer view of an activity."""
+        _call_on_loop(self.loop, self._joined(activity_id).refresh_view)
+
+    def _joined(self, activity_id: str) -> GossipEngine:
+        engine = self.gossip_layer.engine_for(activity_id)
+        if engine is None:
+            raise KeyError(f"{self.name} has not joined activity {activity_id!r}")
+        return engine
+
+    # -- lifecycle ----------------------------------------------------------------
+
+    def start(self) -> None:
+        """Start serving, from outside the loop (see :meth:`astart`)."""
+        run_on_loop(self.loop, self.astart())
+
+    def stop(self) -> None:
+        """Stop serving, from outside the loop (see :meth:`astop`)."""
+        run_on_loop(self.loop, self.astop())
 
     async def astart(self) -> None:
         await self.edge.astart()
 
     async def astop(self) -> None:
+        """Silence the engines' timers; close the socket and the transport."""
         self.scheduler.close()
         await self.edge.astop()
+
+
+class AsyncConsumerNode(AsyncHttpNode):
+    """The Consumer role: a completely unchanged node over HTTP.
+
+    A plain SOAP stack -- no gossip layer anywhere in its chain -- whose
+    app service receives a gossiped invocation like any other and records
+    it.
+    """
+
+    def __init__(
+        self,
+        action: str = DEFAULT_ACTION,
+        loop: Optional[asyncio.AbstractEventLoop] = None,
+    ) -> None:
+        super().__init__(loop=loop)
+        self.app_service = Service()
+        self.app_service.add_operation(action, self._on_delivery)
+        self.runtime.add_service(APP_PATH, self.app_service)
+        #: ``(gossip id or None, value)`` per delivered invocation.
+        self.deliveries: List[Tuple[Optional[str], Any]] = []
+
+    @property
+    def app_address(self) -> str:
+        return self.runtime.address_of(APP_PATH)
+
+    def _on_delivery(self, context, value) -> None:
+        header = GossipHeader.from_envelope(context.envelope)
+        self.deliveries.append((header.message_id if header else None, value))
+
+    def has_delivered(self, gossip_id: str) -> bool:
+        """True when this node's app saw the data item at least once."""
+        return any(seen == gossip_id for seen, _ in self.deliveries)
+
+    def subscribe(self, subscription_address: str, activity_id: str) -> None:
+        """Subscribe this node's app endpoint to an activity."""
+        _subscribe(self.runtime, self.app_address, subscription_address, activity_id)
+
+
+class AsyncCoordinatorNode(AsyncHttpNode):
+    """The Coordinator role over HTTP: WS-Coordination with the gossip
+    protocol, serving Activation, Registration and Subscription."""
+
+    def __init__(
+        self, seed: int = 0, loop: Optional[asyncio.AbstractEventLoop] = None
+    ) -> None:
+        super().__init__(loop=loop)
+        self.coordinator = Coordinator(
+            lambda activity: self.runtime.epr(REGISTRATION_PATH, ActivityId=activity)
+        )
+        self.coordinator.add_protocol(
+            GossipCoordinationProtocol(rng=random.Random(seed))
+        )
+        for path, service in (
+            (ACTIVATION_PATH, ActivationService),
+            (REGISTRATION_PATH, RegistrationService),
+            (SUBSCRIPTION_PATH, SubscriptionService),
+        ):
+            self.runtime.add_service(path, service(self.coordinator))
+
+    @property
+    def activation_address(self) -> str:
+        return self.runtime.address_of(ACTIVATION_PATH)
+
+    @property
+    def subscription_address(self) -> str:
+        return self.runtime.address_of(SUBSCRIPTION_PATH)
 
 
 class AsyncGossipMesh:

@@ -2,16 +2,15 @@
 
 The engine needs timers (pull rounds, anti-entropy, peer refresh) and a
 clock.  Inside the simulator those map to the node's
-:meth:`~repro.simnet.process.Process.set_timer`; on a real deployment they
-map to ``threading.Timer``.  The engine only sees this interface.
+:meth:`~repro.simnet.process.Process.set_timer`; on a live deployment they
+map to the event loop's ``call_later``
+(:class:`~repro.transport.aio.AioScheduler`).  The engine only sees this
+interface.
 """
 
 from __future__ import annotations
 
-import random
-import threading
-import time
-from typing import Callable, Optional, Protocol
+from typing import Callable, Protocol
 
 from repro.simnet.process import Process
 
@@ -53,40 +52,3 @@ class ProcessScheduler:
     def call_after(self, delay: float, callback: Callable[[], None]):
         """Schedule on the simulated process (dies with it on crash)."""
         return self._process.set_timer(delay, callback)
-
-
-class ThreadScheduler:
-    """Real-time scheduler over ``threading.Timer`` (HTTP deployments)."""
-
-    def __init__(self) -> None:
-        self._timers: list = []
-        self._lock = threading.Lock()
-        self._closed = False
-
-    @property
-    def now(self) -> float:
-        return time.monotonic()
-
-    def call_after(self, delay: float, callback: Callable[[], None]):
-        """Schedule on a daemon ``threading.Timer``."""
-        with self._lock:
-            if self._closed:
-                return _NullTimer()
-            timer = threading.Timer(delay, callback)
-            timer.daemon = True
-            self._timers.append(timer)
-            timer.start()
-            return timer
-
-    def close(self) -> None:
-        """Cancel all outstanding timers (orderly node shutdown)."""
-        with self._lock:
-            self._closed = True
-            for timer in self._timers:
-                timer.cancel()
-            self._timers.clear()
-
-
-class _NullTimer:
-    def cancel(self) -> None:
-        pass

@@ -6,7 +6,8 @@ Two formats, both dependency-free:
   conventions (plain stdlib JSON, ``sort_keys``, a ``ValueError`` naming the
   offending line on load).
 * The Prometheus text exposition format (version 0.0.4) -- what
-  :mod:`repro.transport.http` serves at ``/metrics`` -- with proper metric
+  :class:`~repro.transport.aio.AsyncHttpNode` serves at ``/v1/metrics`` --
+  with proper metric
   name sanitisation, label value escaping, and ``# HELP`` / ``# TYPE``
   family headers.
 """

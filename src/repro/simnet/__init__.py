@@ -2,8 +2,8 @@
 
 The simulator is deterministic: given the same seed and the same program it
 produces the same event order, message interleaving, losses and failures.
-All WS-Gossip experiments (DESIGN.md, E1-E9) run on this kernel; the real
-HTTP transport in :mod:`repro.transport.http` exists for the examples only.
+All WS-Gossip experiments (DESIGN.md, E1-E9) run on this kernel; the
+real-socket binding in :mod:`repro.transport.aio` runs the same stack live.
 
 Layering:
 

@@ -8,7 +8,6 @@ oblivious to why a node crashed.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -24,7 +23,7 @@ class FaultPlan:
 
         plan = FaultPlan(network)
         plan.crash_at(5.0, "node-3")
-        plan.recover_at(12.0, "node-3")
+        plan.restart_at(12.0, "node-3", amnesia=False)
         plan.partition_at(20.0, [["a", "b"], ["c", "d"]])
         plan.heal_at(30.0)
         plan.apply()
@@ -41,28 +40,6 @@ class FaultPlan:
     def crash_at(self, time: float, name: str) -> "FaultPlan":
         """Crash process ``name`` at simulated ``time``."""
         self._schedule.append((time, "crash", (name,)))
-        return self
-
-    def recover_at(self, time: float, name: str) -> "FaultPlan":
-        """Resume a crashed process at ``time`` with its pre-crash
-        in-memory state intact.
-
-        .. deprecated::
-            This models a *pause*, not a crash: the resurrected node keeps
-            its full message store, dedup set and FIFO counters, which no
-            real restart does.  Use :meth:`restart_at` and say what the
-            state semantics are (``amnesia=True`` to forget, ``False`` to
-            replay durable storage).
-        """
-        warnings.warn(
-            "FaultPlan.recover_at resurrects a node with its in-memory "
-            "state intact (a pause, not a crash); use "
-            "FaultPlan.restart_at(time, name, amnesia=...) to make the "
-            "state semantics explicit",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._schedule.append((time, "recover", (name,)))
         return self
 
     def restart_at(
@@ -272,9 +249,6 @@ class FaultPlan:
             if action == "crash":
                 (name,) = args
                 self.sim.call_at(time, self._crash_callback(name))
-            elif action == "recover":
-                (name,) = args
-                self.sim.call_at(time, self._recover_callback(name))
             elif action == "restart":
                 name, amnesia = args
                 self.sim.call_at(time, self._restart_callback(name, amnesia))
@@ -382,13 +356,6 @@ class FaultPlan:
                 self.network.process(name).crash()
 
         return crash
-
-    def _recover_callback(self, name: str):
-        def recover() -> None:
-            if name in self.network:
-                self.network.process(name).start()
-
-        return recover
 
     def _restart_callback(self, name: str, amnesia: bool):
         def restart() -> None:

@@ -3,7 +3,8 @@
 One :class:`SoapRuntime` runs on every node (simulated or real).  It is
 transport-agnostic: anything with a ``send(address, data: bytes)`` method
 works -- :class:`repro.transport.inmem.SimTransport` inside the simulator,
-:class:`repro.transport.http.HttpTransport` for real deployments.
+:class:`repro.transport.aio.AioUdpTransport` or
+:class:`repro.transport.aio.AioHttpTransport` for real deployments.
 
 All messaging is one-way WS-Addressing style (see :mod:`repro.wsa`);
 request/response is built from two one-way messages correlated by

@@ -2,17 +2,16 @@
 
 * :mod:`repro.transport.inmem` -- binds runtimes to the discrete-event
   simulator (addresses ``sim://node/path``).
-* :mod:`repro.transport.http`  -- real localhost HTTP (addresses
-  ``http://host:port/path``), used by the examples.
 * :class:`LoopbackTransport`   -- delivers straight back to a registry of
   runtimes with no latency; used by unit tests.
-* :mod:`repro.transport.aio`   -- asyncio real-network family: UDP
-  datagrams (``udp://host:port/path``) and keep-alive pipelined HTTP,
-  with :class:`AsyncUdpNode` / :class:`AsyncHttpNode` server edges so
-  hundreds of nodes share one event loop (see docs/DEPLOY.md).
+* :mod:`repro.transport.aio`   -- the real-network binding, on one event
+  loop: UDP datagrams (``udp://host:port/path``) and keep-alive
+  pipelined HTTP (``http://host:port/path``), with
+  :class:`AsyncUdpNode` / :class:`AsyncHttpNode` server edges so
+  hundreds of nodes share one loop (see docs/DEPLOY.md).
 * :mod:`repro.transport.edge`  -- the versioned ``/v1`` node-edge HTTP
-  contract (paths, idempotent ingest, deprecation headers) shared by the
-  sync and asyncio HTTP edges (see docs/WIRE.md).
+  contract (paths, idempotent ingest, admission control) that
+  :class:`AsyncHttpNode` serves (see docs/WIRE.md).
 * :mod:`repro.transport.base`  -- the shared resilient send path: bounded
   retry (:class:`RetryPolicy`), per-destination circuit breakers
   (:class:`BreakerPolicy`, :class:`CircuitBreaker`), and structured
@@ -29,7 +28,6 @@ from repro.transport.base import (
     SendOutcome,
 )
 from repro.transport.inmem import SimTransport, WsProcess, sim_address
-from repro.transport.http import HttpNode, HttpTransport
 from repro.transport.aio import (
     AioHttpTransport,
     AioScheduler,
@@ -59,8 +57,6 @@ __all__ = [
     "CircuitBreaker",
     "GOSSIP_PATH",
     "HEALTH_PATH",
-    "HttpNode",
-    "HttpTransport",
     "IdempotencyIndex",
     "LoopbackTransport",
     "METRICS_PATH",

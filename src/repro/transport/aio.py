@@ -1,9 +1,9 @@
 """Asyncio real-network transports: UDP datagrams and keep-alive HTTP.
 
-The synchronous localhost binding (:mod:`repro.transport.http`) spends a
-thread per request, which caps a live mesh at a few dozen nodes.  This
-module runs the same middleware stack over real sockets on **one event
-loop**, so hundreds to thousands of nodes fit in a single process:
+The one real-network binding: the same middleware stack that runs in the
+simulator runs here over real sockets on **one event loop**, so hundreds
+to thousands of nodes fit in a single process and every engine, handler
+chain and runtime stays single-threaded:
 
 * :class:`AioUdpTransport` -- one plain non-blocking datagram socket per
   node; an envelope (or a multi-rumor :class:`~repro.core.batch.GossipBatch`
@@ -33,10 +33,10 @@ Sync facade: ``send(address, data)`` stays an ordinary synchronous call.
 From a loop callback (engine timers under :class:`AioScheduler`, inbound
 dispatch) it sends directly; from any other thread it is marshalled onto
 the loop.  Existing sync callers -- ``GossipLayer``, ``SoapRuntime``, the
-role classes -- need no changes.  When no loop is supplied, a
-process-wide background loop thread (:func:`shared_loop`) hosts
-everything, so plain scripts and tests can use the async transports
-without writing any ``async def``.
+live roles in :mod:`repro.core.aiodeploy` -- need no changes.  When no
+loop is supplied, a process-wide background loop thread
+(:func:`shared_loop`) hosts everything, so plain scripts and tests can
+use the async transports without writing any ``async def``.
 """
 
 from __future__ import annotations
@@ -68,12 +68,10 @@ from repro.transport.edge import (
     HEALTH_PATH,
     IDEMPOTENCY_KEY_HEADER,
     JSON_CONTENT_TYPE,
-    LEGACY_METRICS_PATH,
     METRICS_PATH,
     PROMETHEUS_CONTENT_TYPE,
     EdgeAdmission,
     IdempotencyIndex,
-    deprecation_headers,
     health_payload,
     ingest_response,
     obs_response,
@@ -98,11 +96,19 @@ RECV_SWEEP_DATAGRAMS = 64
 #: buffer per node keeps 64 KiB resident each (+27%).
 _recv_scratch = threading.local()
 
+#: Largest request body the HTTP edge reads.  A request declaring more is
+#: answered ``413`` before a byte of its body is read, so one client cannot
+#: make the node buffer an arbitrary ``Content-Length``.  Four times the
+#: biggest batch frame a live HTTP mesh sends (``soak_params``).
+MAX_REQUEST_BODY_BYTES = 1 << 20
+
 _STATUS_REASONS = {
     200: "OK",
     202: "Accepted",
     204: "No Content",
+    400: "Bad Request",
     404: "Not Found",
+    413: "Content Too Large",
     429: "Too Many Requests",
 }
 
@@ -364,8 +370,8 @@ class AsyncResilientTransport(ResilientTransport):
 
     def _emit(self, outcome: SendOutcome) -> None:
         if not outcome.ok:
-            # Best-effort one-way messaging, like the sync HTTP binding:
-            # gossip redundancy covers losses; the counter records them.
+            # Best-effort one-way messaging, like the simulated datagram
+            # fabric: gossip redundancy covers losses; the counter records them.
             self.send_errors += 1
         super()._emit(outcome)
 
@@ -590,10 +596,9 @@ class AioHttpTransport(AsyncResilientTransport):
     Destinations are pooled by authority (``host:port``): up to
     ``pool_size`` sockets per peer, each multiplexing up to
     ``max_inflight`` pipelined requests before the pool opens another.
-    By default every envelope is POSTed to the versioned ingest resource
+    Every envelope is POSTed to the versioned ingest resource
     (``/v1/gossip``) -- the WS-Addressing ``To`` header routes it to the
-    right service on the receiving node; set ``ingest_path=None`` to POST
-    to each address's literal path (the legacy, pre-``/v1/`` contract).
+    right service on the receiving node.
 
     An attempt awaits a response, so this binding runs each attempt as a
     task; gate, retry and outcome logic stay the base class's.
@@ -607,7 +612,6 @@ class AioHttpTransport(AsyncResilientTransport):
         rng: Optional[random.Random] = None,
         pool_size: int = 2,
         max_inflight: int = 32,
-        ingest_path: Optional[str] = GOSSIP_PATH,
     ) -> None:
         super().__init__(loop=loop, retry=retry, breaker=breaker, rng=rng)
         if pool_size < 1:
@@ -616,7 +620,6 @@ class AioHttpTransport(AsyncResilientTransport):
             raise ValueError(f"max_inflight must be >= 1: {max_inflight!r}")
         self.pool_size = pool_size
         self.max_inflight = max_inflight
-        self.ingest_path = ingest_path
         self._pools: Dict[str, List[_PipelinedConnection]] = {}
         self._tasks: set = set()
 
@@ -685,10 +688,9 @@ class AioHttpTransport(AsyncResilientTransport):
 
     async def _asend_once(self, address: str, data: bytes, token: str) -> None:
         """One POST; ``token`` identifies the logical send across retries."""
-        _, authority, path = split_address(address)
-        request_path = self.ingest_path if self.ingest_path is not None else path
+        _, authority, _ = split_address(address)
         raw = _build_request(
-            "POST", authority, request_path or "/", data,
+            "POST", authority, GOSSIP_PATH, data,
             headers={IDEMPOTENCY_KEY_HEADER: token},
         )
         status, response_headers, _ = await self._connection_for(
@@ -892,6 +894,14 @@ class AsyncUdpNode(_AsyncNodeBase):
                 })
 
 
+class _Rejected(Exception):
+    """A request the HTTP edge answers with ``status`` and a close."""
+
+    def __init__(self, status: int) -> None:
+        super().__init__(status)
+        self.status = status
+
+
 class AsyncHttpNode(_AsyncNodeBase):
     """A SOAP runtime served over asyncio keep-alive HTTP/1.1.
 
@@ -901,10 +911,15 @@ class AsyncHttpNode(_AsyncNodeBase):
       ``Idempotent-Replay: true`` for a retried publish).
     * ``GET /v1/metrics`` -- the node's hub, Prometheus text format.
     * ``GET /v1/health`` -- liveness JSON.
+    * ``GET /v1/obs/*`` -- the paginated observability read models.
 
-    Legacy unversioned paths still answer, with a ``Deprecation`` header.
-    Thousands of connections share the one event loop; no thread per
-    request.
+    Any other path answers ``404``.  A request the edge cannot frame -- a
+    request line without a path, a header line over the stream limit
+    (64 KiB), a ``Content-Length`` that is not a decimal count -- answers
+    ``400``, and a body over :data:`MAX_REQUEST_BODY_BYTES` ``413``; each
+    is counted as ``http.malformed`` on the node hub and closes the
+    connection.  Thousands of connections share the one event loop; no
+    thread per request.
     """
 
     scheme = "http"
@@ -959,7 +974,15 @@ class AsyncHttpNode(_AsyncNodeBase):
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _Rejected as rejected:
+                    self.hub.counter("http.malformed").inc()
+                    writer.write(self._render_response(
+                        rejected.status, {}, b"", keep_alive=False
+                    ))
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -983,24 +1006,37 @@ class AsyncHttpNode(_AsyncNodeBase):
 
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader):
-        request_line = await reader.readline()
-        if not request_line:
-            return None
-        parts = request_line.split()
-        if len(parts) < 2:
-            return None
-        method = parts[0].decode("latin-1").upper()
-        path = parts[1].decode("latin-1")
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
+        """``(method, path, headers, body)``, or ``None`` at end of stream.
+
+        Raises :class:`_Rejected` for a request that cannot be framed.
+        """
+        try:
+            request_line = await reader.readline()
+            if not request_line:
                 return None
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+            parts = request_line.split()
+            if len(parts) < 2:
+                raise ValueError("request line without a path")
+            method = parts[0].decode("latin-1").upper()
+            path = parts[1].decode("latin-1")
+            headers: Dict[str, str] = {}
+            while True:
+                # A line over the stream limit raises ValueError here.
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n"):
+                    break
+                if not line:
+                    return None
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            declared = headers.get("content-length") or "0"
+            if not declared.isdigit():
+                raise ValueError(f"Content-Length {declared!r}")
+            length = int(declared)
+        except ValueError:
+            raise _Rejected(400) from None
+        if length > MAX_REQUEST_BODY_BYTES:
+            raise _Rejected(413)
         body = await reader.readexactly(length) if length > 0 else b""
         return method, path, headers, body
 
@@ -1009,14 +1045,12 @@ class AsyncHttpNode(_AsyncNodeBase):
     ) -> Tuple[int, Dict[str, str], bytes]:
         raw_path = path
         path = strip_query(path)
-        if method == "POST":
+        if method == "POST" and path == GOSSIP_PATH:
             status, extra, process = ingest_response(
                 self.idempotency, headers, body, self.hub.wire,
                 admission=self.admission,
                 overload_stats=self.hub.overload,
             )
-            if path != GOSSIP_PATH:
-                extra.update(deprecation_headers(GOSSIP_PATH))
             if process:
                 try:
                     self.runtime.receive(body, source=None)
@@ -1032,15 +1066,13 @@ class AsyncHttpNode(_AsyncNodeBase):
                 )
                 return 200, {"Content-Type": JSON_CONTENT_TYPE}, payload
             # Observability read models get the raw path: pagination rides
-            # in the query string (shared with the sync binding).
+            # in the query string.
             obs = obs_response(hub_of(self.runtime.metrics), raw_path)
             if obs is not None:
                 return obs
-            if path in (METRICS_PATH, LEGACY_METRICS_PATH):
+            if path == METRICS_PATH:
                 text = prometheus_text(hub_of(self.runtime.metrics))
                 extra = {"Content-Type": PROMETHEUS_CONTENT_TYPE}
-                if path == LEGACY_METRICS_PATH:
-                    extra.update(deprecation_headers(METRICS_PATH))
                 return 200, extra, text.encode("utf-8")
         return 404, {}, b""
 

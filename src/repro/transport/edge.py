@@ -1,9 +1,8 @@
-"""The versioned node-edge API shared by the HTTP server bindings.
+"""The versioned node-edge API of the HTTP server binding.
 
-Both real-network edges -- the thread-per-request
-:class:`~repro.transport.http.HttpNode` and the asyncio
-:class:`~repro.transport.aio.AsyncHttpNode` -- expose the same URL space,
-defined here once (see docs/WIRE.md, "The versioned node-edge API"):
+:class:`~repro.transport.aio.AsyncHttpNode` serves this URL space; the
+paths and the request/response logic are defined here, apart from the
+socket handling (see docs/WIRE.md, "The versioned node-edge API"):
 
 * ``POST /v1/gossip``  -- envelope ingest (the WS-Addressing ``To`` header
   routes to the mounted service; the HTTP path is just the front door).
@@ -17,9 +16,7 @@ defined here once (see docs/WIRE.md, "The versioned node-edge API"):
   ``?offset=&limit=`` and answer a stable envelope
   ``{"items", "offset", "limit", "total", "next_offset"}``.
 
-Legacy unversioned paths (``POST`` to any path, ``GET /metrics``) keep
-working but answer with a ``Deprecation: true`` header and a ``Link`` to
-the successor resource.
+Any other path answers 404.
 
 Ingest is idempotent: an ``Idempotency-Key`` request header (falling back
 to the wire gossip ``MessageId`` scanned from the body bytes) is checked
@@ -52,7 +49,6 @@ API_VERSION = "v1"
 GOSSIP_PATH = "/v1/gossip"
 METRICS_PATH = "/v1/metrics"
 HEALTH_PATH = "/v1/health"
-LEGACY_METRICS_PATH = "/metrics"
 OBS_PREFIX = "/v1/obs/"
 OBS_SUMMARY_PATH = "/v1/obs/summary"
 OBS_RUMORS_PATH = "/v1/obs/rumors"
@@ -65,7 +61,6 @@ OBS_MAX_LIMIT = 500
 
 IDEMPOTENCY_KEY_HEADER = "Idempotency-Key"
 IDEMPOTENT_REPLAY_HEADER = "Idempotent-Replay"
-DEPRECATION_HEADER = "Deprecation"
 RETRY_AFTER_HEADER = "Retry-After"
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -75,18 +70,6 @@ JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 def strip_query(path: str) -> str:
     """The request path without its query string."""
     return path.split("?", 1)[0]
-
-
-def deprecation_headers(successor: str) -> Dict[str, str]:
-    """Response headers marking a legacy path as deprecated.
-
-    ``Deprecation: true`` (draft-ietf-httpapi-deprecation-header) plus a
-    ``Link`` naming the versioned successor resource.
-    """
-    return {
-        DEPRECATION_HEADER: "true",
-        "Link": f'<{successor}>; rel="successor-version"',
-    }
 
 
 def health_payload(base_address: str, service_paths, extra: Optional[Dict] = None) -> bytes:
@@ -106,9 +89,10 @@ class EdgeAdmission:
     """Token-bucket admission control for the ingest edge.
 
     One bucket per node edge (not per client): the bucket models the
-    node's processing capacity, which every sender shares.  Thread-safe,
-    because the thread-per-request binding admits from handler threads
-    while the asyncio binding admits from the loop.
+    node's processing capacity, which every sender shares.  Thread-safe:
+    the edge admits from its loop, but the gate is a plain object that
+    nothing pins to that loop, so one bucket stays exact whichever thread
+    asks.
 
     Args:
         rate: sustained requests per second the edge admits.
@@ -337,9 +321,9 @@ def obs_response(
 ) -> Optional[Tuple[int, Dict[str, str], bytes]]:
     """Serve one ``GET /v1/obs/*`` request from ``hub``, or ``None``.
 
-    ``raw_path`` keeps its query string (pagination).  Shared verbatim by
-    the thread-per-request and asyncio HTTP bindings so both speak the
-    same read-model dialect.  Unknown ``/v1/obs/`` subpaths answer 404.
+    ``raw_path`` keeps its query string (pagination).  A pure function of
+    the hub, so the read-model dialect is tested without a socket.
+    Unknown ``/v1/obs/`` subpaths answer 404.
     """
     path, _, query = raw_path.partition("?")
     if not path.startswith(OBS_PREFIX):

@@ -3,12 +3,11 @@
 import threading
 import time
 
-import pytest
-
-from repro.core.scheduling import ProcessScheduler, ThreadScheduler
+from repro.core.scheduling import ProcessScheduler
 from repro.simnet.events import Simulator
 from repro.simnet.network import Network
 from repro.simnet.process import Process
+from repro.transport.aio import AioScheduler, shared_loop
 
 
 class TestProcessScheduler:
@@ -49,30 +48,49 @@ class TestProcessScheduler:
         assert fired == []
 
 
-class TestThreadScheduler:
-    def test_fires_on_wall_clock(self):
-        scheduler = ThreadScheduler()
+class TestAioScheduler:
+    """The live scheduler: loop timers, callable from any thread."""
+
+    def test_fires_on_the_loop_thread(self):
+        scheduler = AioScheduler(shared_loop())
+        fired_on = []
         event = threading.Event()
-        scheduler.call_after(0.02, event.set)
+
+        def callback():
+            fired_on.append(threading.current_thread())
+            event.set()
+
+        scheduler.call_after(0.02, callback)
         assert event.wait(timeout=2.0)
+        assert fired_on != [threading.current_thread()]
         scheduler.close()
 
-    def test_now_is_monotonic(self):
-        scheduler = ThreadScheduler()
+    def test_now_is_the_loop_clock(self):
+        scheduler = AioScheduler(shared_loop())
         first = scheduler.now
         time.sleep(0.01)
         assert scheduler.now > first
         scheduler.close()
 
-    def test_close_cancels_pending(self):
-        scheduler = ThreadScheduler()
+    def test_close_silences_pending(self):
+        scheduler = AioScheduler(shared_loop())
         fired = threading.Event()
         scheduler.call_after(0.2, fired.set)
         scheduler.close()
         assert not fired.wait(timeout=0.4)
 
+    def test_cancel_silences_one_timer(self):
+        scheduler = AioScheduler(shared_loop())
+        fired = []
+        done = threading.Event()
+        scheduler.call_after(0.05, lambda: fired.append("cancelled")).cancel()
+        scheduler.call_after(0.1, done.set)
+        assert done.wait(timeout=2.0)
+        assert fired == []
+        scheduler.close()
+
     def test_call_after_close_is_noop(self):
-        scheduler = ThreadScheduler()
+        scheduler = AioScheduler(shared_loop())
         scheduler.close()
         timer = scheduler.call_after(0.01, lambda: None)
         timer.cancel()  # null timer supports the interface

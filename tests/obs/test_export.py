@@ -1,4 +1,4 @@
-"""Exporters: JSONL round-trip, Prometheus text format, /metrics."""
+"""Exporters: JSONL round-trip, Prometheus text format, /v1/metrics."""
 
 import io
 import re
@@ -130,16 +130,17 @@ def test_prometheus_name_sanitization_and_label_escaping():
 
 
 def test_metrics_endpoint_serves_prometheus():
-    from repro.transport.http import HttpNode
+    from repro.transport.aio import AsyncHttpNode, shared_loop
 
-    with HttpNode() as node:
+    with AsyncHttpNode(loop=shared_loop()) as node:
         node.hub.counter("soap.sent").inc(3)
-        with urllib.request.urlopen(f"{node.base_address}/metrics") as response:
+        url = f"{node.base_address}/v1/metrics"
+        with urllib.request.urlopen(url, timeout=5.0) as response:
             assert response.status == 200
             assert response.headers["Content-Type"].startswith("text/plain")
             body = response.read().decode("utf-8")
         with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(f"{node.base_address}/nope")
+            urllib.request.urlopen(f"{node.base_address}/nope", timeout=5.0)
         assert err.value.code == 404
     assert_valid_prometheus(body)
     assert "repro_soap_sent 3" in body

@@ -20,20 +20,13 @@ def make_cluster(count, seed=1):
 def test_crash_and_recover_schedule():
     sim, network, nodes = make_cluster(2)
     plan = FaultPlan(network)
-    with pytest.warns(DeprecationWarning):
-        plan.crash_at(1.0, "n0").recover_at(2.0, "n0")
+    plan.crash_at(1.0, "n0").restart_at(2.0, "n0", amnesia=False)
     plan.apply()
     sim.run_until(1.5)
     assert not nodes[0].is_running
     sim.run_until(2.5)
     assert nodes[0].is_running
-
-
-def test_recover_at_deprecation_points_at_restart_at():
-    sim, network, nodes = make_cluster(1)
-    plan = FaultPlan(network)
-    with pytest.warns(DeprecationWarning, match="restart_at"):
-        plan.recover_at(1.0, "n0")
+    assert nodes[1].is_running
 
 
 class StatefulNode(Process):

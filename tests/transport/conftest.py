@@ -1,4 +1,4 @@
-"""A leaked socket fails the asyncio UDP transport tests.
+"""A leaked socket fails the asyncio transport tests.
 
 ``ResourceWarning`` is raised from a destructor, so on its own it only
 scrolls past (at best as an "unraisable exception" note on whichever
@@ -16,7 +16,7 @@ import pytest
 def _owns_aio_sockets(item) -> bool:
     name = item.path.name
     return name == "test_aio.py" or (
-        name == "test_contract.py" and "[aio-udp]" in item.name
+        name == "test_contract.py" and "[aio-" in item.name
     )
 
 

@@ -2,9 +2,10 @@
 
 The resilient-contract behaviour shared with the other bindings lives in
 ``test_contract.py``; this module covers what is specific to the asyncio
-family -- the ``/v1`` URL space and its deprecation headers, idempotent
-replay detection, connection reuse under pipelining, the UDP data path
-(synchronous task-free sends on an owned socket, the bounded receive
+family -- the ``/v1`` URL space (and nothing outside it), requests the
+HTTP edge cannot frame, what only HTTP observes (dead ports, a stopped
+peer, idempotent replay), connection reuse under pipelining, the UDP data
+path (synchronous task-free sends on an owned socket, the bounded receive
 sweep, socket lifetime, hostile datagrams), and a small live mesh end to
 end.
 """
@@ -22,6 +23,7 @@ from repro.obs.hub import default_hub
 from repro.soap.runtime import SoapRuntime
 from repro.soap.service import Service, operation
 from repro.transport.aio import (
+    MAX_REQUEST_BODY_BYTES,
     RECV_SWEEP_DATAGRAMS,
     AioHttpTransport,
     AioUdpTransport,
@@ -95,21 +97,106 @@ class TestVersionedEdge:
         assert headers["content-type"].startswith("text/plain")
         assert "deprecation" not in headers
 
-    def test_legacy_metrics_answers_with_deprecation(self, node, client):
+    def test_unversioned_metrics_path_is_404(self, node, client):
         status, headers, _ = fetch(client, f"{node.base_address}/metrics")
-        assert status == 200
-        assert headers["deprecation"] == "true"
-        assert 'rel="successor-version"' in headers["link"]
-        assert "/v1/metrics" in headers["link"]
+        assert status == 404
+        assert "deprecation" not in headers
 
     def test_unknown_path_is_404(self, node, client):
         status, _, _ = fetch(client, f"{node.base_address}/nope")
         assert status == 404
 
-    def test_legacy_post_ingests_with_deprecation(self, node, client):
-        status, headers, _ = post(client, f"{node.base_address}/gossip", b"<x/>")
-        assert status == 202
-        assert headers["deprecation"] == "true"
+    def test_post_off_the_gossip_path_is_404_and_not_ingested(self, node, client):
+        envelope = frame_for(f"{node.base_address}/svc", "legacy")
+        for path in ("/gossip", "/svc", "/v1/gossip/extra"):
+            status, headers, _ = post(client, f"{node.base_address}{path}", envelope)
+            assert status == 404
+            assert "deprecation" not in headers
+        time.sleep(0.05)
+        assert node.sink.values == []
+        assert len(node.idempotency) == 0
+
+
+def read_to_close(sock):
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+POST_HEAD = b"POST /v1/gossip HTTP/1.1\r\nHost: x\r\n"
+
+MALFORMED = [
+    pytest.param(POST_HEAD + b"Content-Length: abc\r\n\r\n", 400, id="length-not-a-number"),
+    pytest.param(POST_HEAD + b"Content-Length: -5\r\n\r\n", 400, id="length-negative"),
+    pytest.param(
+        POST_HEAD + b"X-Big: " + b"a" * (70 * 1024) + b"\r\n\r\n", 400,
+        id="header-line-over-64k",
+    ),
+    pytest.param(
+        b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n", 400,
+        id="request-line-over-64k",
+    ),
+    pytest.param(b"GARBAGE\r\n\r\n", 400, id="request-line-one-token"),
+    pytest.param(
+        POST_HEAD + b"Content-Length: %d\r\n\r\n" % (MAX_REQUEST_BODY_BYTES + 1),
+        413, id="body-over-cap",
+    ),
+]
+
+
+class TestMalformedRequests:
+    """Whatever a client sends, the edge answers, counts it and closes --
+    and nothing reaches the loop's exception handler or the runtime."""
+
+    @pytest.mark.parametrize("raw, status", MALFORMED)
+    def test_is_answered_counted_and_closed(self, node, raw, status):
+        loop = shared_loop()
+        reported = []
+        previous = loop.get_exception_handler()
+        loop.set_exception_handler(lambda loop, context: reported.append(context))
+        try:
+            with socket.create_connection((node.host, node.port), timeout=5.0) as sock:
+                sock.sendall(raw)
+                response = read_to_close(sock)
+            run_on_loop(loop, asyncio.sleep(0.05))  # let the handler task end
+        finally:
+            loop.set_exception_handler(previous)
+        assert response.split(b"\r\n", 1)[0].startswith(b"HTTP/1.1 %d " % status)
+        assert b"Connection: close" in response
+        assert node.hub.counter("http.malformed").value == 1
+        assert reported == []
+        assert node.sink.values == []
+
+    def test_the_edge_keeps_serving(self, node, client):
+        with socket.create_connection((node.host, node.port), timeout=5.0) as sock:
+            sock.sendall(b"GARBAGE\r\n\r\n")
+            read_to_close(sock)
+        status, _, _ = fetch(client, f"{node.base_address}/v1/health")
+        assert status == 200
+
+
+class TestBestEffortSends:
+    """Outcomes only HTTP can observe: a UDP send to a dead port succeeds."""
+
+    def test_send_to_a_dead_port_counts_one_send_error(self, node):
+        before = node.transport.send_errors
+        node.runtime.send("http://127.0.0.1:1/nowhere", ACTION, value=1)
+        assert wait_for(lambda: node.transport.send_errors == before + 1)
+
+    def test_send_to_a_stopped_node_fails_best_effort(self, node):
+        stopped = AsyncHttpNode(loop=shared_loop())
+        stopped.start()
+        address = f"{stopped.base_address}/svc"
+        stopped.stop()
+        outcomes = []
+        node.transport.add_outcome_listener(outcomes.append)
+        node.runtime.send(address, ACTION, value=1)
+        assert wait_for(lambda: len(outcomes) == 1)
+        assert not outcomes[0].ok
+        assert node.transport.send_errors == 1
 
 
 class TestIdempotentIngest:

@@ -1,15 +1,18 @@
 """The ResilientTransport contract, exercised across every binding.
 
 One parametrized harness runs the same assertions over the loopback
-transport, the thread-pool HTTP binding, and both asyncio bindings
-(UDP datagrams, pipelined keep-alive HTTP): envelopes are delivered,
-every logical send emits exactly one structured SendOutcome, injected
-faults are retried per policy, repeated failures open the per-destination
-circuit breaker, and a half-open probe closes it again.
+transport and both asyncio bindings (UDP datagrams, pipelined keep-alive
+HTTP): envelopes are delivered, a request is answered, many senders and
+many concurrent requests all arrive, every logical send emits exactly one
+structured SendOutcome, injected faults are retried per policy, repeated
+failures open the per-destination circuit breaker, and a half-open probe
+closes it again.
 
 Failures are driven through ``inject_fault`` -- not dead ports -- so the
 scenarios are identical for every binding, including UDP (where a real
-send to a dead port succeeds at the socket level).
+send to a dead port succeeds at the socket level).  What only HTTP can
+observe (dead ports, a stopped peer, idempotent replay) lives in
+``test_aio.py``.
 """
 
 import time
@@ -18,16 +21,16 @@ import pytest
 
 from repro.soap.runtime import SoapRuntime
 from repro.soap.service import Service, operation
-from repro.transport.aio import AioHttpTransport, AioUdpTransport, shared_loop
+from repro.transport.aio import AsyncHttpNode, AsyncUdpNode, shared_loop
 from repro.transport.base import (
     BreakerPolicy,
     CircuitBreaker,
     LoopbackTransport,
     RetryPolicy,
 )
-from repro.transport.http import HttpNode, HttpTransport
 
 ACTION = "urn:t/Take"
+ECHO = "urn:t/Echo"
 
 FAST_RETRY = RetryPolicy(max_retries=3, backoff=0.01, backoff_cap=0.02, jitter=0.0)
 TRIP_FAST = BreakerPolicy(failure_threshold=2, reset_timeout=0.15)
@@ -43,6 +46,10 @@ class Sink(Service):
         self.values.append(value)
         return None
 
+    @operation(ECHO)
+    def echo(self, context, value):
+        return {"echo": value}
+
 
 def wait_for(predicate, timeout=5.0):
     deadline = time.monotonic() + timeout
@@ -54,81 +61,63 @@ def wait_for(predicate, timeout=5.0):
 
 
 class Harness:
-    """One binding under test: a sink node plus a sender transport."""
+    """One binding under test: a sink service plus a sender runtime.
 
-    #: send() raises ValueError synchronously on a scheme-less address.
-    eager_misuse = True
+    Every runtime comes from :meth:`runtime`, so each can both send and
+    receive (replies need a return address); ``transport`` is the
+    sender's.
+    """
+
+    def __init__(self):
+        self._closers = []
+        self.sink = Sink()
+        receiver = self.runtime()
+        receiver.add_service("/svc", self.sink)
+        self.address = receiver.address_of("/svc")
+        self.sender = self.runtime()
+        self.transport = self.sender.transport
+
+    def runtime(self) -> SoapRuntime:
+        raise NotImplementedError
 
     def close(self):
-        pass
+        for close in self._closers:
+            close()
 
 
 class LoopbackHarness(Harness):
     def __init__(self):
-        self.transport = LoopbackTransport()
-        self.sink = Sink()
-        receiver = SoapRuntime("test://sink", self.transport)
-        receiver.add_service("/svc", self.sink)
-        self.transport.register(receiver)
-        self.sender = SoapRuntime("test://sender", self.transport)
-        self.address = "test://sink/svc"
+        self._loopback = LoopbackTransport()
+        self._count = 0
+        super().__init__()
+
+    def runtime(self):
+        self._count += 1
+        runtime = SoapRuntime(f"test://n{self._count}", self._loopback)
+        self._loopback.register(runtime)
+        return runtime
 
 
-class SyncHttpHarness(Harness):
-    # The thread-pool binding validates on the worker thread, not eagerly.
-    eager_misuse = False
+class AioHarness(Harness):
+    node_class = None
 
-    def __init__(self):
-        self.node = HttpNode()
-        self.sink = Sink()
-        self.node.runtime.add_service("/svc", self.sink)
-        self.node.start()
-        self.transport = HttpTransport()
-        self.sender = SoapRuntime("http://contract-sender", self.transport)
-        self.address = f"{self.node.base_address}/svc"
-
-    def close(self):
-        self.transport.close()
-        self.node.stop()
+    def runtime(self):
+        node = self.node_class(loop=shared_loop())
+        node.start()
+        self._closers.append(node.stop)
+        return node.runtime
 
 
-class AioUdpHarness(Harness):
-    def __init__(self):
-        from repro.transport.aio import AsyncUdpNode
-
-        self.node = AsyncUdpNode(loop=shared_loop())
-        self.sink = Sink()
-        self.node.runtime.add_service("/svc", self.sink)
-        self.node.start()
-        self.transport = AioUdpTransport(loop=shared_loop())
-        self.sender = SoapRuntime("udp://contract-sender", self.transport)
-        self.address = f"{self.node.base_address}/svc"
-
-    def close(self):
-        self.transport.close()
-        self.node.stop()
+class AioUdpHarness(AioHarness):
+    node_class = AsyncUdpNode
 
 
-class AioHttpHarness(Harness):
-    def __init__(self):
-        from repro.transport.aio import AsyncHttpNode
-
-        self.node = AsyncHttpNode(loop=shared_loop())
-        self.sink = Sink()
-        self.node.runtime.add_service("/svc", self.sink)
-        self.node.start()
-        self.transport = AioHttpTransport(loop=shared_loop())
-        self.sender = SoapRuntime("http://contract-sender", self.transport)
-        self.address = f"{self.node.base_address}/svc"
-
-    def close(self):
-        self.transport.close()
-        self.node.stop()
+class AioHttpHarness(AioHarness):
+    node_class = AsyncHttpNode
 
 
 HARNESSES = {
     "loopback": LoopbackHarness,
-    "http-sync": SyncHttpHarness,
     "aio-udp": AioUdpHarness,
     "aio-http": AioHttpHarness,
 }
@@ -144,6 +133,38 @@ def harness(request):
 def test_envelope_is_delivered(harness):
     harness.sender.send(harness.address, ACTION, value={"n": 7})
     assert wait_for(lambda: harness.sink.values == [{"n": 7}])
+
+
+def test_request_is_answered(harness):
+    replies = []
+    harness.sender.send(
+        harness.address, ECHO, value={"n": 7},
+        on_reply=lambda context, value: replies.append(value),
+    )
+    assert wait_for(lambda: replies == [{"echo": {"n": 7}}])
+
+
+def test_one_way_sends_from_many_senders_all_arrive(harness):
+    senders = [harness.runtime() for _ in range(4)]
+    total = 80
+    for index in range(total):
+        senders[index % len(senders)].send(harness.address, ACTION, value=index)
+    assert wait_for(lambda: len(harness.sink.values) == total), (
+        f"only {len(harness.sink.values)}/{total} arrived"
+    )
+    assert sorted(harness.sink.values) == list(range(total))
+
+
+def test_concurrent_requests_are_all_answered(harness):
+    replies = []
+    total = 40
+    for index in range(total):
+        harness.sender.send(
+            harness.address, ECHO, value=index,
+            on_reply=lambda context, value: replies.append(value),
+        )
+    assert wait_for(lambda: len(replies) == total)
+    assert sorted(reply["echo"] for reply in replies) == list(range(total))
 
 
 def test_success_emits_single_ok_outcome(harness):
@@ -224,7 +245,5 @@ def test_half_open_probe_closes_the_breaker(harness):
 
 
 def test_schemeless_address_is_misuse(harness):
-    if not harness.eager_misuse:
-        pytest.skip("thread-pool binding validates on the worker thread")
     with pytest.raises(ValueError):
         harness.transport.send("just/a/path", b"<xml/>")

@@ -1,8 +1,8 @@
 """The shared node-edge helpers: idempotent ingest + admission control.
 
-These are binding-independent contracts (both the thread-per-request and
-the asyncio HTTP edges call :func:`ingest_response`), so they are tested
-here once against the pure functions, without sockets.
+These are socket-independent contracts (the HTTP edge calls
+:func:`ingest_response`), so they are tested here once against the pure
+functions, without sockets.
 """
 
 import pytest

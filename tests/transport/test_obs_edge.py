@@ -2,8 +2,8 @@
 
 :func:`repro.transport.edge.obs_response` is the single shared
 implementation; the pure-function tests here pin the payload shapes and
-the pagination envelope, and the live tests confirm both the
-thread-per-request and the asyncio HTTP bindings actually mount it.
+the pagination envelope, and the live tests confirm the HTTP edge actually
+mounts it, for a stdlib blocking client and for the package's own.
 """
 
 import json
@@ -108,11 +108,13 @@ class TestObsResponse:
 
 class TestLiveBindings:
     def test_sync_http_edge_serves_obs(self):
+        """A plain blocking stdlib client reads the edge too."""
+        import urllib.error
         import urllib.request
 
-        from repro.transport.http import HttpNode
+        from repro.transport.aio import AsyncHttpNode, shared_loop
 
-        with HttpNode() as node:
+        with AsyncHttpNode(loop=shared_loop()) as node:
             with urllib.request.urlopen(
                 f"{node.base_address}/v1/obs/summary", timeout=5.0
             ) as response:
@@ -124,6 +126,7 @@ class TestLiveBindings:
                     f"{node.base_address}/v1/obs/nope", timeout=5.0
                 )
             assert excinfo.value.code == 404
+            excinfo.value.close()
 
     def test_asyncio_http_edge_serves_obs(self):
         from repro.transport.aio import (
