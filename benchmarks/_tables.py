@@ -34,12 +34,24 @@ def _fmt(cell) -> str:
     return str(cell)
 
 
-def emit(name: str, title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Print the table past pytest's capture and save it to results/."""
+def emit(
+    name: str,
+    title: str,
+    headers: Sequence[str],
+    rows: Iterable[Sequence],
+    save: bool = True,
+) -> str:
+    """Print the table past pytest's capture and save it to results/.
+
+    ``save=False`` only prints: smoke runs use it so that a gate never
+    overwrites a full run's checked-in table with its own small rows.
+    """
     text = format_table(title, headers, list(rows))
     stream = getattr(sys, "__stdout__", sys.stdout) or sys.stdout
     stream.write("\n" + text + "\n")
     stream.flush()
+    if not save:
+        return text
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as handle:
         handle.write(text + "\n")

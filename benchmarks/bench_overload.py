@@ -248,6 +248,7 @@ def main(argv=None) -> int:
             ]
             for row in rows
         ],
+        save=not args.smoke,
     )
 
     failures = check_claims(rows)

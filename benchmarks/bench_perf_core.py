@@ -332,6 +332,7 @@ def test_perf_core_smoke():
             row["dedup_preparse_hits"],
             row["publishes_per_s"],
         ]],
+        save=False,
     )
     assert row["delivered_fraction"] >= DELIVERED_FLOOR
     assert row["batches_sent"] > 0

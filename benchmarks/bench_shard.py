@@ -256,7 +256,7 @@ def check_repeatability(shards: int, seed: int) -> list:
     return failures
 
 
-def _emit_table(rows) -> None:
+def _emit_table(rows, save: bool = True) -> None:
     emit(
         "shard",
         "Sharded simulator strong scaling (constant-total-work burst)",
@@ -285,6 +285,7 @@ def _emit_table(rows) -> None:
             ]
             for row in rows
         ],
+        save=save,
     )
 
 
@@ -379,7 +380,7 @@ def smoke() -> int:
         for shards in (1, SMOKE_K)
     ]
     add_speedups(rows)
-    _emit_table(rows)
+    _emit_table(rows, save=False)
     sharded = rows[1]
     # Judged on the critical path on every host: the wall depends on how
     # many cores the host has and on what else runs on them, so it is

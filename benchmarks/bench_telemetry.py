@@ -148,7 +148,7 @@ def _check(row: dict) -> list:
     return failures
 
 
-def _emit_table(row: dict) -> None:
+def _emit_table(row: dict, save: bool = True) -> None:
     emit(
         "telemetry_overhead",
         "Wire trace context overhead on the N=1000 drain (min CPU of repeats)",
@@ -168,12 +168,13 @@ def _emit_table(row: dict) -> None:
             row["delivered_on"],
             row["telemetry_samples"],
         ]],
+        save=save,
     )
 
 
 def smoke(n: int = N) -> int:
     row = measure(n)
-    _emit_table(row)
+    _emit_table(row, save=False)
     failures = _check(row)
     for failure in failures:
         print(f"FAIL: {failure}")

@@ -263,7 +263,7 @@ class GossipLayer(Handler):
         if is_batch_frame(data):
             # A control-only batch carries digests/ads/feedback; any
             # carried rumor makes the whole frame a payload.
-            return "digest" if scan_gossip_message_id(data) is None else "payload"
+            return "payload" if scan_gossip_message_ids(data) else "digest"
         if PULL_RESPONSE_ACTION.encode() in data:
             return "pull"
         if ADVERTISE_ACTION.encode() in data or (

@@ -56,11 +56,10 @@ def new_gossip_message_id() -> str:
     return f"urn:ws-gossip:msg:{uuid.uuid4()}"
 
 
-# The wire form of the header's MessageId child is always
-# ``<prefix:MessageId>urn:ws-gossip:msg:...</prefix:MessageId>`` -- the tag
-# suffix below can only occur in markup (ElementTree escapes ``>`` in text),
-# and the urn prefix pins it to this header (ids embedded in *payloads* ride
-# base64-encoded or under different tags).
+# The wire form of the header's MessageId child is
+# ``<prefix:MessageId>urn:ws-gossip:msg:...</prefix:MessageId>``: every id
+# this package mints starts with the urn, and the byte scans below report
+# only ids of that form.
 _MID_TAG_SUFFIX = b":MessageId>"
 _MID_URN_PREFIX = b"urn:ws-gossip:msg:"
 
@@ -70,23 +69,24 @@ def scan_gossip_message_id(data: bytes) -> Optional[str]:
 
     A cheap byte scan for the ``Gossip`` header's ``MessageId`` child,
     used by the receive-side dedup gate to drop duplicates *before* the
-    full XML parse.  Returns ``None`` when the bytes carry no scannable
-    gossip identity (the message then takes the normal parse path, so a
-    miss is always safe).
+    full XML parse.  The scan is anchored to the header block
+    :func:`_gossip_block` vouches for, so an id-shaped ``MessageId``
+    element anywhere else in the frame -- an application body, say --
+    is never read as the frame's identity.  Returns ``None`` when the
+    bytes carry no scannable gossip identity (the message then takes the
+    normal parse path, so a miss is always safe).
     """
-    position = data.find(_MID_TAG_SUFFIX)
-    while position != -1:
-        start = position + len(_MID_TAG_SUFFIX)
-        if data.startswith(_MID_URN_PREFIX, start):
-            end = data.find(b"<", start)
-            if end == -1:
-                return None
-            try:
-                return data[start:end].decode("ascii")
-            except UnicodeDecodeError:
-                return None
-        position = data.find(_MID_TAG_SUFFIX, start)
-    return None
+    block = _gossip_block(data)
+    if block is None:
+        return None
+    message_id = block.group("mid")
+    # An entity-escaped id would not equal the id a parser reads.
+    if not message_id.startswith(_MID_URN_PREFIX) or b"&" in message_id:
+        return None
+    try:
+        return message_id.decode("ascii")
+    except UnicodeDecodeError:
+        return None
 
 
 def scan_gossip_message_ids(data: bytes) -> List[str]:
@@ -95,6 +95,9 @@ def scan_gossip_message_ids(data: bytes) -> List[str]:
     The batched-frame variant of :func:`scan_gossip_message_id`: a batch
     envelope carries one ``Gossip`` header per inner rumor, so the dedup
     gate needs every id to decide whether the *whole* batch can be skipped.
+    Unlike the single-frame scan it is not anchored: the caller checks that
+    it found exactly one id per embedded frame.  The ``:MessageId>`` tag
+    suffix can only occur in markup (ElementTree escapes ``>`` in text).
     """
     ids: List[str] = []
     position = data.find(_MID_TAG_SUFFIX)
@@ -164,7 +167,8 @@ def _head_shape(head: bytes) -> Optional[Tuple[bytes, bytes, "re.Pattern[bytes]"
 
 def _block_pattern(prefix: bytes) -> "re.Pattern[bytes]":
     """The Gossip block as our writer emits it, under prefix ``prefix``:
-    group 1 is the Hops digits, group 2 the Trace path digits."""
+    group ``mid`` is the MessageId text, ``hops`` the Hops digits and
+    ``path`` the Trace path digits."""
     p = re.escape(prefix.decode("ascii"))
 
     def leaf(name: str) -> str:
@@ -172,9 +176,10 @@ def _block_pattern(prefix: bytes) -> "re.Pattern[bytes]":
 
     return re.compile(
         (
-            f"<{p}:Gossip>{leaf('Activity')}{leaf('MessageId')}{leaf('Origin')}"
-            f"<{p}:Hops>([0-9]+)</{p}:Hops>{leaf('Style')}(?:{leaf('Sequence')})?"
-            f'(?:<{p}:Trace(?:\\s+(?!xmlns)[\\w.:-]+="[^"<>]*")*\\s*>([0-9]+)</{p}:Trace>)?'
+            f"<{p}:Gossip>{leaf('Activity')}"
+            f"<{p}:MessageId>(?P<mid>[^<]*)</{p}:MessageId>{leaf('Origin')}"
+            f"<{p}:Hops>(?P<hops>[0-9]+)</{p}:Hops>{leaf('Style')}(?:{leaf('Sequence')})?"
+            f'(?:<{p}:Trace(?:\\s+(?!xmlns)[\\w.:-]+="[^"<>]*")*\\s*>(?P<path>[0-9]+)</{p}:Trace>)?'
             f"</{p}:Gossip>"
         ).encode("ascii")
     )
@@ -225,7 +230,7 @@ def splice_hops(data: bytes, hops: int) -> Optional[bytes]:
     block = _gossip_block(data)
     if block is None:
         return None
-    start, end = block.span(1)
+    start, end = block.span("hops")
     return b"%s%d%s" % (data[:start], hops, data[end:])
 
 
@@ -238,9 +243,9 @@ def splice_trace_path(data: bytes, path: int) -> Optional[bytes]:
     or the bytes do not have the shape the splice vouches for.
     """
     block = _gossip_block(data)
-    if block is None or block.start(2) == -1:
+    if block is None or block.start("path") == -1:
         return None
-    start, end = block.span(2)
+    start, end = block.span("path")
     return b"%s%d%s" % (data[:start], path, data[end:])
 
 
@@ -254,10 +259,10 @@ def splice_forward(data: bytes, hops: int, path: int) -> Optional[bytes]:
     shape the splice vouches for (caller falls back to the re-encode path).
     """
     block = _gossip_block(data)
-    if block is None or block.start(2) == -1:
+    if block is None or block.start("path") == -1:
         return None
-    hops_start, hops_end = block.span(1)
-    path_start, path_end = block.span(2)
+    hops_start, hops_end = block.span("hops")
+    path_start, path_end = block.span("path")
     return b"".join(
         (
             data[:hops_start],

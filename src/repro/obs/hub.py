@@ -379,17 +379,30 @@ class NodeScope:
     can take one as its ``metrics`` sink unchanged.
     """
 
-    __slots__ = ("hub", "node_name")
+    __slots__ = ("hub", "node_name", "_counters", "_gauges")
 
     def __init__(self, hub: MetricsHub, node_name: str) -> None:
         self.hub = hub
         self.node_name = node_name
+        # Handles resolved once per name: the label key is built and the
+        # hub consulted on first use only.  They are the very objects the
+        # hub stores, so its in-place reset and merge keep them current.
+        self._counters: Dict[str, LabeledCounter] = {}
+        self._gauges: Dict[str, LabeledGauge] = {}
 
     def counter(self, name: str) -> LabeledCounter:
-        return self.hub.labeled_counter(name, {"node": self.node_name})
+        handle = self._counters.get(name)
+        if handle is None:
+            handle = self.hub.labeled_counter(name, {"node": self.node_name})
+            self._counters[name] = handle
+        return handle
 
     def gauge(self, name: str) -> LabeledGauge:
-        return self.hub.labeled_gauge(name, {"node": self.node_name})
+        handle = self._gauges.get(name)
+        if handle is None:
+            handle = self.hub.labeled_gauge(name, {"node": self.node_name})
+            self._gauges[name] = handle
+        return handle
 
     def histogram(self, name: str):
         # Histograms stay hub-wide: per-node latency populations are too
@@ -400,7 +413,11 @@ class NodeScope:
         return self.hub.series(name)
 
     def counters(self) -> Dict[str, int]:
-        """Snapshot of this node's labelled counter values."""
+        """Snapshot of this node's labelled counter values.
+
+        Reads the hub's table, not the scope's handles: a merged snapshot
+        creates labelled counters that never passed through a scope.
+        """
         key = (("node", self.node_name),)
         return {
             name: counter.value

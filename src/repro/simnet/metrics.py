@@ -569,27 +569,31 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         """The counter named ``name`` (created on first use)."""
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
+        existing = self._counters.get(name)
+        if existing is None:
+            existing = self._counters[name] = Counter(name)
+        return existing
 
     def gauge(self, name: str) -> Gauge:
         """The gauge named ``name`` (created on first use)."""
-        if name not in self._gauges:
-            self._gauges[name] = Gauge(name)
-        return self._gauges[name]
+        existing = self._gauges.get(name)
+        if existing is None:
+            existing = self._gauges[name] = Gauge(name)
+        return existing
 
     def histogram(self, name: str) -> Histogram:
         """The histogram named ``name`` (created on first use)."""
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(name)
-        return self._histograms[name]
+        existing = self._histograms.get(name)
+        if existing is None:
+            existing = self._histograms[name] = Histogram(name)
+        return existing
 
     def series(self, name: str) -> TimeSeries:
         """The time series named ``name`` (created on first use)."""
-        if name not in self._series:
-            self._series[name] = TimeSeries(name)
-        return self._series[name]
+        existing = self._series.get(name)
+        if existing is None:
+            existing = self._series[name] = TimeSeries(name)
+        return existing
 
     def counters(self) -> Dict[str, int]:
         """Snapshot of all counter values."""

@@ -3,7 +3,8 @@
 Every experiment row is a mean over seeds; this module provides the
 summary that belongs next to such a mean: sample standard deviation and a
 Student-t confidence interval.  Uses scipy when available for exact t
-quantiles, falling back to the normal approximation.
+quantiles (imported lazily, on the first interval), falling back to the
+normal approximation.
 """
 
 from __future__ import annotations
@@ -12,16 +13,21 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
-try:  # pragma: no cover - environment dependent
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover
-    _scipy_stats = None
-
 
 def _t_quantile(confidence: float, dof: int) -> float:
-    """Two-sided Student-t quantile; normal approximation without scipy."""
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
+    """Two-sided Student-t quantile; normal approximation without scipy.
+
+    scipy is imported here, on first use, not at module level: it pulls in
+    numpy (~77 MiB resident), and every process that imports :mod:`repro`
+    -- each live node included -- would pay for a quantile that only the
+    experiment tables ask for.
+    """
+    try:
+        from scipy import stats
+    except ImportError:  # pragma: no cover - environment dependent
+        pass
+    else:
+        return float(stats.t.ppf(0.5 + confidence / 2.0, dof))
     # Normal approximation (fine for the dof >= 2 the harness uses).
     table = {0.90: 1.645, 0.95: 1.960, 0.99: 2.576}
     key = min(table, key=lambda candidate: abs(candidate - confidence))

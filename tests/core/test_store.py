@@ -2,8 +2,11 @@
 
 import os
 import struct
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.params import ParamError
 from repro.core.store import (
@@ -13,6 +16,7 @@ from repro.core.store import (
     MemoryGossipLog,
     ReplayResult,
 )
+from repro.simnet.metrics import RecoveryStats
 
 RECORDS = [
     {"type": "msg", "id": "m-1", "data": b"\x00\x01wire", "at": 1.5, "origin": "sim://a"},
@@ -159,6 +163,101 @@ class TestFileGossipLog:
         log.append(RECORDS[0])
         assert log.replay().records == [RECORDS[0]]
         log.close()
+
+
+# -- replay never raises, whatever the damage -----------------------------------
+
+VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**40), 2**40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=12),
+    st.binary(max_size=24),
+)
+WAL_RECORDS = st.dictionaries(
+    st.sampled_from(["type", "id", "data", "at", "origin", "next"]),
+    VALUES | st.lists(VALUES, max_size=3),
+    max_size=4,
+)
+
+
+def _is_subsequence(found, appended):
+    remaining = iter(appended)
+    return all(any(record == candidate for candidate in remaining) for record in found)
+
+
+@st.composite
+def damaged_logs(draw):
+    """Records appended after an optional snapshot, and one damage to them."""
+    snapshot = draw(st.none() | WAL_RECORDS)
+    records = draw(st.lists(WAL_RECORDS, max_size=6))
+    frames = [FileGossipLog._frame(record) for record in records]
+    wal_size = sum(len(frame) for frame in frames)
+    kinds = ["truncate"]
+    if records:
+        kinds.append("flip-wal")
+    if snapshot is not None:
+        kinds.append("flip-snapshot")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "truncate":
+        offset = draw(st.integers(0, wal_size))
+    elif kind == "flip-wal":
+        offset = draw(st.integers(0, wal_size - 1))
+    else:
+        offset = draw(st.integers(0, len(FileGossipLog._frame(snapshot)) - 1))
+    mask = draw(st.integers(1, 255))
+    return snapshot, records, frames, kind, offset, mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_logs())
+def test_replay_survives_any_truncation_or_byte_flip(case):
+    snapshot, records, frames, kind, offset, mask = case
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "node.wal")
+        log = FileGossipLog(path, fsync="never", stats=RecoveryStats())
+        if snapshot is not None:
+            log.write_snapshot(snapshot)
+        for record in records:
+            log.append(record)
+        log.close()
+        damaged = path + ".snap" if kind == "flip-snapshot" else path
+        with open(damaged, "r+b") as handle:
+            if kind == "truncate":
+                handle.truncate(offset)
+            else:
+                handle.seek(offset)
+                byte = handle.read(1)[0]
+                handle.seek(offset)
+                handle.write(bytes([byte ^ mask]))
+        result = FileGossipLog(path, fsync="never", stats=RecoveryStats()).replay()
+
+    assert _is_subsequence(result.records, records)
+    if kind == "flip-snapshot":
+        assert result.snapshot is None and result.snapshot_corrupt
+        assert result.records == records
+        assert result.corrupt_records == 0 and not result.truncated_tail
+        return
+    assert result.snapshot == snapshot and not result.snapshot_corrupt
+    ends = [sum(len(frame) for frame in frames[: index + 1]) for index in range(len(frames))]
+    if kind == "truncate":
+        complete = sum(1 for end in ends if end <= offset)
+        assert result.records == records[:complete]
+        assert result.truncated_tail == (offset not in [0] + ends)
+        assert result.corrupt_records == 0
+        return
+    damaged_index = next(index for index, end in enumerate(ends) if offset < end)
+    start = ends[damaged_index] - len(frames[damaged_index])
+    assert result.records[:damaged_index] == records[:damaged_index]
+    if offset - start >= 4:
+        # CRC or payload byte: exactly the damaged record is lost.
+        assert result.records == records[:damaged_index] + records[damaged_index + 1 :]
+        assert result.corrupt_records == 1 and not result.truncated_tail
+    else:
+        # Length field: the damaged record and possibly the tail are lost.
+        assert _is_subsequence(result.records[damaged_index:], records[damaged_index + 1 :])
+        assert result.corrupt_records or result.truncated_tail
 
 
 class TestDurabilityPolicy:

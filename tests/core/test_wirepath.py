@@ -187,6 +187,39 @@ def test_preparse_gate_passes_unknown_messages(recording_engine):
     assert WIRE_STATS.parse_count >= 1
 
 
+def test_preparse_gate_ignores_gossip_ids_in_application_bodies(recording_engine):
+    # A non-gossip envelope whose *body* holds an id-shaped MessageId
+    # element naming a rumor the engine knows must still reach its service:
+    # only the header's Gossip block gives a frame its gossip identity.
+    from repro.soap.service import Service
+
+    transport, runtime, engine = recording_engine
+    _install_layer(runtime, engine)
+    gossip, header = make_gossip_envelope(message_id=new_gossip_message_id())
+    runtime.receive(gossip.to_bytes(), source=None)
+    assert header.message_id in engine.store
+
+    received = []
+    service = Service()
+    service.add_operation("urn:app/Order", lambda context, value: received.append(context))
+    runtime.add_service("/app", service)
+    body = ET.Element("{urn:example:app}Order")
+    ET.SubElement(body, f"{{{ns.WSGOSSIP}}}MessageId").text = header.message_id
+    envelope = Envelope(body=body)
+    AddressingHeaders(
+        to="test://node/app", action="urn:app/Order", message_id="urn:uuid:z"
+    ).apply(envelope)
+    data = envelope.to_bytes()
+    assert b":MessageId>" + header.message_id.encode("ascii") in data
+
+    dedup = runtime.metrics.counter("gossip.dedup-preparse")
+    before = dedup.value
+    runtime.receive(data, source="test://peer0/app")
+    assert dedup.value == before
+    assert len(received) == 1
+    assert scan_gossip_message_id(data) is None
+
+
 # -- end-to-end ---------------------------------------------------------------
 
 

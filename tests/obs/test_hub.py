@@ -110,3 +110,63 @@ def test_hub_reset_keeps_bound_objects_live():
     assert hub.counter("x") is counter
     assert counter.value == 0
     assert gauge.value == 0.0
+
+
+def _build_and_publish(tick):
+    from repro import GossipConfig
+
+    group = GossipConfig(n_disseminators=6, n_consumers=2, seed=5).build()
+    group.setup()
+    group.publish({"tick": tick})
+    group.run_for(5.0)
+    return group
+
+
+def test_scope_counters_build_no_label_key_after_warm_up(monkeypatch):
+    # A node's counters resolve once per name: after one publish has
+    # touched every counter on the path, another builds no label key.
+    from repro.obs import hub as hub_module
+
+    group = _build_and_publish(1)
+    calls = []
+    real = hub_module._label_key
+
+    def counting(labels):
+        calls.append(labels)
+        return real(labels)
+
+    monkeypatch.setattr(hub_module, "_label_key", counting)
+    message_id = group.publish({"tick": 2})
+    group.run_for(5.0)
+    assert group.delivered_fraction(message_id) == 1.0
+    assert group.message_counts()["soap.sent"] > 0
+    assert calls == []
+
+
+def test_scope_handles_survive_reset_and_merge():
+    hub = MetricsHub(name="test")
+    scope = hub.node("a")
+    counter = scope.counter("soap.sent")
+    gauge = scope.gauge("queue")
+    assert scope.counter("soap.sent") is counter
+    assert scope.gauge("queue") is gauge
+    counter.inc(4)
+    gauge.set(3.0)
+
+    hub.reset()
+    assert counter.value == 0 and gauge.value == 0.0
+    assert scope.counters()["soap.sent"] == 0
+
+    shard = MetricsHub(name="shard")
+    shard.node("a").counter("soap.sent").inc(5)
+    shard.node("a").counter("soap.received").inc(2)
+    shard.node("a").gauge("queue").set(7.0)
+    hub.merge_snapshot(shard.snapshot_state())
+    assert counter.value == 5 and gauge.value == 7.0
+    # A counter the merge created never passed through the scope, yet the
+    # scope's snapshot reads it; its handle is the merged object.
+    assert scope.counters() == {"soap.sent": 5, "soap.received": 2}
+    assert scope.counter("soap.received").value == 2
+    counter.inc()
+    assert scope.counters()["soap.sent"] == 6
+    assert hub.counter("soap.sent").value == 6
