@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test perf-check test-chaos test-recovery test-obs test-adaptive test-overload test-telemetry soak-smoke soak bench bench-smoke bench-core bench-shard bench-shard-smoke bench-perturbation bench-perturbation-smoke bench-overload bench-overload-smoke bench-telemetry-smoke bench-telemetry profile examples record clean coverage
+.PHONY: install test perf-check test-chaos test-recovery test-obs test-adaptive test-overload test-telemetry soak-smoke soak bench bench-smoke bench-core bench-shard bench-shard-smoke bench-perturbation bench-perturbation-smoke bench-overload bench-overload-smoke bench-telemetry-smoke bench-telemetry profile examples record clean bench-e3
 
 install:
 	pip install -e . || pip install -e . --no-build-isolation
@@ -92,6 +92,12 @@ bench-telemetry:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# E3 at paper scale: hops to full coverage and resident KiB per node
+# after setup for N = 16 ... 10 000 (~2 min on one core); rewrites
+# benchmarks/results/e3_latency.txt.
+bench-e3:
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_e3_latency.py
 
 # Fast wire-path regression gate: a live N=100 batched run (delivery,
 # batch traffic, pre-parse dedup) plus the checked-in BENCH_core.json

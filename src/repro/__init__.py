@@ -44,7 +44,7 @@ from repro.simnet.events import Simulator
 from repro.simnet.metrics import ControlStats, HealthStats, RecoveryStats, WireStats
 from repro.stats import summarize
 
-__version__ = "3.0.1"
+__version__ = "3.0.2"
 
 __all__ = [
     "AdaptiveController",

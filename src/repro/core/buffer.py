@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 
 @dataclass
@@ -43,6 +43,9 @@ def id_hash(message_id: str) -> int:
     """
     digest = blake2b(message_id.encode("utf-8", "surrogatepass"), digest_size=8)
     return int.from_bytes(digest.digest(), "big")
+
+
+_NONE_SEEN: AbstractSet[str] = frozenset()
 
 
 class MessageStore:
@@ -80,7 +83,9 @@ class MessageStore:
         self._messages: "OrderedDict[str, StoredMessage]" = OrderedDict()
         self._retained_hash = 0
         self._seen_current: Set[str] = set()
-        self._seen_previous: Set[str] = set()
+        # The older generation is only ever read; until the first
+        # rotation every store shares one empty set.
+        self._seen_previous: AbstractSet[str] = _NONE_SEEN
         self.rotations = 0
 
     # -- dedup --------------------------------------------------------------

@@ -30,6 +30,7 @@ re-runs local dispatch when gaps close.
 from __future__ import annotations
 
 import random
+import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.batch import BatchControl, build_batch
@@ -120,6 +121,33 @@ class GossipEngine:
             defaults apply when a ``log`` is given without a policy.
     """
 
+    # Dormant state and absent subsystems live on the class: an engine
+    # sets them on itself only when they are given or change, so a plain
+    # engine's instance dict stays under CPython's shared-key limit
+    # (30 names) and costs ~0.3 KiB instead of ~1.6 KiB per node.
+    health = None
+    view_provider: Optional[Callable[[], Sequence[str]]] = None
+    _on_params: Optional[Callable[[GossipParams], None]] = None
+    _stopped = False
+    _pending_limit = 128
+    _publish_sequence = 0
+    log: Optional[GossipLog] = None
+    durability: Optional[DurabilityPolicy] = None
+    # While ``_recovering`` the engine ingests and delivers but does not
+    # eagerly forward -- it first catches up with healthy peers.
+    _recovering = False
+    _catch_up_rounds_left = 0
+    telemetry: Optional[TelemetryPolicy] = None
+    overload: Optional[OverloadPolicy] = None
+    _pressure_provider: Optional[Callable[[], float]] = None
+    _overloaded = False
+    # Adaptive control: a hard ceiling on the *effective* fanout after
+    # the health layer's degraded-mode boost.  With ``None`` (the
+    # default) ``HealthPolicy.boost_cap`` alone bounds the boost; the
+    # AdaptiveController sets it so its own boost and the health boost
+    # can never compound past it.
+    fanout_ceiling: Optional[int] = None
+
     def __init__(
         self,
         runtime: SoapRuntime,
@@ -144,7 +172,8 @@ class GossipEngine:
         self.app_address = app_address
         self.params = params if params is not None else GossipParams()
         self.rng = rng if rng is not None else random.Random()
-        self.health = health
+        if health is not None:
+            self.health = health
         self.selector = selector if selector is not None else UniformSelector()
         if health is not None and not isinstance(self.selector, HealthAwareSelector):
             # Degraded-mode gossip: prefer unsuspected peers, whatever the
@@ -152,17 +181,17 @@ class GossipEngine:
             self.selector = HealthAwareSelector(health, self.selector)
         self.store = MessageStore(self.params.buffer_capacity)
         self.view: List[str] = []
-        self.view_provider = view_provider
+        if view_provider is not None:
+            self.view_provider = view_provider
         self.registered = False
         self.register_pending = False
-        self._on_params = on_params
+        if on_params is not None:
+            self._on_params = on_params
         self._periodic_started = False
-        self._stopped = False
         # Messages that arrived before registration completed: the paper's
         # flow is register -> obtain targets -> forward, so fresh messages
         # wait here until the RegisterResponse delivers a peer view.
         self._pending_forwards: List[tuple] = []
-        self._pending_limit = 128
         # Lazy push: remaining ad budget per advertised message id, plus
         # the ids we have already fetched but not yet received (avoids
         # duplicate fetches when several ads race ahead of the payload).
@@ -173,18 +202,15 @@ class GossipEngine:
         self._hot: Dict[str, int] = {}
         # FIFO ordered mode: per-origin holdback and publication counter.
         self._fifo = FifoBuffer()
-        self._publish_sequence = 0
-        # Crash recovery: optional WAL + policy, and the rejoin state.
-        # While ``_recovering`` the engine ingests and delivers but does
-        # not eagerly forward -- it first catches up with healthy peers.
-        self.log = log
-        self.durability = (
-            durability
-            if durability is not None
-            else (DurabilityPolicy() if log is not None else None)
-        )
-        self._recovering = False
-        self._catch_up_rounds_left = 0
+        # Crash recovery: optional WAL + policy (the rejoin state starts
+        # from the class-level defaults above).
+        if log is not None:
+            self.log = log
+            self.durability = (
+                durability if durability is not None else DurabilityPolicy()
+            )
+        elif durability is not None:
+            self.durability = durability
         self._last_protocol = PROTOCOL_DISSEMINATOR
         # The outbox: every gossip send is parked here and coalesced by a
         # zero-delay flush event, so everything a node emits within one
@@ -212,8 +238,8 @@ class GossipEngine:
         # byte-for-byte what they were before this subsystem existed
         # (tests/integration/test_trace_identity).  The histograms are
         # bound eagerly so the receive path does a dict-free record.
-        self.telemetry = telemetry
         if telemetry is not None:
+            self.telemetry = telemetry
             self._hop_latency = obs.histogram("telemetry.hop_latency_ms")
             self._e2e_latency = obs.histogram("telemetry.e2e_latency_ms")
             self._telemetry_samples = obs.counter("telemetry.samples")
@@ -225,15 +251,10 @@ class GossipEngine:
         # the pre-overload behaviour (tests/integration/test_trace_identity).
         # ``pressure_provider`` folds in external pressure (the layer's
         # bounded ingest queue) so one signal covers both directions.
-        self.overload = overload
-        self._pressure_provider = pressure_provider
-        self._overloaded = False
-        # Adaptive control: a hard ceiling on the *effective* fanout after
-        # the health layer's degraded-mode boost.  ``None`` (the default)
-        # preserves the PR 2 behaviour where ``HealthPolicy.boost_cap``
-        # alone bounds the boost; the AdaptiveController sets it so its
-        # own boost and the health boost can never compound past it.
-        self.fanout_ceiling: Optional[int] = None
+        if overload is not None:
+            self.overload = overload
+        if pressure_provider is not None:
+            self._pressure_provider = pressure_provider
 
     @property
     def activity_id(self) -> str:
@@ -308,7 +329,8 @@ class GossipEngine:
                 self.metrics.counter("gossip.register.bad-params").inc()
         peers = value.get("peers")
         if isinstance(peers, list):
-            self.view = [peer for peer in peers if isinstance(peer, str)]
+            # Interned: every view naming a peer shares one string.
+            self.view = [sys.intern(peer) for peer in peers if isinstance(peer, str)]
         self.registered = True
         if self._on_params is not None:
             self._on_params(self.params)
@@ -477,7 +499,12 @@ class GossipEngine:
         # (duplicates that never reach here are dropped pre-parse by
         # on_duplicate_preparse -- keep the two paths in sync)
         self._propagate(envelope, header, source)
-        if self.params.ordered and header.sequence is not None:
+        if header.sequence is not None:
+            # Only an ordered publisher stamps a Sequence, so the header
+            # says the activity is ordered even before the RegisterResponse
+            # brings the params: a lazily joining node's first arrivals
+            # must advance the FIFO watermark too, or every later rumor
+            # from that origin is held back for good.
             return self._offer_ordered(envelope, header)
         return True
 

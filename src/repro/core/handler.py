@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.core.batch import (
     BATCH_TAG,
@@ -73,6 +73,10 @@ class GossipLayer(Handler):
         selector: peer-selection strategy shared by created engines.
     """
 
+    # The bounded ingest queue is made on the first frame it holds (most
+    # nodes are never throttled); until then an empty tuple stands in.
+    _ingest_queue: Union[Deque[Tuple[bytes, Optional[str]]], Tuple[()]] = ()
+
     def __init__(
         self,
         runtime: SoapRuntime,
@@ -125,7 +129,6 @@ class GossipLayer(Handler):
         # is *unbounded*, which is exactly the collapse the shed-off
         # ablation in bench_overload demonstrates.
         self.overload = overload
-        self._ingest_queue: Deque[Tuple[bytes, Optional[str]]] = deque()
         self._ingest_bucket: Optional[TokenBucket] = None
         self._ingest_overloaded = False
         self._draining = False
@@ -210,7 +213,7 @@ class GossipLayer(Handler):
         :meth:`GossipEngine.prepare_restart`); returns total messages
         replayed from durable logs."""
         # Whatever was queued for ingest died with the process.
-        self._ingest_queue.clear()
+        self._ingest_queue = ()
         self._ingest_overloaded = False
         self._drain_scheduled = False
         self._draining = False
@@ -309,6 +312,8 @@ class GossipLayer(Handler):
                 self._overload_stats.count_shed("payload")
                 self.runtime.metrics.counter("gossip.shed.payload").inc()
                 return False
+        if not isinstance(self._ingest_queue, deque):
+            self._ingest_queue = deque()
         self._ingest_queue.append((data, source))
         self._overload_stats.throttled += 1
         depth = len(self._ingest_queue)

@@ -251,7 +251,11 @@ class WireStats(StatGroup):
       :meth:`repro.soap.envelope.Envelope.from_bytes`.
     * ``parse_reused`` -- ``from_bytes()`` calls answered from the shared
       parse cache (identical wire bytes already parsed by another node in
-      this process -- the fan-out twin of ``serialize_reused``).
+      this process -- the fan-out twin of ``serialize_reused``).  A hit
+      also hands back the cache's bytes object, so every store keeping
+      that frame shares one buffer.  Frames with a WS-A ``RelatesTo`` or
+      ``ReplyTo`` header (requests expecting a reply, replies, faults)
+      are never admitted, so they always count under ``parse_count``.
     * ``dedup_preparse_hits`` -- duplicate gossip messages dropped by the
       byte-scan gate *before* any XML parse.
     * ``idempotent_replays`` -- retried edge POSTs answered from the

@@ -12,7 +12,8 @@ cached wire bytes until the envelope is mutated through its own API
 message that is received, stored and forwarded unchanged never pays a
 second XML encode.  Code that mutates a header *element* in place (rather
 than replacing it) must call :meth:`Envelope.invalidate`; nothing in this
-repository does.
+repository does (``tests/integration/test_parse_sharing.py`` holds every
+shared tree to its bytes after seeded runs).
 
 Not every message on the wire was an :class:`Envelope` at its sender: what
 a node *originates* through ``SoapRuntime.send`` is written straight to
@@ -21,12 +22,22 @@ the object model -- a pre-built body element, extra header elements, an
 outbound handler.  Published, forwarded and fault envelopes are built
 here, and every *received* message is parsed into one.  The two writers
 emit identical bytes (docs/WIRE.md, "Serialization contract").
+
+Parsing is **shared per process**: equal wire bytes parse once, and every
+envelope parsed from them carries the *canonical* bytes object the cache
+keeps -- so a rumor that thousands of simulated nodes store is one buffer,
+not one copy per store, and the receiver's own copy of the frame is
+garbage as soon as it is parsed.  Only frames that can recur are admitted:
+a frame with a WS-Addressing ``RelatesTo`` or ``ReplyTo`` header is a
+request that expects a reply, a reply, or a fault.  It carries a fresh
+``MessageID`` and is addressed to one node, so it is parsed on every
+receipt and its tree dies with its envelope.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.hub import current_hub
 from repro.soap import namespaces as ns
@@ -44,13 +55,17 @@ class EnvelopeError(ValueError):
 # Cross-envelope parse sharing: a gossip fan-out hands the *same* wire
 # bytes to several simulated receivers, and only the first one needs to
 # pay the XML parse -- later receivers of equal bytes reuse the element
-# tree.  Safe because nothing in this repository mutates a header/body
-# *element* in place (see the module docstring); envelopes built from a
-# shared tree still get their own header lists.  Bounded by wholesale
-# clearing: the cache is a throughput optimization, not a correctness
-# feature.
-_PARSE_CACHE: Dict[bytes, ET.Element] = {}
+# tree and the first receiver's bytes object (the canonical copy).  Safe
+# because nothing in this repository mutates a header/body *element* in
+# place (see the module docstring); envelopes built from a shared tree
+# still get their own header lists.  Bounded by wholesale clearing: the
+# cache is a throughput optimization, not a correctness feature.
+_PARSE_CACHE: Dict[bytes, Tuple[bytes, ET.Element]] = {}
 _PARSE_CACHE_LIMIT = 2048
+
+# Header blocks that mark a point-to-point frame (see the module
+# docstring): never admitted to the parse cache.
+_UNSHARED_HEADERS = frozenset({qname(ns.WSA, "RelatesTo"), qname(ns.WSA, "ReplyTo")})
 
 
 def clear_parse_cache() -> None:
@@ -212,25 +227,31 @@ class Envelope:
         """Parse wire bytes into an envelope.
 
         The original bytes seed the serialization cache, so an envelope
-        that is parsed and re-sent unmodified is never re-encoded.
+        that is parsed and re-sent unmodified is never re-encoded.  When
+        equal bytes were parsed before, the envelope's ``to_bytes()`` is
+        the first parse's bytes object, not ``data``.
 
         Raises:
             EnvelopeError: malformed XML or not an envelope.
         """
         data = data if isinstance(data, bytes) else bytes(data)
-        root = _PARSE_CACHE.get(data)
-        if root is not None:
+        cached = _PARSE_CACHE.get(data)
+        if cached is not None:
             current_hub().wire.parse_reused += 1
+            data, root = cached
         else:
             try:
                 root = parse_bytes(data)
             except XmlParseError as exc:
                 raise EnvelopeError(str(exc)) from exc
             current_hub().wire.parse_count += 1
+        envelope = cls.from_element(root)
+        if cached is None and not any(
+            block.tag in _UNSHARED_HEADERS for block in envelope._headers
+        ):
             if len(_PARSE_CACHE) >= _PARSE_CACHE_LIMIT:
                 _PARSE_CACHE.clear()
-            _PARSE_CACHE[data] = root
-        envelope = cls.from_element(root)
+            _PARSE_CACHE[data] = (data, root)
         envelope._wire = data
         return envelope
 

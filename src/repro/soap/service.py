@@ -58,14 +58,11 @@ class Service:
     """
 
     def __init__(self) -> None:
+        # Operations added at runtime.  The decorated ones are resolved
+        # once per class and bound on lookup, so an instance holds no
+        # bound method per operation.
         self._operations: Dict[str, Callable[[MessageContext, Any], Any]] = {}
-        for name in dir(type(self)):
-            method = getattr(self, name, None)
-            action = getattr(method, _OPERATION_ATTR, None)
-            if action is not None:
-                if action in self._operations:
-                    raise ValueError(f"duplicate operation for action {action!r}")
-                self._operations[action] = method
+        _class_operations(type(self))
 
     def add_operation(
         self, action: str, handler: Callable[[MessageContext, Any], Any]
@@ -76,14 +73,43 @@ class Service:
         Raises:
             ValueError: if the action is already handled.
         """
-        if action in self._operations:
+        if action in self._operations or action in _class_operations(type(self)):
             raise ValueError(f"duplicate operation for action {action!r}")
         self._operations[action] = handler
 
     def actions(self) -> Dict[str, Callable[[MessageContext, Any], Any]]:
         """Mapping of action URI to bound operation method."""
-        return dict(self._operations)
+        operations = {
+            action: function.__get__(self)
+            for action, function in _class_operations(type(self)).items()
+        }
+        operations.update(self._operations)
+        return operations
 
     def lookup(self, action: str) -> Optional[Callable[[MessageContext, Any], Any]]:
         """The operation for ``action``, or ``None``."""
+        function = _class_operations(type(self)).get(action)
+        if function is not None:
+            return function.__get__(self)
         return self._operations.get(action)
+
+
+def _class_operations(cls: type) -> Dict[str, Callable]:
+    """``action -> function`` for the decorated methods of a service
+    class, built on the class's first instantiation and kept on it.
+
+    Raises:
+        ValueError: when two methods claim one action.
+    """
+    table = cls.__dict__.get("_operation_table")
+    if table is None:
+        table = {}
+        for name in dir(cls):
+            function = getattr(cls, name, None)
+            action = getattr(function, _OPERATION_ATTR, None)
+            if action is not None:
+                if action in table:
+                    raise ValueError(f"duplicate operation for action {action!r}")
+                table[action] = function
+        cls._operation_table = table
+    return table

@@ -272,7 +272,8 @@ class ResilientTransport:
         self._outcome_listeners: List[OutcomeListener] = []
         self._fault_hook: Optional[FaultHook] = None
         self._clock = clock if clock is not None else time.monotonic
-        self._resilience_rng = rng if rng is not None else random.Random()
+        # Drawn only on a retry: resolved then (see ``_retry_rng``).
+        self._resilience_rng = rng
         self._breaker_lock = threading.Lock()
         from repro.obs.hub import default_hub
 
@@ -421,7 +422,7 @@ class ResilientTransport:
                 opened = breaker.state != CircuitBreaker.CLOSED
         if attempt <= self._retry.max_retries and not opened:
             self._health_stats.retries += 1
-            delay = self._retry.delay(attempt, self._resilience_rng)
+            delay = self._retry.delay(attempt, self._retry_rng())
             self._defer(
                 delay, lambda: self._attempt(address, data, attempt + 1)
             )
@@ -436,6 +437,13 @@ class ResilientTransport:
             listener(outcome)
 
     # -- subclass hooks -----------------------------------------------------
+
+    def _retry_rng(self) -> random.Random:
+        """The backoff-jitter stream; without an ``rng`` an unseeded one,
+        made on the first retry."""
+        if self._resilience_rng is None:
+            self._resilience_rng = random.Random()
+        return self._resilience_rng
 
     def _send_once(self, address: str, data: bytes) -> None:
         """One delivery attempt; raise on failure."""

@@ -11,6 +11,7 @@ Addresses take the form ``sim://<node-name>/<service-path>``.
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Optional
 
 from repro.simnet.network import Network
@@ -58,10 +59,15 @@ class SimTransport(ResilientTransport):
             retry=retry,
             breaker=breaker,
             clock=lambda: node.sim.now,
-            rng=node.sim.rng.get(f"transport:{node.name}"),
             stats=node.network.hub.health,
         )
         self._node = node
+
+    def _retry_rng(self) -> random.Random:
+        """The node's seeded ``transport:<name>`` stream, made on the
+        first retry.  Streams are seeded by name, so it draws exactly what
+        a stream made with the transport would."""
+        return self._node.sim.rng.get(f"transport:{self._node.name}")
 
     def _send_once(self, address: str, data: bytes) -> None:
         """Send envelope bytes over the simulated network."""

@@ -107,6 +107,26 @@ class TestOrderedEndToEnd:
         # and later released.
         assert counters.get("gossip.released-in-order", 0) > 0
 
+    def test_burst_before_registration_does_not_block_the_origin(self):
+        # With the default lazy join a node's first arrivals beat its
+        # RegisterResponse (and so the "ordered" param).  They must still
+        # advance the FIFO watermark: a later publication from the same
+        # origin used to be held back for good (delivered to no one).
+        group = GossipConfig(
+            n_disseminators=12, seed=11,
+            params={"style": "push", "fanout": 3, "rounds": 6, "ordered": True},
+        ).build()
+        group.setup()
+        burst = [group.publish({"seq": index}) for index in range(7)]
+        group.run_for(3.0)
+        late = group.publish({"seq": 7})
+        group.run_for(3.0)
+        for mid in [*burst, late]:
+            assert group.delivered_fraction(mid) == 1.0
+        for node in group.disseminators:
+            sequences = [delivery.value["seq"] for delivery in node.deliveries]
+            assert sequences == sorted(sequences)
+
 
 def test_unordered_activity_ignores_sequence_machinery():
     group = GossipConfig(

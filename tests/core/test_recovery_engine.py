@@ -63,6 +63,53 @@ class TestDurableRestart:
         assert sum(1 for d in victim.deliveries if d.gossip_id == m1) <= 1
 
 
+class TestSnapshotRoundTrip:
+    """Replay from a snapshot plus the WAL tail rebuilds the engine the
+    crash took down (``GossipEngine.snapshot_state`` and
+    ``_apply_replay_state``; the default cadence of 256 appends is never
+    reached by the other tests)."""
+
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_restart_after_compaction_rebuilds_store(self, ordered):
+        config = GossipConfig(
+            n_disseminators=12,
+            seed=11,
+            durability={"snapshot_every": 4},
+            params={"style": "push", "fanout": 3, "rounds": 6, "ordered": ordered},
+        )
+        group = GossipGroup(config=config)
+        group.setup()
+        published = [group.publish({"k": index}) for index in range(7)]
+        group.run_for(3.0)
+        victim = group.disseminators[0]
+        engine = victim.gossip_layer.engines()[0]
+        assert all(victim.has_delivered(gossip_id) for gossip_id in published)
+        replay = engine.log.replay()
+        assert isinstance(replay.snapshot, dict)  # a compaction happened
+        assert replay.records  # ...and a tail follows it
+        before = (
+            engine.store.digest(),
+            engine.store.seen_identities(),
+            engine.store.summary(),
+            engine._fifo.counters(),
+        )
+
+        victim.crash()
+        group.run_for(1.0)
+        victim.restart(amnesia=False)
+
+        engine = victim.gossip_layer.engines()[0]
+        after = (
+            engine.store.digest(),
+            engine.store.seen_identities(),
+            engine.store.summary(),
+            engine._fifo.counters(),
+        )
+        assert after == before
+        assert victim.replayed_messages == len(published)
+        assert RECOVERY_STATS.snapshots >= 1
+
+
 class TestAmnesiaRestart:
     def test_catch_up_recovers_lost_messages(self):
         group = make_group()

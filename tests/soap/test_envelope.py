@@ -138,11 +138,17 @@ def test_to_bytes_memoized():
 
 
 def test_from_bytes_seeds_cache_with_original_wire():
+    from repro.soap.envelope import clear_parse_cache
+
+    clear_parse_cache()  # an earlier test may have parsed equal bytes
     data = Envelope(body=make_body()).to_bytes()
     parsed = Envelope.from_bytes(data)
     # Receive -> store -> forward is zero-copy: the parsed envelope hands
     # back the exact bytes object it was parsed from.
     assert parsed.to_bytes() is data
+    # ...and a later receipt of an equal copy hands back that same object
+    # (the canonical copy), so stores share one buffer per frame.
+    assert Envelope.from_bytes(bytes(bytearray(data))).to_bytes() is data
 
 
 def test_add_header_invalidates_cache():

@@ -1,7 +1,9 @@
-"""What a node process pays for importing the package.
+"""What a node process pays: for importing the package, and per node.
 
 Every simulated or live node imports :mod:`repro`; the experiment-table
-statistics must not drag scipy/numpy (~77 MiB resident) into it.
+statistics must not drag scipy/numpy (~77 MiB resident) into it.  And a
+process holds one copy of each distinct frame: setup leaves no parse
+trees behind, and stores share the parse cache's bytes.
 """
 
 import os
@@ -10,6 +12,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import repro.soap.envelope as envelope_module
+from repro.soap import namespaces as ns
+from repro.soap.envelope import Envelope, clear_parse_cache
+from repro.xmlutil import parse_bytes, qname
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -38,3 +45,86 @@ def test_exact_t_quantile_when_scipy_is_installed():
     from repro.stats import _t_quantile
 
     assert round(_t_quantile(0.95, 2), 4) == 4.3027
+
+
+# -- what a simulated node keeps after setup ---------------------------------
+
+#: ``sim_burst``'s gossip parameters (perf/workloads.py, BURST_PARAMS).
+BURST = {"fanout": 6, "rounds": 9, "peer_sample_size": 14, "max_batch_rumors": 64}
+
+UNSHARED = {qname(ns.WSA, "RelatesTo"), qname(ns.WSA, "ReplyTo")}
+
+
+def burst_group(n_nodes, seed=1):
+    from repro import GossipConfig
+    from repro.simnet.latency import UniformLatency
+
+    return GossipConfig(
+        n_disseminators=n_nodes - 1,
+        seed=seed,
+        latency=UniformLatency(0.0005, 0.0015),
+        params=BURST,
+        auto_tune=False,
+    ).build()
+
+
+def test_setup_leaves_no_request_or_reply_frame_in_the_parse_cache():
+    # Register/Subscribe requests and their replies carry a fresh WS-A
+    # MessageID and go to one node: a cached tree could never be hit.
+    clear_parse_cache()
+    group = burst_group(100)
+    group.setup(settle=1.0, eager_join=True)
+    pinned = []
+    for data in envelope_module._PARSE_CACHE:
+        headers = Envelope.from_element(parse_bytes(data)).headers
+        if UNSHARED & {block.tag for block in headers}:
+            pinned.append(data)
+    assert pinned == []
+
+
+def test_stores_share_one_bytes_object_per_distinct_frame():
+    clear_parse_cache()
+    group = burst_group(60)
+    group.setup(settle=1.0, eager_join=True)
+    for index in range(4):
+        group.publish({"n": index})
+    group.run_for(2.0)
+    stored = [
+        message.data
+        for node in group.app_nodes()
+        for engine in node.gossip_layer.engines()
+        for message in engine.store.messages()
+    ]
+    assert len(stored) > 4 * 50  # the rumors really spread
+    assert len({id(data) for data in stored}) == len(set(stored))
+
+
+#: Traced bytes per node after setup at N=300: 11 939 measured on CPython
+#: 3.11 when the bound was set, plus 25% (49 856 while setup still left its
+#: request/reply trees in the parse cache).  It counts bytes, not time.
+SETUP_BYTES_PER_NODE = 14_900
+
+
+def test_setup_residue_per_node_stays_bounded():
+    # A fresh process: nothing an earlier test cached or interned can
+    # hide (or inflate) what setup leaves behind.
+    code = (
+        "import gc, tracemalloc\n"
+        "from tests.test_footprint import burst_group\n"
+        "gc.collect()\n"
+        "tracemalloc.start()\n"
+        "group = burst_group(300)\n"
+        "group.setup(settle=1.0, eager_join=True)\n"
+        "gc.collect()\n"
+        "print(tracemalloc.get_traced_memory()[0] / 300)\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(SRC.parent)])),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    per_node = float(completed.stdout.strip().splitlines()[-1])
+    assert per_node <= SETUP_BYTES_PER_NODE, per_node
