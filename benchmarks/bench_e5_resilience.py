@@ -21,9 +21,7 @@ LOSS_RATES = [0.0, 0.1, 0.3]
 HEALTH_POLICY = {
     "suspicion_threshold": 0.9,
     "half_life": 60.0,
-    "max_retries": 1,
     "breaker_threshold": 2,
-    "breaker_reset": 5.0,
 }
 
 

@@ -56,7 +56,7 @@ def run_arm(
     publish_rate: float,
     seed: int,
     *,
-    adaptive: Optional[dict] = None,
+    adaptive: bool = False,
     static_fanout: Optional[int] = None,
     static_rounds: Optional[int] = None,
     churn_fraction: float = 0.30,
@@ -68,7 +68,7 @@ def run_arm(
     """Run one arm (adaptive or one static grid point) through the
     calm -> churn -> loss -> burst schedule; return its result row."""
     wall_start = time.monotonic()
-    if adaptive is not None:
+    if adaptive:
         params = dict(ADAPTIVE_BASE_PARAMS)
         config = GossipConfig(
             n_disseminators=n_nodes - 1,
@@ -76,7 +76,7 @@ def run_arm(
             params=params,
             auto_tune=False,
             health=True,
-            adaptive=adaptive,
+            adaptive=True,
         )
     else:
         params = {
@@ -194,7 +194,7 @@ def run_arm(
         "traffic_per_delivery": round(total_sent / max(1, delivered_total), 3),
         "wall_s": round(time.monotonic() - wall_start, 1),
     }
-    if adaptive is not None:
+    if adaptive:
         control = group.hub.control
         row["control"] = {
             "epochs": control.epochs,
@@ -217,12 +217,10 @@ def run_sweep(
     publish_rate: float,
     seed: int,
     grid: List[tuple],
-    adaptive_policy: dict,
 ) -> List[Dict[str, Any]]:
     rows = [
         run_arm(
-            "adaptive", n_nodes, phase_len, publish_rate, seed,
-            adaptive=adaptive_policy,
+            "adaptive", n_nodes, phase_len, publish_rate, seed, adaptive=True
         )
     ]
     print(_summary_line(rows[0]), flush=True)
@@ -321,23 +319,12 @@ def main(argv=None) -> int:
         args.nodes, args.phase_len, args.rate = 60, 20.0, 0.4
         grid = [(4, 6), (6, 8), (8, 10)]
 
-    adaptive_policy = {
-        "slo_delivery": 0.99,
-        "epoch": 2.0,
-        "max_fanout": 10,
-        "max_rounds": 12,
-        "fanout_ceiling": 12,
-        "max_batch_rumors": 64,
-    }
     print(
         f"perturbation: N={args.nodes}, 4x{args.phase_len:.0f}s phases at "
         f"{args.rate}/s, adaptive vs {len(grid)} static points ...",
         flush=True,
     )
-    rows = run_sweep(
-        args.nodes, args.phase_len, args.rate, args.seed, grid,
-        adaptive_policy,
-    )
+    rows = run_sweep(args.nodes, args.phase_len, args.rate, args.seed, grid)
 
     failures = check_claim(rows)
     if args.smoke:
@@ -361,7 +348,7 @@ def main(argv=None) -> int:
             "phase_len_s": args.phase_len,
             "publish_rate": args.rate,
             "seed": args.seed,
-            "adaptive_policy": adaptive_policy,
+            "adaptive": True,
             "grid": grid,
         })
         print(f"saved to {RESULTS_PATH} under 'perturbation'")

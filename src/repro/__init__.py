@@ -22,7 +22,6 @@ paper-versus-measured record.
 
 from repro.core import (
     AdaptiveController,
-    AdaptivePolicy,
     DecentralizedGroup,
     DurabilityPolicy,
     GossipConfig,
@@ -44,11 +43,10 @@ from repro.simnet.events import Simulator
 from repro.simnet.metrics import ControlStats, HealthStats, RecoveryStats, WireStats
 from repro.stats import summarize
 
-__version__ = "3.0.2"
+__version__ = "4.0.0"
 
 __all__ = [
     "AdaptiveController",
-    "AdaptivePolicy",
     "DecentralizedGroup",
     "DurabilityPolicy",
     "GossipConfig",

@@ -10,7 +10,6 @@ Usage::
     python -m repro obs report      # observability report of a seeded run
     python -m repro obs top --once  # poll a live node's /v1/obs/* models
     python -m repro soak            # short live-socket mesh run
-    python -m repro bench --shards 4  # timed burst run, sharded simulator
 """
 
 from __future__ import annotations
@@ -272,64 +271,6 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """One timed burst dissemination, optionally sharded across processes.
-
-    The quick operator-facing twin of ``benchmarks/bench_shard.py``: same
-    workload shape (eager-join setup, burst publish, fixed simulated
-    drain), one row of output.  Config validation (``shards < 1``, a
-    partition map omitting nodes) raises
-    :class:`~repro.core.params.ParamError` before any worker starts.
-    """
-    import time as _time
-
-    config = GossipConfig(
-        n_disseminators=args.n - 1,
-        seed=args.seed,
-        params={
-            "fanout": args.fanout,
-            "rounds": args.rounds,
-            "max_batch_rumors": args.max_batch_rumors,
-        },
-        auto_tune=False,
-        shards=args.shards,
-    )
-    group = config.build()
-    try:
-        started = _time.perf_counter()
-        group.setup(settle=1.0, eager_join=True)
-        setup_wall = _time.perf_counter() - started
-        message_ids = [
-            group.publish({"tick": index}) for index in range(args.publications)
-        ]
-        busy_before = group.worker_busy() if args.shards > 1 else []
-        started = _time.perf_counter()
-        group.run_for(args.duration)
-        drain_wall = _time.perf_counter() - started
-        delivered = min(
-            group.delivered_fraction(message_id) for message_id in message_ids
-        )
-        print(
-            f"n={args.n} shards={args.shards} publications={args.publications}: "
-            f"setup {setup_wall:.2f}s, drain {drain_wall:.2f}s, "
-            f"delivered {delivered:.4f}"
-        )
-        if args.shards > 1:
-            busy = [
-                after - before
-                for after, before in zip(group.worker_busy(), busy_before)
-            ]
-            print(
-                f"barriers {group.barriers}, per-shard drain busy CPU "
-                f"[{', '.join(f'{b:.2f}s' for b in busy)}] "
-                f"(critical path {max(busy):.2f}s)"
-            )
-    finally:
-        if hasattr(group, "close"):
-            group.close()
-    return 0
-
-
 def _print_soak_telemetry(summary: dict) -> None:
     """Print the wire-trace reconstruction the mesh's merged hubs carry."""
     print("telemetry (from sampled wire trace context):")
@@ -586,21 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.set_defaults(handler=_cmd_obs_top)
 
-    bench = commands.add_parser(
-        "bench", help="timed burst dissemination, optionally sharded"
-    )
-    bench.add_argument("--n", type=int, default=1000, help="population size")
-    bench.add_argument(
-        "--shards", type=int, default=1,
-        help="worker processes for the sharded simulator (1 = in-process)",
-    )
-    bench.add_argument("--publications", type=int, default=50)
-    bench.add_argument("--duration", type=float, default=12.0,
-                       help="simulated drain seconds after the burst")
-    bench.add_argument("--fanout", type=int, default=6)
-    bench.add_argument("--rounds", type=int, default=9)
-    bench.add_argument("--max-batch-rumors", type=int, default=64)
-    bench.set_defaults(handler=_cmd_bench)
     return parser
 
 

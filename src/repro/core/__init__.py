@@ -44,7 +44,7 @@ from repro.core.analysis import (
     rounds_for_coverage,
 )
 from repro.core.api import GossipConfig, GossipGroup
-from repro.core.control import AdaptiveController, AdaptivePolicy, ControlDecision
+from repro.core.control import AdaptiveController, ControlDecision
 from repro.core.decentralized import DecentralizedGossipNode, DecentralizedGroup
 from repro.core.engine import GossipEngine
 from repro.core.health import HealthPolicy, PeerHealth
@@ -69,7 +69,6 @@ from repro.core.telemetry import TelemetryPolicy
 
 __all__ = [
     "AdaptiveController",
-    "AdaptivePolicy",
     "ControlDecision",
     "ConsumerNode",
     "CoordinatorNode",

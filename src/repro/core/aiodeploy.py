@@ -167,10 +167,7 @@ class AsyncGossipNode:
             # the resilient sender honors as breaker-independent backoff.
             from repro.transport.edge import EdgeAdmission
 
-            admission = (
-                EdgeAdmission.from_policy(overload)
-                if overload is not None else None
-            )
+            admission = EdgeAdmission() if overload is not None else None
             self.edge = AsyncHttpNode(loop=loop, admission=admission)
         else:
             raise ValueError(f"unknown transport (udp|http): {transport!r}")

@@ -27,7 +27,7 @@ import dataclasses
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.core.control import AdaptiveController, AdaptivePolicy
+from repro.core.control import EPOCH, SLO_DELIVERY, AdaptiveController
 from repro.core.engine import PROTOCOL_DISSEMINATOR
 from repro.core.health import HealthPolicy, install_health
 from repro.core.message import GossipStyle
@@ -50,6 +50,8 @@ from repro.simnet.network import Network
 from repro.simnet.trace import TraceLog
 
 DEFAULT_ACTION = "urn:ws-gossip:example/Event"
+#: Seconds of history the telemetry SLO burn-rate window spans.
+SLO_WINDOW = 30.0
 
 
 @dataclass(frozen=True)
@@ -84,20 +86,15 @@ class GossipConfig:
             "Parallel simulation").  ``1`` (the default) is the plain
             single-process simulator, byte-for-byte unchanged; ``K > 1``
             makes :meth:`build` return a
-            :class:`~repro.core.shard.ShardedGossipGroup`.
-        shard_map: optional explicit ``{node_name: shard_index}``
-            partition; must cover every node.  Default: stable hash.
-        rumor_tracing: record a causal span per published rumor
-            (publish/forward/deliver hops with round attribution) on the
-            group's :class:`~repro.obs.hub.MetricsHub` -- the source of
-            the infection curve and rounds-to-delivery percentiles
-            (see docs/OBSERVABILITY.md).  Cheap; on by default.
-        adaptive: attach an :class:`~repro.core.control.AdaptiveController`
-            that re-tunes fanout/rounds/mode/batching from observed
-            delivery every epoch (see docs/RESILIENCE.md, "Adaptive
-            control").  Takes an :class:`~repro.core.control.AdaptivePolicy`.
-            Requires ``rumor_tracing`` (the delivery signal comes from
-            the causal spans).
+            :class:`~repro.core.shard.ShardedGossipGroup` (nodes are
+            partitioned by a stable hash of their names).
+        adaptive: ``True`` attaches an
+            :class:`~repro.core.control.AdaptiveController` that re-tunes
+            fanout/rounds/mode/batching from observed delivery every
+            epoch (see docs/RESILIENCE.md, "Adaptive control"); its
+            thresholds are constants of :mod:`repro.core.control`.  The
+            delivery signal comes from the causal rumor spans every group
+            records on its hub (docs/OBSERVABILITY.md).
         overload: enable overload protection on every gossip-capable
             node -- bounded outboxes and ingest queues with priority
             load shedding, publish backpressure at the hard limit, and
@@ -111,20 +108,22 @@ class GossipConfig:
             telemetry").  Takes a
             :class:`~repro.core.telemetry.TelemetryPolicy`.
 
-    The five subsystem fields (``health``, ``durability``, ``adaptive``,
-    ``overload``, ``telemetry``) each accept ``None`` or ``False`` (off,
-    the default), ``True`` (the policy's defaults), a plain dict of the
-    policy's fields (parsed by its ``from_value``), or a policy instance;
-    anything else raises :class:`~repro.core.params.ParamError` naming
-    the field.  ``overload`` and ``telemetry`` off keep the wire trace
-    byte-for-byte identical to the behaviour before they existed.
+    The four policy fields (``health``, ``durability``, ``overload``,
+    ``telemetry``) each accept ``None`` or ``False`` (off, the default),
+    ``True`` (the policy's defaults), a plain dict of the policy's fields
+    (parsed by its ``from_value``), or a policy instance; anything else
+    raises :class:`~repro.core.params.ParamError` naming the field.
+    ``adaptive`` is a bool (``None`` reads as ``False``).  An unknown
+    keyword -- including a setting removed in 4.0.0 -- raises
+    :class:`~repro.core.params.ParamError` naming it.  ``overload`` and
+    ``telemetry`` off keep the wire trace byte-for-byte identical to the
+    behaviour before they existed.
     """
 
     n_disseminators: int = 8
     n_consumers: int = 0
     seed: int = 0
     shards: int = 1
-    shard_map: Optional[Mapping[str, int]] = None
     latency: Optional[LatencyModel] = None
     loss_rate: float = 0.0
     params: Mapping[str, Any] = field(default_factory=dict)
@@ -134,10 +133,13 @@ class GossipConfig:
     trace: bool = False
     health: Optional[HealthPolicy] = None
     durability: Optional[DurabilityPolicy] = None
-    rumor_tracing: bool = True
-    adaptive: Optional[AdaptivePolicy] = None
+    adaptive: bool = False
     overload: Optional[OverloadPolicy] = None
     telemetry: Optional[TelemetryPolicy] = None
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "GossipConfig":
+        reject_unknown_keys(cls, cls.field_names(), kwargs)
+        return super().__new__(cls)
 
     def __post_init__(self) -> None:
         if self.n_disseminators < 0:
@@ -158,14 +160,6 @@ class GossipConfig:
             raise ParamError(
                 "shards", f"shards must be an integer >= 1: {self.shards!r}"
             )
-        if self.shard_map is not None:
-            if not isinstance(self.shard_map, Mapping):
-                raise ParamError(
-                    "shard_map",
-                    f"shard_map must be a mapping of node name to shard "
-                    f"index: {self.shard_map!r}",
-                )
-            object.__setattr__(self, "shard_map", dict(self.shard_map))
         if not 0.0 <= self.loss_rate < 1.0:
             raise ParamError(
                 "loss_rate", f"loss_rate must be in [0, 1): {self.loss_rate!r}"
@@ -181,16 +175,21 @@ class GossipConfig:
         for name, policy in (
             ("health", HealthPolicy),
             ("durability", DurabilityPolicy),
-            ("adaptive", AdaptivePolicy),
             ("overload", OverloadPolicy),
             ("telemetry", TelemetryPolicy),
         ):
             object.__setattr__(self, name, policy.coerce(name, getattr(self, name)))
-        if self.adaptive is not None and not self.rumor_tracing:
+        if self.adaptive is None:
+            object.__setattr__(self, "adaptive", False)
+        if not isinstance(self.adaptive, bool):
+            key = "adaptive"
+            if isinstance(self.adaptive, Mapping) and self.adaptive:
+                key = sorted(self.adaptive)[0]
             raise ParamError(
-                "adaptive",
-                "adaptive control needs rumor_tracing=True (the delivery "
-                "signal is read from the causal rumor spans)",
+                key,
+                "adaptive is a bool since 4.0.0 (the controller's knobs are "
+                "constants of repro.core.control): pass adaptive=True, not "
+                f"{self.adaptive!r}",
             )
 
     @classmethod
@@ -205,7 +204,6 @@ class GossipConfig:
         Raises:
             ParamError: naming any unknown key.
         """
-        reject_unknown_keys(cls, cls.field_names(), value)
         return cls(**dict(value))
 
     def with_overrides(self, **overrides: Any) -> "GossipConfig":
@@ -214,15 +212,12 @@ class GossipConfig:
         Raises:
             ParamError: naming any unknown key.
         """
-        reject_unknown_keys(type(self), self.field_names(), overrides)
         return dataclasses.replace(self, **overrides)
 
     def to_dict(self) -> Dict[str, Any]:
-        """The config as a plain dict (``params``/``shard_map`` copied)."""
+        """The config as a plain dict (``params`` copied)."""
         result = {name: getattr(self, name) for name in self.field_names()}
         result["params"] = dict(self.params)
-        if self.shard_map is not None:
-            result["shard_map"] = dict(self.shard_map)
         return result
 
     def gossip_params(self, base: Optional[GossipParams] = None) -> GossipParams:
@@ -308,7 +303,6 @@ class GossipGroup:
         # shared with another group.
         self.metrics = MetricsHub(parent=default_hub(), name="gossip-group")
         self.hub = self.metrics
-        self.hub.tracer.enabled = self.config.rumor_tracing
         self.network = Network(
             self.sim,
             latency=self.config.latency,
@@ -355,11 +349,10 @@ class GossipGroup:
             )
 
         self.controller: Optional[AdaptiveController] = None
-        if self.config.adaptive is not None:
+        if self.config.adaptive:
             gossip_nodes = [self.initiator, *self.disseminators]
             self.controller = AdaptiveController(
                 self.hub,
-                self.config.adaptive,
                 population=lambda: self.population,
                 engines=lambda: [
                     engine
@@ -384,7 +377,7 @@ class GossipGroup:
         self.burn_monitor: Optional[SloBurnMonitor] = None
         self._window_rollup: Optional[WindowRollup] = None
         if self.config.telemetry is not None:
-            self._start_telemetry(self.config.telemetry)
+            self._start_telemetry()
 
         for node in self.app_nodes():
             node.bind(self.action)
@@ -394,20 +387,21 @@ class GossipGroup:
         self.activity_id: Optional[str] = None
         self._setup_done = False
 
-    def _start_telemetry(self, policy: TelemetryPolicy) -> None:
+    def _start_telemetry(self) -> None:
         """Begin the telemetry rollup ticks (windowed rates + SLO burn)."""
         self._window_rollup = WindowRollup(
-            self.hub, width=policy.epoch, buckets=max(2, int(60.0 / policy.epoch))
+            self.hub, width=EPOCH, buckets=max(2, int(60.0 / EPOCH))
         )
         self.burn_monitor = SloBurnMonitor(
-            self.hub, slo=policy.slo_delivery, window=policy.window
+            self.hub, slo=SLO_DELIVERY, window=SLO_WINDOW
         )
         # Delivery is judged over rumors old enough to have finished their
-        # rounds: the grace mirrors the AdaptiveController's observation
-        # window so both planes read the same signal.
+        # rounds: the epoch, grace and lookback mirror the
+        # AdaptiveController's observation window so both planes read the
+        # same signal.
         gossip_params = GossipParams.from_activation(self.activation_parameters)
-        grace = 0.5 * policy.epoch + gossip_params.rounds * gossip_params.period
-        lookback = 2.5 * policy.epoch
+        grace = 0.5 * EPOCH + gossip_params.rounds * gossip_params.period
+        lookback = 2.5 * EPOCH
 
         def tick() -> None:
             now = self.sim.now
@@ -417,9 +411,9 @@ class GossipGroup:
             )
             if delivery is not None:
                 self.burn_monitor.record(now, delivery)
-            self.sim.call_after(policy.epoch, tick)
+            self.sim.call_after(EPOCH, tick)
 
-        self.sim.call_after(policy.epoch, tick)
+        self.sim.call_after(EPOCH, tick)
 
     # -- topology ------------------------------------------------------------
 

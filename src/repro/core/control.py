@@ -34,7 +34,7 @@ and then *decides*, matching the response to what the signal threatens:
 * a **publish burst** widens batching to the max (bursts threaten
   traffic, not delivery);
 * **overload pressure** (the PR 8 backpressure subsystem reporting
-  outbox/ingest saturation at or above ``pressure_high``) overrides
+  outbox/ingest saturation at or above :data:`PRESSURE_HIGH`) overrides
   everything, including a delivery breach: boosting into a network that
   is already shedding only feeds the shedder.  The controller narrows
   batching and fanout one step instead and lets the priority shed
@@ -44,15 +44,18 @@ and then *decides*, matching the response to what the signal threatens:
 
 The boost-fast / shrink-slow asymmetry plus the cooldown is the
 anti-oscillation design: a perturbation is answered within one epoch,
-but the controller needs ``cooldown_epochs`` of provable calm before it
+but the controller needs :data:`COOLDOWN_EPOCHS` of provable calm before it
 gives capacity back, so it cannot ping-pong across the SLO boundary.
 
 Interplay with the PR 2 health layer: the degraded-mode fanout boost
 (:meth:`~repro.core.health.PeerHealth.effective_fanout`) still runs per
 round, but the controller owns the *hard ceiling*: it sets
 ``engine.fanout_ceiling`` so controller boost and health boost can never
-compound past ``AdaptivePolicy.fanout_ceiling``, superseding the fixed
-``HealthPolicy.boost_cap`` as the outermost traffic bound.
+compound past :data:`FANOUT_CEILING`, superseding the health layer's
+fixed ``BOOST_CAP`` as the outermost traffic bound.
+
+Every threshold and bound is a module constant below; turning the
+controller on (``GossipConfig(adaptive=True)``) is the only setting.
 
 Every decision is appended to ``hub.decisions`` (a
 :class:`ControlDecision` timeline rendered by ``repro obs report`` and
@@ -60,8 +63,8 @@ exported as JSONL) and counted in the hub's
 :class:`~repro.simnet.metrics.ControlStats` group.
 
 The controller is deterministic: it draws no randomness, so two runs of
-the same seed with the same policy make identical decisions, and a
-controller attached with a no-op policy does not perturb the simulation.
+the same seed make identical decisions, and a controller that never
+moves a knob does not perturb the simulation.
 """
 
 from __future__ import annotations
@@ -71,93 +74,61 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.analysis import expected_rounds
 from repro.core.message import GossipStyle
-from repro.core.params import GossipParams, Knobs, ParamError, knob
+from repro.core.params import GossipParams
 
 #: Styles the escalation ladder moves between (index = escalation level).
 _ESCALATION_LADDER = (GossipStyle.PUSH, GossipStyle.PUSH_PULL)
 
 
-@dataclass(frozen=True)
-class AdaptivePolicy(Knobs):
-    """Validated knobs of the adaptive controller.
-
-    Attributes:
-        slo_delivery: delivery fraction the controller must hold; observed
-            delivery below this is a breach and triggers an immediate boost.
-        epoch: seconds between controller decisions.
-        min_fanout / max_fanout: bounds the controller moves fanout within.
-        min_rounds / max_rounds: bounds for the per-message hop budget.
-        fanout_ceiling: hard cap on the *effective* per-round fanout after
-            the health layer's degraded-mode boost -- the controller's
-            boost and the health boost can never compound past it (this
-            supersedes ``HealthPolicy.boost_cap`` as the outer bound).
-        escalate: allow push -> push-pull escalation under stress (and the
-            reverse once calm).  Groups that start on a periodic style
-            keep it; escalation never goes below the configured style.
-        min_batch_rumors / max_batch_rumors: bounds for the batching knob;
-            bursts widen batching toward the max, calm shrinks it back.
-        shrink_margin: extra delivery above the SLO required before the
-            controller considers giving capacity back (hysteresis band).
-        suspicion_high: suspected fraction of the population above which
-            churn stress is declared.  A *guard* signal: it escalates the
-            gossip mode and blocks shrinking, but -- as long as delivery
-            holds the SLO -- it never raises fanout/rounds (delivery
-            breaches do that).
-        failure_high: send failures per wire send above which loss stress
-            is declared (a guard signal, like ``suspicion_high``).
-        duplicate_high: duplicates per fresh delivery above which the
-            group is considered to have redundancy to spare (a shrink
-            *precondition* -- never a boost trigger).
-        burst_high: publish-rate multiple of its EWMA that declares a
-            publish burst.  Bursts threaten traffic, not delivery: the
-            response is to widen batching to the max (amortizing
-            envelopes), never to raise fanout.
-        burst_min_publishes: publishes that must land inside one epoch
-            before a burst can be declared at all -- at low base rates the
-            Poisson noise of two or three arrivals is not a burst.
-        cooldown_epochs: calm epochs required after a boost before the
-            first shrink (the anti-oscillation brake).
-        pressure_high: overload pressure (from the engines' bounded
-            outboxes and ingest queues, 0..1) at or above which the
-            controller *narrows* batching and fanout instead of boosting
-            -- even on a delivery breach.  Amplifying into a network
-            that is already shedding would only raise the shed rate; the
-            overload subsystem's priority ladder protects payloads while
-            the controller reduces offered load.
-    """
-
-    slo_delivery: float = knob(0.99, gt=0, le=1)
-    epoch: float = knob(2.0, gt=0)
-    min_fanout: int = knob(2, ge=1)
-    max_fanout: int = 10
-    min_rounds: int = knob(3, ge=1)
-    max_rounds: int = 12
-    fanout_ceiling: int = 12
-    escalate: bool = True
-    min_batch_rumors: int = knob(1, ge=1)
-    max_batch_rumors: int = 64
-    shrink_margin: float = knob(0.005, ge=0)
-    suspicion_high: float = knob(0.10, gt=0, le=1)
-    failure_high: float = knob(0.02, gt=0, le=1)
-    duplicate_high: float = knob(1.5, gt=0)
-    burst_high: float = knob(3.0, gt=1)
-    burst_min_publishes: int = knob(4, ge=1)
-    cooldown_epochs: int = knob(3, ge=0)
-    pressure_high: float = knob(0.8, gt=0, le=1)
-
-    def _check(self) -> None:
-        for low, high in (
-            ("min_fanout", "max_fanout"),
-            ("max_fanout", "fanout_ceiling"),
-            ("min_rounds", "max_rounds"),
-            ("min_batch_rumors", "max_batch_rumors"),
-        ):
-            if not getattr(self, high) >= getattr(self, low):
-                raise ParamError(
-                    high,
-                    f"{high} ({getattr(self, high)}) must be >= "
-                    f"{low} ({getattr(self, low)})",
-                )
+#: Delivery fraction the controller holds (observed delivery below it is
+#: a breach and triggers an immediate boost); the telemetry burn-rate
+#: monitor defends the same SLO.
+SLO_DELIVERY = 0.99
+#: Seconds between controller decisions (and telemetry rollup ticks).
+EPOCH = 2.0
+#: Bounds the controller moves fanout within.
+MIN_FANOUT, MAX_FANOUT = 2, 10
+#: Bounds for the per-message hop budget.
+MIN_ROUNDS, MAX_ROUNDS = 3, 12
+#: Hard cap on the *effective* per-round fanout after the health layer's
+#: degraded-mode boost -- the controller's boost and the health boost can
+#: never compound past it (the outer bound over ``health.BOOST_CAP``).
+FANOUT_CEILING = 12
+#: Bounds for the batching knob; bursts widen batching toward the max,
+#: calm shrinks it back.
+MIN_BATCH_RUMORS, MAX_BATCH_RUMORS = 1, 64
+#: Extra delivery above the SLO required before the controller considers
+#: giving capacity back (hysteresis band).
+SHRINK_MARGIN = 0.005
+#: Suspected fraction of the population above which churn stress is
+#: declared.  A *guard* signal: it escalates the gossip mode and blocks
+#: shrinking, but -- as long as delivery holds the SLO -- it never raises
+#: fanout/rounds (delivery breaches do that).
+SUSPICION_HIGH = 0.10
+#: Send failures per wire send above which loss stress is declared (a
+#: guard signal, like :data:`SUSPICION_HIGH`).
+FAILURE_HIGH = 0.02
+#: Duplicates per fresh delivery above which the group has redundancy to
+#: spare (a shrink *precondition* -- never a boost trigger).
+DUPLICATE_HIGH = 1.5
+#: Publish-rate multiple of its EWMA that declares a publish burst.
+#: Bursts threaten traffic, not delivery: the response is to widen
+#: batching to the max (amortizing envelopes), never to raise fanout.
+BURST_HIGH = 3.0
+#: Publishes that must land inside one epoch before a burst can be
+#: declared at all -- at low base rates the Poisson noise of two or three
+#: arrivals is not a burst.
+BURST_MIN_PUBLISHES = 4
+#: Calm epochs required after a boost before the first shrink (the
+#: anti-oscillation brake).
+COOLDOWN_EPOCHS = 3
+#: Overload pressure (the engines' bounded outboxes and ingest queues,
+#: 0..1) at or above which the controller *narrows* batching and fanout
+#: instead of boosting -- even on a delivery breach.  Amplifying into a
+#: network that is already shedding would only raise the shed rate; the
+#: overload priority ladder protects payloads while the controller
+#: reduces offered load.
+PRESSURE_HIGH = 0.8
 
 
 @dataclass
@@ -219,7 +190,6 @@ class AdaptiveController:
 
     Args:
         hub: the group's metrics hub (signals in, decisions out).
-        policy: the validated knobs (defaults used when omitted).
         population: endpoint count, as a value or zero-arg callable.
         engines: zero-arg callable yielding the live
             :class:`~repro.core.engine.GossipEngine` instances to steer.
@@ -235,14 +205,12 @@ class AdaptiveController:
     def __init__(
         self,
         hub,
-        policy: Optional[AdaptivePolicy] = None,
         *,
         population,
         engines: Callable[[], Iterable[Any]],
         healths: Optional[Callable[[], Iterable[Any]]] = None,
     ) -> None:
         self.hub = hub
-        self.policy = policy if policy is not None else AdaptivePolicy()
         self._population = (
             population if callable(population) else (lambda: population)
         )
@@ -274,7 +242,7 @@ class AdaptiveController:
         control plane survives node crashes.
         """
         self._scheduler = scheduler
-        scheduler.call_after(self.policy.epoch, self._tick)
+        scheduler.call_after(EPOCH, self._tick)
 
     def stop(self) -> None:
         """Stop ticking after the current epoch."""
@@ -284,7 +252,7 @@ class AdaptiveController:
         if self._stopped:
             return
         self.epoch_tick()
-        self._scheduler.call_after(self.policy.epoch, self._tick)
+        self._scheduler.call_after(EPOCH, self._tick)
 
     # -- the loop ------------------------------------------------------------
 
@@ -312,7 +280,6 @@ class AdaptiveController:
         return decision
 
     def _seed_targets(self, params: GossipParams) -> None:
-        policy = self.policy
         self._base_params = params
         try:
             self._base_level = _ESCALATION_LADDER.index(params.style)
@@ -322,11 +289,11 @@ class AdaptiveController:
             # controller steers fanout/rounds/batch but not the mode.
             self._base_level = -1
         self._level = max(self._base_level, 0) if self._base_level >= 0 else -1
-        self._fanout = min(max(params.fanout, policy.min_fanout), policy.max_fanout)
-        self._rounds = min(max(params.rounds, policy.min_rounds), policy.max_rounds)
+        self._fanout = min(max(params.fanout, MIN_FANOUT), MAX_FANOUT)
+        self._rounds = min(max(params.rounds, MIN_ROUNDS), MAX_ROUNDS)
         self._batch = min(
-            max(params.max_batch_rumors, policy.min_batch_rumors),
-            policy.max_batch_rumors,
+            max(params.max_batch_rumors, MIN_BATCH_RUMORS),
+            MAX_BATCH_RUMORS,
         )
 
     # -- observe -------------------------------------------------------------
@@ -337,7 +304,6 @@ class AdaptiveController:
         return max(0, value - previous)
 
     def _observe(self) -> EpochSignals:
-        policy = self.policy
         now = self._scheduler.now if self._scheduler is not None else 0.0
         population = max(2, int(self._population()))
 
@@ -349,9 +315,9 @@ class AdaptiveController:
         # that is still mid-spread reads as a delivery breach and triggers
         # a boost nothing was wrong to need.
         period = self._base_params.period if self._base_params else 1.0
-        grace = 0.5 * policy.epoch + self._rounds * period
+        grace = 0.5 * EPOCH + self._rounds * period
         newest = now - grace
-        oldest = newest - 2.5 * policy.epoch
+        oldest = newest - 2.5 * EPOCH
         fractions: List[float] = []
         rounds_needed: List[int] = []
         others = population - 1
@@ -360,7 +326,7 @@ class AdaptiveController:
             if published is None or not oldest <= published <= newest:
                 continue
             fractions.append(min(1.0, span.delivered_count / others))
-            reached = span.rounds_to_fraction(policy.slo_delivery, population)
+            reached = span.rounds_to_fraction(SLO_DELIVERY, population)
             if reached is not None:
                 rounds_needed.append(reached)
         delivery = sum(fractions) / len(fractions) if fractions else None
@@ -400,7 +366,7 @@ class AdaptiveController:
         published = self._counter_delta(
             "gossip.publish", self.hub.counter("gossip.publish").value
         )
-        publish_rate = published / policy.epoch
+        publish_rate = published / EPOCH
         if self._publish_ewma is None:
             self._publish_ewma = publish_rate
             burst = 1.0
@@ -440,11 +406,10 @@ class AdaptiveController:
     def _breach_reasons(self, signals: EpochSignals) -> List[str]:
         """Signals that say the SLO is (about to be) missed -- these earn
         the full fast boost."""
-        policy = self.policy
         reasons: List[str] = []
-        if signals.delivery is not None and signals.delivery < policy.slo_delivery:
+        if signals.delivery is not None and signals.delivery < SLO_DELIVERY:
             reasons.append(
-                f"delivery {signals.delivery:.3f} < SLO {policy.slo_delivery:.3f}"
+                f"delivery {signals.delivery:.3f} < SLO {SLO_DELIVERY:.3f}"
             )
         return reasons
 
@@ -454,16 +419,15 @@ class AdaptiveController:
         insurance) and block shrinking, but never raise fanout/rounds --
         raising capacity the SLO does not need is exactly the
         over-provisioning this controller exists to avoid."""
-        policy = self.policy
         reasons: List[str] = []
-        if signals.suspicion > policy.suspicion_high:
+        if signals.suspicion > SUSPICION_HIGH:
             reasons.append(
-                f"suspicion {signals.suspicion:.3f} > {policy.suspicion_high:.3f}"
+                f"suspicion {signals.suspicion:.3f} > {SUSPICION_HIGH:.3f}"
             )
-        if signals.failure_rate > policy.failure_high:
+        if signals.failure_rate > FAILURE_HIGH:
             reasons.append(
                 f"send failures {signals.failure_rate:.3f} > "
-                f"{policy.failure_high:.3f}"
+                f"{FAILURE_HIGH:.3f}"
             )
         # One round of slack: spans in the judged window spread under the
         # *previous* knobs, while the bound reflects the current fanout --
@@ -482,18 +446,16 @@ class AdaptiveController:
     def _burst_reasons(self, signals: EpochSignals) -> List[str]:
         """A publish burst (enough arrivals to be real, well above the
         EWMA baseline) -- answered by widening batching only."""
-        policy = self.policy
         if (
-            signals.burst >= policy.burst_high
-            and signals.publish_rate * policy.epoch >= policy.burst_min_publishes
+            signals.burst >= BURST_HIGH
+            and signals.publish_rate * EPOCH >= BURST_MIN_PUBLISHES
         ):
             return [
-                f"publish burst x{signals.burst:.1f} >= x{policy.burst_high:.1f}"
+                f"publish burst x{signals.burst:.1f} >= x{BURST_HIGH:.1f}"
             ]
         return []
 
     def _decide(self, signals: EpochSignals) -> ControlDecision:
-        policy = self.policy
         if signals.publish_rate > 0:
             self._saw_traffic = True
         breach = self._breach_reasons(signals)
@@ -502,7 +464,7 @@ class AdaptiveController:
         if breach:
             self.stats.slo_breaches += 1
 
-        if signals.pressure >= policy.pressure_high:
+        if signals.pressure >= PRESSURE_HIGH:
             # The overload subsystem is shedding: every other response is
             # suppressed -- boosting fanout or widening batches into a
             # saturated network only raises the shed rate.  Narrow one
@@ -511,16 +473,16 @@ class AdaptiveController:
             action = "shrink"
             reasons = [
                 f"overload pressure {signals.pressure:.2f} >= "
-                f"{policy.pressure_high:.2f}: narrowing, not boosting"
+                f"{PRESSURE_HIGH:.2f}: narrowing, not boosting"
             ] + breach
             self._pressure_relief()
             self.stats.pressure_reliefs += 1
-            self._cooldown = policy.cooldown_epochs
+            self._cooldown = COOLDOWN_EPOCHS
         elif breach:
             action = "boost"
             reasons = breach + guard + burst
             self._boost(signals, burst=bool(burst))
-            self._cooldown = policy.cooldown_epochs
+            self._cooldown = COOLDOWN_EPOCHS
         elif guard or burst:
             # Delivery is holding: keep current capacity, add the cheap
             # insurance (mode escalation / wider batching), and push the
@@ -531,7 +493,7 @@ class AdaptiveController:
             if not changed:
                 reasons = reasons + ["holding capacity"]
                 self.stats.holds += 1
-            self._cooldown = policy.cooldown_epochs
+            self._cooldown = COOLDOWN_EPOCHS
         else:
             # A group that *was* publishing and went quiet is calm too:
             # with nothing in flight there is no delivery to endanger, and
@@ -545,13 +507,13 @@ class AdaptiveController:
             )
             calm = idle or (
                 signals.delivery is not None
-                and signals.delivery >= policy.slo_delivery + policy.shrink_margin
+                and signals.delivery >= SLO_DELIVERY + SHRINK_MARGIN
             )
             at_floor = (
-                self._fanout <= policy.min_fanout
-                and self._rounds <= policy.min_rounds
+                self._fanout <= MIN_FANOUT
+                and self._rounds <= MIN_ROUNDS
                 and (self._level <= max(self._base_level, 0) or self._level < 0)
-                and self._batch <= policy.min_batch_rumors
+                and self._batch <= MIN_BATCH_RUMORS
             )
             if calm and not at_floor:
                 if self._cooldown > 0:
@@ -567,7 +529,7 @@ class AdaptiveController:
                         f"calm: delivery "
                         f"{(signals.delivery or 0.0):.3f} >= SLO + margin"
                     ]
-                    if signals.duplicate_ratio > policy.duplicate_high:
+                    if signals.duplicate_ratio > DUPLICATE_HIGH:
                         reasons.append(
                             f"redundancy to spare (dup ratio "
                             f"{signals.duplicate_ratio:.2f})"
@@ -613,22 +575,20 @@ class AdaptiveController:
         and fanout steps down; the mode is left alone so the periodic
         digests keep repairing whatever was shed.
         """
-        policy = self.policy
-        self._batch = max(policy.min_batch_rumors, self._batch // 2)
-        if self._fanout > policy.min_fanout:
+        self._batch = max(MIN_BATCH_RUMORS, self._batch // 2)
+        if self._fanout > MIN_FANOUT:
             self._fanout -= 1
 
     def _boost(self, signals: EpochSignals, burst: bool = False) -> None:
         """Respond to an SLO breach within one epoch: fast, decisive."""
-        policy = self.policy
-        self._fanout = min(policy.max_fanout, self._fanout + 2)
-        self._rounds = min(policy.max_rounds, self._rounds + 2)
+        self._fanout = min(MAX_FANOUT, self._fanout + 2)
+        self._rounds = min(MAX_ROUNDS, self._rounds + 2)
         # Churn and loss defeat pure push (a rumor a down node missed is
         # gone): escalate to push-pull so the periodic digest repairs it.
         self._escalate_mode()
         # Batching is free capacity (envelopes only coalesce what is
         # queued): any breach widens it, burst or not.
-        self._batch = policy.max_batch_rumors
+        self._batch = MAX_BATCH_RUMORS
 
     def _guard(
         self, signals: EpochSignals, escalate: bool, widen: bool
@@ -638,17 +598,14 @@ class AdaptiveController:
         changed = False
         if escalate:
             changed = self._escalate_mode() or changed
-        if widen and self._batch < self.policy.max_batch_rumors:
-            self._batch = self.policy.max_batch_rumors
+        if widen and self._batch < MAX_BATCH_RUMORS:
+            self._batch = MAX_BATCH_RUMORS
             changed = True
         return changed
 
     def _escalate_mode(self) -> bool:
-        """One step up the style ladder, if allowed and not already there."""
-        if (
-            self.policy.escalate
-            and 0 <= self._level < len(_ESCALATION_LADDER) - 1
-        ):
+        """One step up the style ladder, unless already at the top."""
+        if 0 <= self._level < len(_ESCALATION_LADDER) - 1:
             self._level += 1
             self.stats.escalations += 1
             return True
@@ -664,25 +621,24 @@ class AdaptiveController:
         only coalesce what is queued), narrowing them merely restores the
         per-rumor latency profile of calm operation.
         """
-        policy = self.policy
         if self._level > max(self._base_level, 0) and self._level > 0:
             self._level -= 1
             self.stats.deescalations += 1
             return
-        if self._fanout > policy.min_fanout:
+        if self._fanout > MIN_FANOUT:
             self._fanout -= 1
             return
-        if self._rounds > policy.min_rounds:
+        if self._rounds > MIN_ROUNDS:
             self._rounds -= 1
             return
-        if self._batch > policy.min_batch_rumors:
-            self._batch = max(policy.min_batch_rumors, self._batch // 2)
+        if self._batch > MIN_BATCH_RUMORS:
+            self._batch = max(MIN_BATCH_RUMORS, self._batch // 2)
 
     # -- apply ---------------------------------------------------------------
 
     def _apply(self, engines: Sequence[Any], decision: ControlDecision) -> None:
         for engine in engines:
-            engine.fanout_ceiling = self.policy.fanout_ceiling
+            engine.fanout_ceiling = FANOUT_CEILING
             current = engine.params
             target = self._target_params(current)
             if target != current:

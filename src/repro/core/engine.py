@@ -44,12 +44,12 @@ from repro.core.message import (
     splice_hops,
 )
 from repro.core.ordering import FifoBuffer
-from repro.core.overload import OverloadError, OverloadPolicy, threshold_for
+from repro.core.overload import OverloadError, OverloadPolicy, ShedLatch
 from repro.core.params import GossipParams
 from repro.core.peers import HealthAwareSelector, PeerSelector, UniformSelector
 from repro.core.scheduling import Scheduler
-from repro.core.store import DurabilityPolicy, GossipLog
-from repro.core.telemetry import TelemetryPolicy
+from repro.core.store import CATCH_UP_PEERS, CATCH_UP_ROUNDS, DurabilityPolicy, GossipLog
+from repro.core.telemetry import CLOCK_SKEW_GUARD, MAX_PATH_LENGTH, TelemetryPolicy
 from repro.obs.hub import hub_of
 from repro.soap import namespaces as ns
 from repro.soap.envelope import Envelope
@@ -140,10 +140,10 @@ class GossipEngine:
     telemetry: Optional[TelemetryPolicy] = None
     overload: Optional[OverloadPolicy] = None
     _pressure_provider: Optional[Callable[[], float]] = None
-    _overloaded = False
+    _shed_latch: Optional[ShedLatch] = None
     # Adaptive control: a hard ceiling on the *effective* fanout after
     # the health layer's degraded-mode boost.  With ``None`` (the
-    # default) ``HealthPolicy.boost_cap`` alone bounds the boost; the
+    # default) ``health.BOOST_CAP`` alone bounds the boost; the
     # AdaptiveController sets it so its own boost and the health boost
     # can never compound past it.
     fanout_ceiling: Optional[int] = None
@@ -253,6 +253,7 @@ class GossipEngine:
         # bounded ingest queue) so one signal covers both directions.
         if overload is not None:
             self.overload = overload
+            self._shed_latch = ShedLatch(obs.overload, runtime.metrics)
         if pressure_provider is not None:
             self._pressure_provider = pressure_provider
 
@@ -367,9 +368,7 @@ class GossipEngine:
                 self._overload_stats.publish_rejected += 1
                 self.metrics.counter("gossip.publish-rejected").inc()
                 raise OverloadError(
-                    "publish rejected: node overloaded",
-                    pressure=pressure,
-                    retry_after=self.overload.retry_after,
+                    "publish rejected: node overloaded", pressure=pressure
                 )
         message_id = new_gossip_message_id()
         sequence = None
@@ -400,11 +399,10 @@ class GossipEngine:
             trace=trace,
         )
         self.metrics.counter("gossip.publish").inc()
-        if self._tracer.enabled:
-            self._tracer.on_publish(
-                message_id, self.app_address, self.scheduler.now,
-                budget=self.params.rounds,
-            )
+        self._tracer.on_publish(
+            message_id, self.app_address, self.scheduler.now,
+            budget=self.params.rounds,
+        )
         # Encode the invocation once; every fanout target and the message
         # store share the same wire bytes (the zero-copy fast path).
         data = self._publication_envelope(action, value, tag, header).to_bytes()
@@ -480,11 +478,10 @@ class GossipEngine:
                 self._send_feedback(header.message_id, source)
             return False
         self.metrics.counter("gossip.fresh").inc()
-        if self._tracer.enabled:
-            self._tracer.on_deliver(
-                header.message_id, self.app_address, self.scheduler.now,
-                hops_left=header.hops,
-            )
+        self._tracer.on_deliver(
+            header.message_id, self.app_address, self.scheduler.now,
+            hops_left=header.hops,
+        )
         if self.telemetry is not None and header.trace is not None:
             self._record_trace_sample(header.trace)
         self._log_message(header.message_id, envelope.to_bytes(), header.origin)
@@ -610,13 +607,12 @@ class GossipEngine:
         """
         if not trace.sampled:
             return
-        policy = self.telemetry
         hops_taken = trace.path + 1
-        if hops_taken > policy.max_path_length:
+        if hops_taken > MAX_PATH_LENGTH:
             self._telemetry_clamped.inc()
             return
         latency = self.scheduler.now - trace.publish_ts
-        if latency < -policy.clock_skew_guard:
+        if latency < -CLOCK_SKEW_GUARD:
             self._telemetry_skew.inc()
             return
         latency_ms = max(0.0, latency) * 1000.0
@@ -650,13 +646,12 @@ class GossipEngine:
             data = envelope.to_bytes()
         self._enqueue_fanout(data, header.origin, source)
         self.metrics.counter("gossip.forward").inc()
-        if self._tracer.enabled:
-            # Targets resolve at flush time; attribute the configured
-            # fanout as the intended spread.
-            self._tracer.on_forward(
-                header.message_id, self.app_address, self.scheduler.now,
-                targets=self.params.fanout,
-            )
+        # Targets resolve at flush time; attribute the configured fanout
+        # as the intended spread.
+        self._tracer.on_forward(
+            header.message_id, self.app_address, self.scheduler.now,
+            targets=self.params.fanout,
+        )
 
     def _select_targets(self, exclude: Sequence[str]) -> List[str]:
         view = self.current_view()
@@ -698,31 +693,10 @@ class GossipEngine:
         return pressure
 
     def _shed(self, shed_class: str) -> bool:
-        """True when the shed ladder says to drop ``shed_class`` traffic.
-
-        Hysteresis: crossing ``high_watermark`` latches the node
-        overloaded (counted once in ``pressure_highs``) and holds the
-        effective pressure at the watermark until raw pressure falls back
-        below ``low_watermark`` -- so shedding does not flap at the
-        boundary.  Payloads only shed at raw pressure 1.0.
-        """
-        policy = self.overload
-        if policy is None:
-            return False
-        pressure = self.overload_pressure
-        if not self._overloaded and pressure >= policy.high_watermark:
-            self._overloaded = True
-            self._overload_stats.pressure_highs += 1
-        elif self._overloaded and pressure < policy.low_watermark:
-            self._overloaded = False
-        effective = pressure
-        if self._overloaded and effective < policy.high_watermark:
-            effective = policy.high_watermark
-        if effective >= threshold_for(policy, shed_class):
-            self._overload_stats.count_shed(shed_class)
-            self.metrics.counter(f"gossip.shed.{shed_class}").inc()
-            return True
-        return False
+        """True when the shed ladder (:class:`~repro.core.overload.ShedLatch`)
+        says to drop ``shed_class`` traffic at this node's pressure."""
+        latch = self._shed_latch
+        return latch is not None and latch.sheds(self.overload_pressure, shed_class)
 
     # -- the outbox (every gossip send goes through it) ---------------------------
 
@@ -1230,7 +1204,8 @@ class GossipEngine:
         self._outbox_direct = {}
         self._outbox_control = {}
         self._flush_scheduled = False
-        self._overloaded = False
+        if self._shed_latch is not None:
+            self._shed_latch.overloaded = False
         self._recovery_stats.restarts += 1
         self.metrics.counter("gossip.restart").inc()
         if amnesia:
@@ -1359,28 +1334,29 @@ class GossipEngine:
         The node re-registers (or restarts its periodic rounds in
         decentralized mode), marks *itself* suspect in its own health view
         (its pre-crash picture of the group is stale), and runs a bounded
-        anti-entropy catch-up with ``catch_up_peers`` healthy peers per
-        round before resuming eager forwarding.  ``protocol`` defaults to
-        whatever this engine registered as before the crash.
+        anti-entropy catch-up with :data:`~repro.core.store.CATCH_UP_PEERS`
+        healthy peers per round before resuming eager forwarding.
+        ``protocol`` defaults to whatever this engine registered as before
+        the crash.
         """
         if self._stopped:
             return
         if protocol is None:
             protocol = self._last_protocol
-        policy = self.durability if self.durability is not None else DurabilityPolicy()
+        catch_up = self.durability is None or self.durability.catch_up
         if self.health is not None:
             # Conservative rejoin: our own liveness record is the stalest
             # thing in the room right after a crash.
             self.health.mark_failed(self.app_address)
-        if policy.catch_up:
+        if catch_up:
             self._recovering = True
-            self._catch_up_rounds_left = policy.catch_up_rounds
+            self._catch_up_rounds_left = CATCH_UP_ROUNDS
             self._catch_up_wait_budget = 24
         if self.view_provider is not None:
             self._start_periodic_rounds()
         else:
             self.register(protocol)
-        if policy.catch_up:
+        if catch_up:
             self.metrics.counter("gossip.rejoin").inc()
             self.scheduler.call_after(0.0, self._catch_up_round)
 
@@ -1397,12 +1373,11 @@ class GossipEngine:
                 return
             self.scheduler.call_after(self.params.period, self._catch_up_round)
             return
-        policy = self.durability if self.durability is not None else DurabilityPolicy()
         self._catch_up_rounds_left -= 1
         self._recovery_stats.catch_up_rounds += 1
         self.metrics.counter("gossip.catch-up-round").inc()
         targets = self.selector.select(
-            view, policy.catch_up_peers, self.rng, exclude=[self.app_address]
+            view, CATCH_UP_PEERS, self.rng, exclude=[self.app_address]
         )
         # A full ``req`` digest, not a summary: a restarted node knows its
         # store is stale, so stage 1 would only cost a round trip.

@@ -44,7 +44,7 @@ from repro.core.message import (
     scan_gossip_message_id,
     scan_gossip_message_ids,
 )
-from repro.core.overload import OverloadPolicy, TokenBucket, threshold_for
+from repro.core.overload import OverloadPolicy, ShedLatch, TokenBucket
 from repro.core.params import GossipParams
 from repro.core.peers import PeerSelector
 from repro.core.scheduling import Scheduler
@@ -130,7 +130,9 @@ class GossipLayer(Handler):
         # ablation in bench_overload demonstrates.
         self.overload = overload
         self._ingest_bucket: Optional[TokenBucket] = None
-        self._ingest_overloaded = False
+        self._ingest_latch = (
+            ShedLatch(obs.overload, runtime.metrics) if overload is not None else None
+        )
         self._draining = False
         self._drain_scheduled = False
         # Receive-side fast path: drop already-seen gossip messages with a
@@ -214,7 +216,8 @@ class GossipLayer(Handler):
         replayed from durable logs."""
         # Whatever was queued for ingest died with the process.
         self._ingest_queue = ()
-        self._ingest_overloaded = False
+        if self._ingest_latch is not None:
+            self._ingest_latch.overloaded = False
         self._drain_scheduled = False
         self._draining = False
         replayed = 0
@@ -292,19 +295,9 @@ class GossipLayer(Handler):
             return self._preparse_classify(data, source)
         policy = self.overload
         if policy is not None:
-            pressure = self.ingest_pressure()
-            if not self._ingest_overloaded and pressure >= policy.high_watermark:
-                self._ingest_overloaded = True
-                self._overload_stats.pressure_highs += 1
-            elif self._ingest_overloaded and pressure < policy.low_watermark:
-                self._ingest_overloaded = False
-            effective = pressure
-            if self._ingest_overloaded and effective < policy.high_watermark:
-                effective = policy.high_watermark
-            shed_class = self._ingest_class(data)
-            if effective >= threshold_for(policy, shed_class):
-                self._overload_stats.count_shed(shed_class)
-                self.runtime.metrics.counter(f"gossip.shed.{shed_class}").inc()
+            if self._ingest_latch.sheds(
+                self.ingest_pressure(), self._ingest_class(data)
+            ):
                 return False
             if len(self._ingest_queue) >= policy.ingest_capacity:
                 # The bound is absolute: whatever the class, nothing

@@ -5,12 +5,12 @@ a live process; fanout spent on crashed peers is silently wasted and the
 effective infection rate drops below the configured ``f``.  This module
 closes that gap with a lightweight phi-accrual-style detector:
 
-* every failed send adds ``failure_weight`` to the destination's
+* every failed send adds :data:`FAILURE_WEIGHT` to the destination's
   *suspicion score*;
 * the score decays exponentially with half-life ``half_life`` (absence of
   evidence slowly restores trust);
 * any positive evidence -- a successful send, or gossip *received from*
-  the peer -- subtracts ``success_relief`` immediately;
+  the peer -- subtracts :data:`SUCCESS_RELIEF` immediately;
 * the membership detector's verdict (:class:`~repro.wsmembership.engine.
   MembershipEngine` ``on_failure``) pins the score above threshold at
   once (hard evidence beats accrual).
@@ -19,7 +19,7 @@ A peer whose score exceeds ``suspicion_threshold`` is *suspected*.
 Degraded-mode gossip then (a) prefers unsuspected peers when selecting
 targets (:class:`HealthAwareSelector`) and (b) raises the effective
 fanout in proportion to the suspected fraction of the view, capped at
-``boost_cap`` (:meth:`PeerHealth.effective_fanout`) -- so the *expected
+:data:`BOOST_CAP` (:meth:`PeerHealth.effective_fanout`) -- so the *expected
 number of live infections per round* stays close to the configured
 fanout even while a third of the population is down.
 
@@ -44,46 +44,48 @@ from repro.transport.base import (
 )
 
 
+#: Suspicion score added per observed send failure.
+FAILURE_WEIGHT = 1.0
+#: Suspicion score subtracted per positive observation.
+SUCCESS_RELIEF = 1.0
+#: Maximum multiplier applied to the configured fanout when the healthy
+#: pool shrinks (bounds the traffic blow-up).
+BOOST_CAP = 2.0
+#: Transport-level resend attempts per message.
+MAX_RETRIES = 1
+#: Initial backoff before the first retry (seconds).
+RETRY_BACKOFF = 0.05
+#: Seconds an open breaker waits before the half-open probe that tests
+#: recovery.
+BREAKER_RESET = 5.0
+
+
 @dataclass(frozen=True)
 class HealthPolicy(Knobs):
     """Validated knobs of the peer-health layer.
 
     Attributes:
         suspicion_threshold: score above which a peer counts as suspected.
-        failure_weight: score added per observed send failure.
-        success_relief: score subtracted per positive observation.
         half_life: seconds for an untouched score to halve.
-        boost_cap: maximum multiplier applied to the configured fanout
-            when the healthy pool shrinks (bounds the traffic blow-up).
-        max_retries: transport-level resend attempts per message.
-        retry_backoff: initial backoff before the first retry (seconds).
         breaker_threshold: consecutive failures that open a destination's
             circuit breaker.
-        breaker_reset: seconds an open breaker waits before the half-open
-            probe that tests recovery.
     """
 
     suspicion_threshold: float = knob(1.5, gt=0)
-    failure_weight: float = knob(1.0, gt=0)
-    success_relief: float = knob(1.0, ge=0)
     half_life: float = knob(10.0, gt=0)
-    boost_cap: float = knob(2.0, ge=1)
-    max_retries: int = knob(1, ge=0)
-    retry_backoff: float = knob(0.05, gt=0)
     breaker_threshold: int = knob(3, ge=1)
-    breaker_reset: float = knob(5.0, gt=0)
 
     # -- derived transport policies -----------------------------------------
 
     def retry_policy(self) -> RetryPolicy:
         """The transport retry policy this health policy implies."""
-        return RetryPolicy(max_retries=self.max_retries, backoff=self.retry_backoff)
+        return RetryPolicy(max_retries=MAX_RETRIES, backoff=RETRY_BACKOFF)
 
     def breaker_policy(self) -> BreakerPolicy:
         """The per-destination circuit-breaker policy this implies."""
         return BreakerPolicy(
             failure_threshold=self.breaker_threshold,
-            reset_timeout=self.breaker_reset,
+            reset_timeout=BREAKER_RESET,
         )
 
 
@@ -144,18 +146,17 @@ class PeerHealth:
         if outcome.ok:
             self.observe_alive(outcome.destination)
         else:
-            self._add(key_of(outcome.destination), self.policy.failure_weight)
+            self._add(key_of(outcome.destination), FAILURE_WEIGHT)
 
     def observe_alive(self, peer: str) -> None:
         """Positive evidence: a send succeeded or the peer was heard from."""
-        if self.policy.success_relief > 0:
-            self._add(key_of(peer), -self.policy.success_relief)
+        self._add(key_of(peer), -SUCCESS_RELIEF)
 
     def mark_failed(self, peer: str) -> None:
         """Hard verdict from a failure detector: suspect immediately."""
         key = key_of(peer)
         now = self._clock()
-        floor = self.policy.suspicion_threshold + self.policy.failure_weight
+        floor = self.policy.suspicion_threshold + FAILURE_WEIGHT
         score = max(self._decayed(key, now), floor)
         self._scores[key] = (score, now)
         self._reclassify(key, score)
@@ -198,7 +199,7 @@ class PeerHealth:
         With ``s`` of ``n`` view members suspected, scaling fanout by
         ``n / (n - s)`` keeps the expected number of *live* targets per
         round at the configured ``f``; the multiplier is capped at
-        ``boost_cap`` so a mostly-dead view cannot cause a send storm.
+        :data:`BOOST_CAP` so a mostly-dead view cannot cause a send storm.
         """
         if not view:
             return fanout
@@ -207,7 +208,7 @@ class PeerHealth:
             # Nothing to compensate -- or nothing healthy to compensate
             # *with* (the selector will fall back to suspected peers).
             return fanout
-        multiplier = min(self.policy.boost_cap, len(view) / len(healthy))
+        multiplier = min(BOOST_CAP, len(view) / len(healthy))
         boosted = int(round(fanout * multiplier))
         if boosted > fanout:
             self.stats.fanout_boosts += 1

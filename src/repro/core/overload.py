@@ -1,32 +1,31 @@
-"""Overload protection: policy knobs, token buckets, and the shed ladder.
+"""Overload protection: the policy, token buckets, and the shed ladder.
 
 The paper positions WS-Gossip as middleware that must stay scalable "even
 in large-scale settings"; device-scale deployments die not from steady
 load but from bursts that exceed node capacity.  This module holds the
 validated :class:`OverloadPolicy` (opt-in via
 ``GossipConfig(overload=...)``), the deterministic :class:`TokenBucket`
-used by both the edge admission gate and the engine's ingest gate, and
-:class:`OverloadError`, the backpressure signal raised at the hard limit.
+used by both the edge admission gate and the engine's ingest gate,
+:class:`OverloadError`, the backpressure signal raised at the hard limit,
+and :class:`ShedLatch`, the shed ladder both bounded queues run.
 
 The shed-priority ladder (cheapest first -- see docs/RESILIENCE.md,
-"Overload and backpressure"):
+"Overload and backpressure"); :data:`SHED_THRESHOLDS` names the
+*pressure* (queue fill fraction, in ``[0, 1]``) at or above which each
+class is shed:
 
-1. **Digests / duplicate advertisements** (``shed_digest``) -- periodic
-   pull digests and lazy-push ads are re-sent every period; dropping one
-   costs a round of latency, never data.
-2. **Feedback** (``shed_feedback``) -- feedback-style stop signals only
-   modulate redundancy.
-3. **Pull responses** (``shed_pull``) -- the requester re-pulls next
-   period.
+1. **Digests / duplicate advertisements** (0.6) -- periodic pull digests
+   and lazy-push ads are re-sent every period; dropping one costs a round
+   of latency, never data.
+2. **Feedback** (0.75) -- feedback-style stop signals only modulate
+   redundancy.
+3. **Pull responses** (0.9) -- the requester re-pulls next period.
 4. **Eager rumor payloads** -- only at the hard limit (pressure 1.0);
    shedding these costs actual dissemination work, so everything else
    goes first.
 
-Each rung names the *pressure* (queue fill fraction, in ``[0, 1]``) at or
-above which that class is shed; the ladder must be ordered
-``shed_digest <= shed_feedback <= shed_pull <= 1.0``.  Hysteresis: once
-pressure crosses ``high_watermark`` the node counts itself overloaded
-until pressure falls back below ``low_watermark``.
+Hysteresis: once pressure crosses :data:`HIGH_WATERMARK` the node counts
+itself overloaded until pressure falls back below :data:`LOW_WATERMARK`.
 """
 
 from __future__ import annotations
@@ -34,6 +33,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.params import Knobs, ParamError, knob
+
+#: Queue fill fraction at which a node declares itself overloaded
+#: (pressure signal asserted, shedding per the ladder).
+HIGH_WATERMARK = 0.8
+#: Fill fraction pressure must fall below before the overloaded latch
+#: clears (hysteresis: below :data:`HIGH_WATERMARK`).
+LOW_WATERMARK = 0.5
+#: Pressure at which each shed-ladder class is shed, cheapest first
+#: (docs/RESILIENCE.md); eager rumor payloads only at the hard limit.
+SHED_THRESHOLDS = {"digest": 0.6, "feedback": 0.75, "pull": 0.9, "payload": 1.0}
+#: Edge token-bucket refill: accepted ``POST /v1/gossip`` requests per
+#: second, per edge node.
+ADMISSION_RATE = 500.0
+#: Edge token-bucket depth: back-to-back requests absorbed before 429ing.
+ADMISSION_BURST = 64
+#: Seconds advertised in the 429 ``Retry-After`` header (and in
+#: :class:`OverloadError`).
+RETRY_AFTER = 1.0
 
 
 class OverloadError(RuntimeError):
@@ -47,7 +64,7 @@ class OverloadError(RuntimeError):
     """
 
     def __init__(self, reason: str, *, pressure: float = 1.0,
-                 retry_after: float = 1.0) -> None:
+                 retry_after: float = RETRY_AFTER) -> None:
         super().__init__(reason)
         self.reason = reason
         self.pressure = pressure
@@ -64,68 +81,44 @@ class OverloadPolicy(Knobs):
             limit at which even eager rumor payloads are refused.
         ingest_capacity: max undrained frames in the bounded ingest
             queue; arrivals past it are shed by the same ladder.
-        high_watermark: queue fill fraction at which the node declares
-            itself overloaded (pressure signal asserted, shedding per the
-            ladder below).
-        low_watermark: fill fraction pressure must fall below before the
-            overloaded flag clears (hysteresis -- must be < high).
-        shed_digest: pressure at which duplicate advertisements and
-            periodic digests are shed (cheapest rung, shed first).
-        shed_feedback: pressure at which feedback frames are shed.
-        shed_pull: pressure at which pull responses are shed.  The
-            ladder must be ordered ``shed_digest <= shed_feedback <=
-            shed_pull <= 1.0``; eager rumor payloads only shed at 1.0.
-        admission_rate: edge token-bucket refill, accepted
-            ``POST /v1/gossip`` requests per second (per edge node).
-        admission_burst: token-bucket depth -- how many back-to-back
-            requests the edge absorbs before 429ing.
-        retry_after: seconds advertised in the 429 ``Retry-After``
-            header (and in :class:`OverloadError`).
     """
 
     outbox_bound: int = knob(256, ge=1)
     ingest_capacity: int = knob(256, ge=1)
-    high_watermark: float = knob(0.8, gt=0, le=1)
-    low_watermark: float = knob(0.5, gt=0)
-    shed_digest: float = knob(0.6, gt=0, le=1)
-    shed_feedback: float = knob(0.75, gt=0, le=1)
-    shed_pull: float = knob(0.9, gt=0, le=1)
-    admission_rate: float = knob(500.0, gt=0)
-    admission_burst: int = knob(64, ge=1)
-    retry_after: float = knob(1.0, gt=0)
-
-    def _check(self) -> None:
-        if not self.low_watermark < self.high_watermark:
-            raise ParamError(
-                "low_watermark",
-                f"low_watermark must be < high_watermark: "
-                f"{self.low_watermark!r} (high={self.high_watermark!r})",
-            )
-        if not self.shed_digest <= self.shed_feedback <= self.shed_pull:
-            raise ParamError(
-                "shed_feedback"
-                if self.shed_feedback < self.shed_digest
-                else "shed_pull",
-                "shed ladder must be ordered shed_digest <= shed_feedback <= "
-                f"shed_pull: {self.shed_digest!r}, {self.shed_feedback!r}, "
-                f"{self.shed_pull!r}",
-            )
 
 
-#: The shed-ladder classes, cheapest first (docs/RESILIENCE.md).
-SHED_CLASSES = ("digest", "feedback", "pull", "payload")
+class ShedLatch:
+    """The shed ladder of one bounded queue, with its watermark latch.
 
+    :meth:`sheds` latches the queue overloaded when pressure reaches
+    :data:`HIGH_WATERMARK` (counted once in ``pressure_highs``) and holds
+    the effective pressure at the watermark until raw pressure falls back
+    below :data:`LOW_WATERMARK` -- so shedding does not flap at the
+    boundary.  A shed is counted in the overload stats and in the
+    ``gossip.shed.<class>`` counter of ``metrics``.
+    """
 
-def threshold_for(policy: OverloadPolicy, shed_class: str) -> float:
-    """The pressure at which ``shed_class`` traffic is shed under
-    ``policy`` (payloads -- and any unknown class -- only at 1.0)."""
-    if shed_class == "digest":
-        return policy.shed_digest
-    if shed_class == "feedback":
-        return policy.shed_feedback
-    if shed_class == "pull":
-        return policy.shed_pull
-    return 1.0
+    __slots__ = ("overloaded", "_stats", "_metrics")
+
+    def __init__(self, stats, metrics) -> None:
+        self.overloaded = False
+        self._stats = stats
+        self._metrics = metrics
+
+    def sheds(self, pressure: float, shed_class: str) -> bool:
+        """True when ``shed_class`` traffic is dropped at ``pressure``."""
+        if not self.overloaded and pressure >= HIGH_WATERMARK:
+            self.overloaded = True
+            self._stats.pressure_highs += 1
+        elif self.overloaded and pressure < LOW_WATERMARK:
+            self.overloaded = False
+        if self.overloaded and pressure < HIGH_WATERMARK:
+            pressure = HIGH_WATERMARK
+        if pressure >= SHED_THRESHOLDS[shed_class]:
+            self._stats.count_shed(shed_class)
+            self._metrics.counter(f"gossip.shed.{shed_class}").inc()
+            return True
+        return False
 
 
 class TokenBucket:
@@ -140,9 +133,9 @@ class TokenBucket:
 
     def __init__(self, rate: float, burst: float) -> None:
         if rate <= 0:
-            raise ParamError("admission_rate", f"rate must be positive: {rate!r}")
+            raise ParamError("rate", f"rate must be positive: {rate!r}")
         if burst < 1:
-            raise ParamError("admission_burst", f"burst must be >= 1: {burst!r}")
+            raise ParamError("burst", f"burst must be >= 1: {burst!r}")
         self.rate = float(rate)
         self.burst = float(burst)
         self._tokens = float(burst)

@@ -11,7 +11,7 @@ This module adds the operational knobs a deployment needs around them
 validates everything in one place.
 
 :class:`Knobs` is the base every validated knob set -- :class:`GossipParams`
-and the five subsystem policies -- is declared through: fields carry their
+and the four subsystem policies -- is declared through: fields carry their
 bounds (:func:`knob`), and validation, parsing, serialisation, overrides
 and ``GossipConfig`` coercion are derived from those declarations.
 """
@@ -112,7 +112,7 @@ def _caster(hint: Any) -> Callable[[Any], Any]:
 
 
 def _label(owner: type) -> str:
-    """``AdaptivePolicy`` -> ``adaptive policy``, for error messages."""
+    """``OverloadPolicy`` -> ``overload policy``, for error messages."""
     return re.sub(r"(?<!^)(?=[A-Z])", " ", owner.__name__).lower()
 
 

@@ -30,7 +30,7 @@ class ShardedGossipGroup:
     """One WS-Gossip deployment simulated across K worker processes."""
 
     def __init__(self, config: Any) -> None:
-        if config.adaptive is not None:
+        if config.adaptive:
             raise ParamError(
                 "shards",
                 "adaptive control is not supported with shards > 1 (the "
@@ -49,11 +49,9 @@ class ShardedGossipGroup:
             self.plan = ShardPlan(
                 topology_names(config.n_disseminators, config.n_consumers),
                 config.shards,
-                config.shard_map,
             )
         except ValueError as exc:
-            key = "shard_map" if config.shard_map is not None else "shards"
-            raise ParamError(key, str(exc)) from exc
+            raise ParamError("shards", str(exc)) from exc
         latency = config.latency if config.latency is not None else FixedLatency(0.001)
         try:
             self.lookahead = compute_lookahead(latency)

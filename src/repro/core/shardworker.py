@@ -69,7 +69,6 @@ class GossipShardRuntime:
         self.plan = ShardPlan(
             topology_names(config.n_disseminators, config.n_consumers),
             config.shards,
-            config.shard_map,
         )
         local = set(self.plan.members(shard_index))
 
@@ -78,7 +77,6 @@ class GossipShardRuntime:
         self.hub = MetricsHub(
             parent=default_hub(), name=f"gossip-shard-{shard_index}"
         )
-        self.hub.tracer.enabled = config.rumor_tracing
         # The fabric stream is per-shard; every per-node stream is derived
         # from the node's name and stays shard-count independent.
         self.network = Network(

@@ -188,6 +188,10 @@ class MemoryGossipLog(GossipLog):
         )
 
 
+#: Appends between fsyncs under the ``"batch"`` policy.
+FSYNC_EVERY = 64
+
+
 class FileGossipLog(GossipLog):
     """File-backed WAL (``path``) plus snapshot (``path + '.snap'``).
 
@@ -202,7 +206,7 @@ class FileGossipLog(GossipLog):
         self,
         path: str,
         fsync: str = "batch",
-        fsync_every: int = 64,
+        fsync_every: int = FSYNC_EVERY,
         stats: Optional[RecoveryStats] = None,
     ) -> None:
         super().__init__(stats=stats)
@@ -330,6 +334,12 @@ class FileGossipLog(GossipLog):
         return f"FileGossipLog({self.path!r}, fsync={self.fsync!r})"
 
 
+#: Healthy peers contacted per rejoin catch-up round (``k``).
+CATCH_UP_PEERS = 3
+#: Bound on catch-up rounds before eager forwarding resumes regardless.
+CATCH_UP_ROUNDS = 3
+
+
 @dataclass(frozen=True)
 class DurabilityPolicy(Knobs):
     """Validated knobs for the crash-recovery subsystem.
@@ -339,22 +349,15 @@ class DurabilityPolicy(Knobs):
         directory: where file-mode WALs live (required for ``"file"``).
         fsync: WAL durability policy -- ``"always"``, ``"batch"``, or
             ``"never"`` (see :class:`FileGossipLog`).
-        fsync_every: appends between fsyncs under the ``"batch"`` policy.
         snapshot_every: WAL appends between snapshot compactions.
         catch_up: run the rejoin catch-up exchange after a restart.
-        catch_up_peers: healthy peers contacted per catch-up round (``k``).
-        catch_up_rounds: bound on catch-up rounds before eager forwarding
-            resumes regardless.
     """
 
     mode: str = knob("memory", choices=DURABILITY_MODES)
     directory: Optional[str] = None
     fsync: str = knob("batch", choices=FSYNC_POLICIES)
-    fsync_every: int = knob(64, ge=1)
     snapshot_every: int = knob(256, ge=1)
     catch_up: bool = True
-    catch_up_peers: int = knob(3, ge=1)
-    catch_up_rounds: int = knob(3, ge=1)
 
     def _check(self) -> None:
         if self.mode == "file" and not self.directory:
@@ -379,7 +382,6 @@ class DurabilityPolicy(Knobs):
         return FileGossipLog(
             os.path.join(self.directory, f"{slug}.wal"),
             fsync=self.fsync,
-            fsync_every=self.fsync_every,
             stats=stats,
         )
 

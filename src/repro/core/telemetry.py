@@ -17,14 +17,24 @@ from dataclasses import dataclass
 
 from repro.core.params import Knobs, knob
 
-#: Delivery SLO the burn-rate monitor defends when the policy leaves
-#: ``slo_delivery`` at its default -- matches ``AdaptivePolicy.slo_delivery``.
-DEFAULT_SLO_DELIVERY = 0.99
+#: Upper bound on the hop counter a receiver trusts; a sampled frame whose
+#: path exceeds it is counted (``telemetry.path_clamped``) and skipped
+#: rather than polluting the per-hop histogram with a runaway denominator.
+MAX_PATH_LENGTH = 32
+#: Seconds of *negative* end-to-end latency tolerated before a sample is
+#: discarded as clock skew (``telemetry.skew_guarded``).  Small negative
+#: readings inside the guard clamp to zero.
+CLOCK_SKEW_GUARD = 2.0
 
 
 @dataclass(frozen=True)
 class TelemetryPolicy(Knobs):
     """Validated knobs for the live telemetry plane.
+
+    The rollup cadence and the SLO the burn-rate monitor defends are
+    constants of :mod:`repro.core.api` (``SLO_WINDOW``) and
+    :mod:`repro.core.control` (``EPOCH``, ``SLO_DELIVERY``, shared with
+    the adaptive controller so both planes judge the same signal).
 
     Attributes:
         sample_rate: probability that a publication is path-sampled (head
@@ -35,25 +45,6 @@ class TelemetryPolicy(Knobs):
             rate.  The default 0.1 keeps the N=1000 drain overhead under
             the 5% budget ``make bench-telemetry-smoke`` gates; raise it to
             1.0 for full-fidelity runs (small meshes, tests).
-        max_path_length: upper bound on the hop counter a receiver trusts;
-            a sampled frame whose path exceeds it is counted
-            (``telemetry.path_clamped``) and skipped rather than polluting
-            the per-hop histogram with a runaway denominator.
-        clock_skew_guard: seconds of *negative* end-to-end latency tolerated
-            before a sample is discarded as clock skew
-            (``telemetry.skew_guarded``).  Small negative readings inside
-            the guard clamp to zero.
-        epoch: seconds between telemetry rollup ticks (windowed counter
-            rates + SLO burn-rate sampling) when the group runs its own
-            ticker.
-        slo_delivery: delivery-fraction SLO the burn-rate monitor burns
-            against.
-        window: seconds of history the SLO burn-rate window spans.
     """
 
     sample_rate: float = knob(0.1, ge=0, le=1)
-    max_path_length: int = knob(32, ge=1)
-    clock_skew_guard: float = knob(2.0, ge=0)
-    epoch: float = knob(2.0, gt=0)
-    slo_delivery: float = knob(DEFAULT_SLO_DELIVERY, gt=0, lt=1)
-    window: float = knob(30.0, gt=0)

@@ -271,7 +271,7 @@ def render_report(
             )
     else:
         lines.append("")
-        lines.append("no rumors traced (rumor_tracing disabled or nothing published)")
+        lines.append("no rumors traced (nothing published)")
 
     counters = hub.counters()
     wire_rows = [

@@ -151,8 +151,7 @@ class RumorSpan:
 class RumorTracer:
     """Span registry fed by the gossip engines sharing a hub."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._spans: Dict[str, RumorSpan] = {}
 
     def _span(self, message_id: str) -> RumorSpan:
@@ -168,8 +167,6 @@ class RumorTracer:
         self, message_id: str, node: str, time: float, budget: int
     ) -> None:
         """A rumor was minted at ``node`` with ``budget`` hops to spend."""
-        if not self.enabled:
-            return
         span = self._span(message_id)
         span.origin = node
         span.publish_time = time
@@ -180,7 +177,7 @@ class RumorTracer:
         self, message_id: str, node: str, time: float, targets: int
     ) -> None:
         """``node`` fanned the rumor out to ``targets`` peers."""
-        if not self.enabled or targets <= 0:
+        if targets <= 0:
             return
         self._span(message_id).record_forward(time, node, targets)
 
@@ -188,8 +185,6 @@ class RumorTracer:
         self, message_id: str, node: str, time: float, hops_left: int
     ) -> None:
         """First (fresh) arrival of the rumor at ``node``."""
-        if not self.enabled:
-            return
         self._span(message_id).record_delivery(time, node, hops_left)
 
     # -- queries ------------------------------------------------------------
@@ -244,4 +239,4 @@ class RumorTracer:
         self._spans.clear()
 
     def __repr__(self) -> str:
-        return f"RumorTracer(spans={len(self._spans)}, enabled={self.enabled})"
+        return f"RumorTracer(spans={len(self._spans)})"

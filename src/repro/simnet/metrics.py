@@ -453,7 +453,7 @@ class ControlStats(StatGroup):
       boost was clamped at the controller's hard ceiling.
     * ``param_updates`` -- engine parameter objects actually replaced.
     * ``pressure_reliefs`` -- epochs where overload pressure above the
-      policy's ``pressure_high`` made the controller narrow batching and
+      ``control.PRESSURE_HIGH`` made the controller narrow batching and
       fanout (and suppress any boost) instead of amplifying into an
       already-collapsing network.
     """

@@ -42,7 +42,12 @@ from collections import OrderedDict
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.message import scan_gossip_message_id
-from repro.core.overload import TokenBucket
+from repro.core.overload import (
+    ADMISSION_BURST,
+    ADMISSION_RATE,
+    RETRY_AFTER,
+    TokenBucket,
+)
 from repro.simnet.metrics import OverloadStats, WireStats
 
 API_VERSION = "v1"
@@ -105,9 +110,9 @@ class EdgeAdmission:
 
     def __init__(
         self,
-        rate: float = 500.0,
-        burst: float = 64.0,
-        retry_after: float = 1.0,
+        rate: float = ADMISSION_RATE,
+        burst: float = ADMISSION_BURST,
+        retry_after: float = RETRY_AFTER,
         clock=time.monotonic,
     ) -> None:
         self._bucket = TokenBucket(float(rate), float(burst))
@@ -117,16 +122,6 @@ class EdgeAdmission:
         #: Requests admitted / answered 429 (lifetime, for tests and /v1/health).
         self.admitted = 0
         self.rejected = 0
-
-    @classmethod
-    def from_policy(cls, policy, clock=time.monotonic) -> "EdgeAdmission":
-        """Build from an :class:`~repro.core.overload.OverloadPolicy`."""
-        return cls(
-            rate=policy.admission_rate,
-            burst=float(policy.admission_burst),
-            retry_after=policy.retry_after,
-            clock=clock,
-        )
 
     def admit(self) -> Tuple[bool, float]:
         """Gate one request: ``(admitted, retry_after_seconds)``."""

@@ -3,13 +3,20 @@
 import pytest
 
 from repro.core.control import (
+    COOLDOWN_EPOCHS,
+    EPOCH,
+    FANOUT_CEILING,
+    MAX_BATCH_RUMORS,
+    MAX_FANOUT,
+    MAX_ROUNDS,
+    MIN_FANOUT,
+    MIN_ROUNDS,
     AdaptiveController,
-    AdaptivePolicy,
     ControlDecision,
     EpochSignals,
 )
 from repro.core.message import GossipStyle
-from repro.core.params import GossipParams, ParamError
+from repro.core.params import GossipParams
 from repro.obs.hub import MetricsHub
 
 
@@ -40,13 +47,12 @@ class FakeScheduler:
         self.scheduled.append((self.now + delay, callback))
 
 
-def make_controller(policy=None, params=None, engines=None):
+def make_controller(params=None, engines=None):
     hub = MetricsHub(parent=None, name="test")
     params = params if params is not None else GossipParams(fanout=3, rounds=5)
     engines = engines if engines is not None else [FakeEngine(params)]
     controller = AdaptiveController(
         hub,
-        policy,
         population=20,
         engines=lambda: engines,
     )
@@ -63,56 +69,6 @@ def calm_signals(**overrides):
     return EpochSignals(**base)
 
 
-class TestAdaptivePolicy:
-    def test_defaults_validate(self):
-        policy = AdaptivePolicy()
-        assert policy.slo_delivery == 0.99
-        assert policy.fanout_ceiling >= policy.max_fanout
-
-    def test_to_from_value_roundtrip(self):
-        policy = AdaptivePolicy(max_fanout=8, epoch=1.5, escalate=False)
-        assert AdaptivePolicy.from_value(policy.to_value()) == policy
-
-    def test_from_value_partial_overrides_defaults(self):
-        policy = AdaptivePolicy.from_value({"max_fanout": "9"})
-        assert policy.max_fanout == 9
-        assert policy.slo_delivery == AdaptivePolicy().slo_delivery
-
-    def test_from_value_rejects_unknown_key(self):
-        with pytest.raises(ParamError, match="unknown adaptive policy"):
-            AdaptivePolicy.from_value({"fanaut": 4})
-
-    def test_from_value_rejects_non_mapping(self):
-        with pytest.raises(ParamError):
-            AdaptivePolicy.from_value("fast")
-
-    @pytest.mark.parametrize("overrides", [
-        {"slo_delivery": 0.0},
-        {"slo_delivery": 1.5},
-        {"epoch": 0.0},
-        {"min_fanout": 0},
-        {"min_fanout": 8, "max_fanout": 4},
-        {"min_rounds": 0},
-        {"min_rounds": 9, "max_rounds": 4},
-        {"fanout_ceiling": 5},  # below max_fanout default 10
-        {"min_batch_rumors": 0},
-        {"min_batch_rumors": 8, "max_batch_rumors": 4},
-        {"shrink_margin": -0.1},
-        {"suspicion_high": 0.0},
-        {"failure_high": 2.0},
-        {"duplicate_high": 0.0},
-        {"burst_high": 1.0},
-        {"burst_min_publishes": 0},
-        {"cooldown_epochs": -1},
-    ])
-    def test_validation_rejects(self, overrides):
-        with pytest.raises(ParamError):
-            AdaptivePolicy(**overrides)
-
-    def test_with_overrides(self):
-        assert AdaptivePolicy().with_overrides(max_rounds=9).max_rounds == 9
-
-
 class TestDecide:
     def test_slo_breach_boosts_fast(self):
         controller, hub, engines = make_controller()
@@ -123,14 +79,14 @@ class TestDecide:
         assert hub.control.boosts == 1
         assert hub.control.slo_breaches == 1
         assert hub.control.escalations == 1
-        assert controller._cooldown == controller.policy.cooldown_epochs
+        assert controller._cooldown == COOLDOWN_EPOCHS
 
     def test_repeated_breaches_cap_at_maxima(self):
         controller, hub, _ = make_controller()
         for _ in range(10):
             controller._decide(calm_signals(delivery=0.5))
-        assert controller._fanout == controller.policy.max_fanout
-        assert controller._rounds == controller.policy.max_rounds
+        assert controller._fanout == MAX_FANOUT
+        assert controller._rounds == MAX_ROUNDS
 
     def test_guard_stress_escalates_but_keeps_capacity(self):
         controller, hub, _ = make_controller()
@@ -149,7 +105,7 @@ class TestDecide:
         assert "holding capacity" in decision.reasons
         assert decision.fanout == 3
         # ... and the shrink horizon was pushed out again.
-        assert controller._cooldown == controller.policy.cooldown_epochs
+        assert controller._cooldown == COOLDOWN_EPOCHS
 
     def test_burst_widens_batching_only(self):
         controller, hub, _ = make_controller()
@@ -157,7 +113,7 @@ class TestDecide:
             calm_signals(burst=5.0, publish_rate=4.0)
         )
         assert decision.action == "boost"
-        assert decision.max_batch_rumors == controller.policy.max_batch_rumors
+        assert decision.max_batch_rumors == MAX_BATCH_RUMORS
         assert decision.fanout == 3 and decision.rounds == 5
         assert decision.style == "push"
 
@@ -180,49 +136,41 @@ class TestDecide:
         assert decision.style == "push-pull"
 
     def test_cooldown_blocks_shrink_then_releases(self):
-        policy = AdaptivePolicy(cooldown_epochs=2)
-        controller, hub, _ = make_controller(policy)
+        controller, hub, _ = make_controller()
         controller._decide(calm_signals(delivery=0.9))  # boost
-        first = controller._decide(calm_signals())
-        second = controller._decide(calm_signals())
-        third = controller._decide(calm_signals())
-        assert [d.action for d in (first, second, third)] == [
-            "hold", "hold", "shrink"
+        actions = [
+            controller._decide(calm_signals()).action
+            for _ in range(COOLDOWN_EPOCHS + 1)
         ]
-        assert hub.control.cooldown_holds == 2
+        assert actions == ["hold"] * COOLDOWN_EPOCHS + ["shrink"]
+        assert hub.control.cooldown_holds == COOLDOWN_EPOCHS
 
     def test_shrink_order_deescalate_fanout_rounds_batch(self):
-        policy = AdaptivePolicy(cooldown_epochs=0, min_fanout=4,
-                                min_rounds=6, max_batch_rumors=4)
         controller, hub, _ = make_controller(
-            policy, params=GossipParams(fanout=5, rounds=7)
+            params=GossipParams(fanout=5, rounds=7)
         )
         controller._decide(calm_signals(delivery=0.9, burst=4.0,
                                         publish_rate=5.0))
         assert (controller._level, controller._fanout, controller._rounds,
-                controller._batch) == (1, 7, 9, 4)
+                controller._batch) == (1, 7, 9, MAX_BATCH_RUMORS)
+        for _ in range(COOLDOWN_EPOCHS):
+            assert controller._decide(calm_signals()).action == "hold"
+        expected = [(0, 7, 9, 64)]  # de-escalate first
+        expected += [(0, f, 9, 64) for f in range(6, MIN_FANOUT - 1, -1)]
+        expected += [(0, MIN_FANOUT, r, 64) for r in range(8, MIN_ROUNDS - 1, -1)]
+        expected += [(0, MIN_FANOUT, MIN_ROUNDS, b) for b in (32, 16, 8, 4, 2, 1)]
         steps = []
-        for _ in range(8):
+        for _ in expected:
             controller._decide(calm_signals())
             steps.append((controller._level, controller._fanout,
                           controller._rounds, controller._batch))
-        assert steps[0] == (0, 7, 9, 4)   # de-escalate first
-        assert steps[1] == (0, 6, 9, 4)   # then fanout...
-        assert steps[2] == (0, 5, 9, 4)
-        assert steps[3] == (0, 4, 9, 4)
-        assert steps[4] == (0, 4, 8, 4)   # then rounds...
-        assert steps[5] == (0, 4, 7, 4)
-        assert steps[6] == (0, 4, 6, 4)
-        assert steps[7] == (0, 4, 6, 2)   # batching last
+        assert steps == expected  # then fanout, rounds, batching last
+        assert controller._decide(calm_signals()).reasons == ["at floor"]
         assert hub.control.deescalations == 1
 
     def test_hold_at_floor(self):
-        policy = AdaptivePolicy(cooldown_epochs=0)
         controller, hub, _ = make_controller(
-            policy,
-            params=GossipParams(
-                fanout=policy.min_fanout, rounds=policy.min_rounds
-            ),
+            params=GossipParams(fanout=MIN_FANOUT, rounds=MIN_ROUNDS),
         )
         decision = controller._decide(calm_signals())
         assert decision.action == "hold"
@@ -234,13 +182,6 @@ class TestDecide:
         assert decision.action == "hold"
         assert decision.reasons == ["no verdict yet"]
 
-    def test_escalation_disabled_keeps_style(self):
-        policy = AdaptivePolicy(escalate=False)
-        controller, hub, _ = make_controller(policy)
-        decision = controller._decide(calm_signals(delivery=0.9))
-        assert decision.style == "push"
-        assert hub.control.escalations == 0
-
     def test_off_ladder_style_is_not_steered(self):
         controller, hub, _ = make_controller(
             params=GossipParams(style=GossipStyle.ANTI_ENTROPY)
@@ -251,9 +192,8 @@ class TestDecide:
         assert hub.control.escalations == 0
 
     def test_periodic_base_style_never_deescalates_below_base(self):
-        policy = AdaptivePolicy(cooldown_epochs=0)
         controller, hub, _ = make_controller(
-            policy, params=GossipParams(style=GossipStyle.PUSH_PULL,
+            params=GossipParams(style=GossipStyle.PUSH_PULL,
                                         fanout=5, rounds=7)
         )
         for _ in range(6):
@@ -274,7 +214,7 @@ class TestApply:
             max_batch_rumors=controller._batch,
         )
         controller._apply([engine], decision)
-        assert engine.fanout_ceiling == controller.policy.fanout_ceiling
+        assert engine.fanout_ceiling == FANOUT_CEILING
         assert engine.params.fanout == 5
         assert engine.params.rounds == 7
         assert engine.params.style is GossipStyle.PUSH_PULL
@@ -294,14 +234,13 @@ class TestApply:
         engine = FakeEngine(
             GossipParams(fanout=3, rounds=5, peer_sample_size=4)
         )
-        policy = AdaptivePolicy(max_fanout=10)
         controller, _, _ = make_controller(
-            policy, params=engine.params, engines=[engine]
+            params=engine.params, engines=[engine]
         )
         for _ in range(4):
             controller._decide(calm_signals(delivery=0.9))
         controller._apply([engine], None)
-        assert engine.params.fanout == controller.policy.max_fanout
+        assert engine.params.fanout == MAX_FANOUT
         assert engine.params.peer_sample_size >= engine.params.fanout
 
 
@@ -335,12 +274,11 @@ class TestEpochTick:
         engine = FakeEngine(GossipParams())
         hub = MetricsHub(parent=None, name="test")
         controller = AdaptiveController(
-            hub, AdaptivePolicy(epoch=1.5),
-            population=10, engines=lambda: [engine],
+            hub, population=10, engines=lambda: [engine]
         )
         scheduler = FakeScheduler()
         controller.start(scheduler)
-        assert scheduler.scheduled and scheduler.scheduled[0][0] == 1.5
+        assert scheduler.scheduled and scheduler.scheduled[0][0] == EPOCH
 
     def test_stop_halts_ticking(self):
         engine = FakeEngine(GossipParams())

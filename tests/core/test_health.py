@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from repro.core.health import HealthPolicy, PeerHealth, key_of
+from repro.core.health import (
+    BOOST_CAP,
+    BREAKER_RESET,
+    MAX_RETRIES,
+    RETRY_BACKOFF,
+    HealthPolicy,
+    PeerHealth,
+    key_of,
+)
 from repro.core.params import ParamError
 from repro.core.peers import HealthAwareSelector, RoundRobinSelector
 from repro.obs.hub import default_hub
@@ -51,7 +59,7 @@ def test_all_services_of_a_node_share_one_record():
 
 
 def test_failures_accumulate_to_suspicion():
-    health = make_health(suspicion_threshold=1.5, failure_weight=1.0)
+    health = make_health(suspicion_threshold=1.5)  # FAILURE_WEIGHT 1.0
     health.record_outcome(SendOutcome("sim://a/app", ok=False, error="x"))
     assert not health.is_suspected("sim://a/app")
     health.record_outcome(SendOutcome("sim://a/app", ok=False, error="x"))
@@ -71,7 +79,7 @@ def test_score_decays_with_half_life():
 
 
 def test_success_relieves_suspicion_and_restores():
-    health = make_health(suspicion_threshold=1.5, success_relief=1.0)
+    health = make_health(suspicion_threshold=1.5)  # SUCCESS_RELIEF 1.0
     for _ in range(3):
         health.record_outcome(SendOutcome("sim://a/app", ok=False, error="x"))
     assert health.is_suspected("sim://a/app")
@@ -114,21 +122,21 @@ def test_forget_drops_all_state():
 
 
 def test_effective_fanout_compensates_for_suspects():
-    health = make_health(boost_cap=3.0)
+    health = make_health()
     view = [f"sim://n{i}/app" for i in range(10)]
     for peer in view[:5]:
         health.mark_failed(peer)
-    # 5 of 10 suspected: multiplier 10/5 = 2.
+    # 5 of 10 suspected: multiplier 10/5 = 2 (at BOOST_CAP, not past it).
     assert health.effective_fanout(4, view) == 8
     assert HEALTH_STATS.fanout_boosts == 1
 
 
 def test_effective_fanout_is_capped():
-    health = make_health(boost_cap=2.0)
+    health = make_health()
     view = [f"sim://n{i}/app" for i in range(10)]
     for peer in view[:9]:
         health.mark_failed(peer)
-    assert health.effective_fanout(4, view) == 8  # not 40
+    assert health.effective_fanout(4, view) == 4 * BOOST_CAP  # not 40
 
 
 def test_effective_fanout_unchanged_when_all_healthy_or_all_dead():
@@ -184,15 +192,12 @@ def test_policy_validation_names_the_key():
         HealthPolicy(half_life=0.0)
     assert exc.value.key == "half_life"
     with pytest.raises(ParamError) as exc:
-        HealthPolicy(boost_cap=0.5)
-    assert exc.value.key == "boost_cap"
-    with pytest.raises(ParamError) as exc:
         HealthPolicy(breaker_threshold=0)
     assert exc.value.key == "breaker_threshold"
 
 
 def test_policy_from_value_roundtrip_and_unknown_key():
-    policy = HealthPolicy(max_retries=2, breaker_reset=3.0)
+    policy = HealthPolicy(half_life=3.0, breaker_threshold=2)
     assert HealthPolicy.from_value(policy.to_value()) == policy
     with pytest.raises(ParamError) as exc:
         HealthPolicy.from_value({"no_such_knob": 1})
@@ -200,11 +205,10 @@ def test_policy_from_value_roundtrip_and_unknown_key():
 
 
 def test_policy_derives_transport_policies():
-    policy = HealthPolicy(max_retries=4, retry_backoff=0.2,
-                          breaker_threshold=5, breaker_reset=9.0)
+    policy = HealthPolicy(breaker_threshold=5)
     retry = policy.retry_policy()
-    assert retry.max_retries == 4
-    assert retry.backoff == 0.2
+    assert retry.max_retries == MAX_RETRIES
+    assert retry.backoff == RETRY_BACKOFF
     breaker = policy.breaker_policy()
     assert breaker.failure_threshold == 5
-    assert breaker.reset_timeout == 9.0
+    assert breaker.reset_timeout == BREAKER_RESET

@@ -1,9 +1,10 @@
 """The one knob spec: every knob set declared through ``Knobs`` behaves alike.
 
-One table over the six classes (``GossipParams`` and the five subsystem
+One table over the five classes (``GossipParams`` and the four subsystem
 policies): round trip, unknown keys, bounds (NaN included), strict casts,
-and the ``GossipConfig`` coercion of the five subsystem fields.  The
-per-class test modules keep the cases particular to one class.
+the ``GossipConfig`` coercion of the four policy fields, and the keys
+4.0.0 turned into module constants.  The per-class test modules keep the
+cases particular to one class.
 """
 
 import enum
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core import api, control, health, overload, store, telemetry
 from repro.core.api import GossipConfig
-from repro.core.control import AdaptivePolicy
 from repro.core.health import HealthPolicy
 from repro.core.overload import OverloadPolicy
 from repro.core.params import GossipParams, ParamError
@@ -25,7 +26,6 @@ from repro.core.telemetry import TelemetryPolicy
 SUBSYSTEMS = [
     ("health", HealthPolicy),
     ("durability", DurabilityPolicy),
-    ("adaptive", AdaptivePolicy),
     ("overload", OverloadPolicy),
     ("telemetry", TelemetryPolicy),
 ]
@@ -33,7 +33,6 @@ CLASSES = [GossipParams] + [cls for _, cls in SUBSYSTEMS]
 BOOL_FIELDS = [
     (GossipParams, "ordered"),
     (DurabilityPolicy, "catch_up"),
-    (AdaptivePolicy, "escalate"),
 ]
 
 
@@ -121,31 +120,11 @@ OUT_OF_RANGE = {
         "max_batch_bytes": 1023,
     },
     HealthPolicy: {
-        "suspicion_threshold": 0.0, "failure_weight": 0.0,
-        "success_relief": -1.0, "half_life": 0.0, "boost_cap": 0.5,
-        "max_retries": -1, "retry_backoff": 0.0, "breaker_threshold": 0,
-        "breaker_reset": 0.0,
+        "suspicion_threshold": 0.0, "half_life": 0.0, "breaker_threshold": 0,
     },
-    DurabilityPolicy: {
-        "mode": "tape", "fsync": "sometimes", "fsync_every": 0,
-        "snapshot_every": 0, "catch_up_peers": 0, "catch_up_rounds": 0,
-    },
-    OverloadPolicy: {
-        "outbox_bound": 0, "ingest_capacity": 0, "high_watermark": 1.5,
-        "low_watermark": 0.0, "shed_digest": 0.0, "shed_feedback": 1.5,
-        "shed_pull": 1.5, "admission_rate": 0.0, "admission_burst": 0,
-        "retry_after": 0.0,
-    },
-    AdaptivePolicy: {
-        "slo_delivery": 1.5, "epoch": 0.0, "min_fanout": 0, "min_rounds": 0,
-        "min_batch_rumors": 0, "shrink_margin": -0.1, "suspicion_high": 0.0,
-        "failure_high": 2.0, "duplicate_high": 0.0, "burst_high": 1.0,
-        "burst_min_publishes": 0, "cooldown_epochs": -1, "pressure_high": 0.0,
-    },
-    TelemetryPolicy: {
-        "sample_rate": 1.5, "max_path_length": 0, "clock_skew_guard": -1.0,
-        "epoch": 0.0, "slo_delivery": 1.0, "window": 0.0,
-    },
+    DurabilityPolicy: {"mode": "tape", "fsync": "sometimes", "snapshot_every": 0},
+    OverloadPolicy: {"outbox_bound": 0, "ingest_capacity": 0},
+    TelemetryPolicy: {"sample_rate": 1.5},
 }
 
 
@@ -215,3 +194,97 @@ def test_config_coerces_each_subsystem_field_alike(name, cls):
         with pytest.raises(ParamError) as excinfo:
             coerced(value)
         assert excinfo.value.key == key
+
+
+# -- keys removed in 4.0.0 ----------------------------------------------------
+
+#: Every setting 4.0.0 turned into a module constant: (the config field that
+#: took it -- ``None`` for a ``GossipConfig`` keyword --, key, the default it
+#: had, the constant now in force -- ``None`` where the behaviour is fixed).
+REMOVED = [
+    ("adaptive", "slo_delivery", 0.99, control.SLO_DELIVERY),
+    ("adaptive", "epoch", 2.0, control.EPOCH),
+    ("adaptive", "min_fanout", 2, control.MIN_FANOUT),
+    ("adaptive", "max_fanout", 10, control.MAX_FANOUT),
+    ("adaptive", "min_rounds", 3, control.MIN_ROUNDS),
+    ("adaptive", "max_rounds", 12, control.MAX_ROUNDS),
+    ("adaptive", "fanout_ceiling", 12, control.FANOUT_CEILING),
+    ("adaptive", "escalate", True, None),
+    ("adaptive", "min_batch_rumors", 1, control.MIN_BATCH_RUMORS),
+    ("adaptive", "max_batch_rumors", 64, control.MAX_BATCH_RUMORS),
+    ("adaptive", "shrink_margin", 0.005, control.SHRINK_MARGIN),
+    ("adaptive", "suspicion_high", 0.10, control.SUSPICION_HIGH),
+    ("adaptive", "failure_high", 0.02, control.FAILURE_HIGH),
+    ("adaptive", "duplicate_high", 1.5, control.DUPLICATE_HIGH),
+    ("adaptive", "burst_high", 3.0, control.BURST_HIGH),
+    ("adaptive", "burst_min_publishes", 4, control.BURST_MIN_PUBLISHES),
+    ("adaptive", "cooldown_epochs", 3, control.COOLDOWN_EPOCHS),
+    ("adaptive", "pressure_high", 0.8, control.PRESSURE_HIGH),
+    ("overload", "high_watermark", 0.8, overload.HIGH_WATERMARK),
+    ("overload", "low_watermark", 0.5, overload.LOW_WATERMARK),
+    ("overload", "shed_digest", 0.6, overload.SHED_THRESHOLDS["digest"]),
+    ("overload", "shed_feedback", 0.75, overload.SHED_THRESHOLDS["feedback"]),
+    ("overload", "shed_pull", 0.9, overload.SHED_THRESHOLDS["pull"]),
+    ("overload", "admission_rate", 500.0, overload.ADMISSION_RATE),
+    ("overload", "admission_burst", 64, overload.ADMISSION_BURST),
+    ("overload", "retry_after", 1.0, overload.RETRY_AFTER),
+    ("health", "failure_weight", 1.0, health.FAILURE_WEIGHT),
+    ("health", "success_relief", 1.0, health.SUCCESS_RELIEF),
+    ("health", "boost_cap", 2.0, health.BOOST_CAP),
+    ("health", "max_retries", 1, health.MAX_RETRIES),
+    ("health", "retry_backoff", 0.05, health.RETRY_BACKOFF),
+    ("health", "breaker_reset", 5.0, health.BREAKER_RESET),
+    ("telemetry", "max_path_length", 32, telemetry.MAX_PATH_LENGTH),
+    ("telemetry", "clock_skew_guard", 2.0, telemetry.CLOCK_SKEW_GUARD),
+    ("telemetry", "epoch", 2.0, control.EPOCH),
+    ("telemetry", "slo_delivery", 0.99, control.SLO_DELIVERY),
+    ("telemetry", "window", 30.0, api.SLO_WINDOW),
+    ("durability", "fsync_every", 64, store.FSYNC_EVERY),
+    ("durability", "catch_up_peers", 3, store.CATCH_UP_PEERS),
+    ("durability", "catch_up_rounds", 3, store.CATCH_UP_ROUNDS),
+    (None, "rumor_tracing", True, None),  # always on
+    (None, "shard_map", None, None),  # the stable hash partition only
+]
+
+
+def test_42_settings_were_removed():
+    assert len(REMOVED) == len({(field, key) for field, key, _, _ in REMOVED}) == 42
+
+
+@pytest.mark.parametrize("field, key, default, constant", [
+    pytest.param(*entry, id=f"{entry[0] or 'config'}.{entry[1]}") for entry in REMOVED
+])
+def test_removed_key_raises_param_error_naming_it(field, key, default, constant):
+    """The old default, passed where the key used to go, is refused by
+    name; the constant that replaced it keeps that default."""
+    if constant is not None:
+        assert constant == default
+    with pytest.raises(ParamError) as excinfo:
+        if field is None:
+            GossipConfig(**{key: default})
+        else:
+            GossipConfig(**{field: {key: default}})
+    assert excinfo.value.key == key
+    if field == "adaptive":
+        assert "adaptive=True" in str(excinfo.value)
+        return
+    with pytest.raises(ParamError) as excinfo:
+        if field is None:
+            GossipConfig().with_overrides(**{key: default})
+        else:
+            dict(SUBSYSTEMS)[field]().with_overrides(**{key: default})
+    assert excinfo.value.key == key
+
+
+def test_adaptive_is_a_bool():
+    assert GossipConfig().adaptive is False
+    assert GossipConfig(adaptive=None).adaptive is False
+    assert GossipConfig(adaptive=True).adaptive is True
+    with pytest.raises(ParamError) as excinfo:
+        GossipConfig(adaptive={"epoch": 2.0})
+    assert excinfo.value.key == "epoch"
+    assert "adaptive=True" in str(excinfo.value)
+    for value in ({}, 1, "yes"):
+        with pytest.raises(ParamError) as excinfo:
+            GossipConfig(adaptive=value)
+        assert excinfo.value.key == "adaptive"

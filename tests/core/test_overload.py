@@ -3,20 +3,25 @@
 The scenario-level behaviour (bounded queues, shedding vs collapse,
 controller composition) is gated by ``tests/integration/test_overload.py``
 and ``make test-overload``; this file pins down the policy objects, the
-``GossipConfig`` opt-in coercion, the shed ladder's classification, the
-slow-consumer fault's determinism, and the observability plumbing.
+``GossipConfig`` opt-in coercion, the shed ladder and its watermark
+latch, the slow-consumer fault's determinism, and the observability
+plumbing.
 """
 
 import random
+from collections import deque
 
 import pytest
 
 from repro import GossipConfig
+from repro.core.engine import ADVERTISE_ACTION
 from repro.core.overload import (
-    SHED_CLASSES,
+    HIGH_WATERMARK,
+    LOW_WATERMARK,
+    SHED_THRESHOLDS,
     OverloadError,
     OverloadPolicy,
-    threshold_for,
+    ShedLatch,
 )
 from repro.core.params import ParamError
 from repro.simnet.faults import FaultPlan
@@ -27,26 +32,12 @@ from repro.simnet.faults import FaultPlan
 
 class TestOverloadPolicy:
     def test_defaults_are_valid_and_ordered(self):
-        policy = OverloadPolicy()
-        assert policy.low_watermark < policy.high_watermark
-        assert (
-            policy.shed_digest <= policy.shed_feedback
-            <= policy.shed_pull <= 1.0
-        )
+        assert OverloadPolicy() == OverloadPolicy(outbox_bound=256, ingest_capacity=256)
+        assert 0 < LOW_WATERMARK < HIGH_WATERMARK <= 1.0
 
     @pytest.mark.parametrize("overrides,field", [
         ({"outbox_bound": 0}, "outbox_bound"),
         ({"ingest_capacity": 0}, "ingest_capacity"),
-        ({"high_watermark": 1.5}, "high_watermark"),
-        ({"high_watermark": 0.0}, "high_watermark"),
-        ({"low_watermark": 0.9}, "low_watermark"),  # >= high
-        ({"low_watermark": 0.0}, "low_watermark"),
-        ({"shed_digest": 0.0}, "shed_digest"),
-        ({"shed_feedback": 0.5}, "shed_feedback"),  # < shed_digest
-        ({"shed_pull": 0.7}, "shed_pull"),          # < shed_feedback
-        ({"admission_rate": 0.0}, "admission_rate"),
-        ({"admission_burst": 0}, "admission_burst"),
-        ({"retry_after": 0.0}, "retry_after"),
     ])
     def test_validation_names_the_offending_field(self, overrides, field):
         with pytest.raises(ParamError) as excinfo:
@@ -54,8 +45,7 @@ class TestOverloadPolicy:
         assert excinfo.value.key == field
 
     def test_value_roundtrip(self):
-        policy = OverloadPolicy(outbox_bound=64, shed_digest=0.5,
-                                admission_rate=50.0)
+        policy = OverloadPolicy(outbox_bound=64, ingest_capacity=32)
         assert OverloadPolicy.from_value(policy.to_value()) == policy
 
     def test_from_value_rejects_unknown_keys(self):
@@ -69,14 +59,70 @@ class TestOverloadPolicy:
         assert policy.outbox_bound == OverloadPolicy().outbox_bound
 
     def test_with_overrides(self):
-        assert OverloadPolicy().with_overrides(retry_after=2.0).retry_after == 2.0
+        assert OverloadPolicy().with_overrides(outbox_bound=9).outbox_bound == 9
 
     def test_threshold_ladder(self):
-        policy = OverloadPolicy()
-        thresholds = [threshold_for(policy, cls) for cls in SHED_CLASSES]
+        assert list(SHED_THRESHOLDS) == ["digest", "feedback", "pull", "payload"]
+        thresholds = list(SHED_THRESHOLDS.values())
         assert thresholds == sorted(thresholds)
-        assert threshold_for(policy, "payload") == 1.0
-        assert threshold_for(policy, "unknown-class") == 1.0
+        assert SHED_THRESHOLDS["payload"] == 1.0
+
+
+# -- the shed-ladder latch, as both bounded queues run it --------------------
+
+
+def engine_digest_gate(group):
+    """Drive the engine's send-side ladder: pressure from its provider."""
+    engine = group.initiator.gossip_layer.engines()[0]
+    assert isinstance(engine._shed_latch, ShedLatch)
+    level = [0.0]
+    engine._pressure_provider = lambda: level[0]
+
+    def step(pressure):
+        level[0] = pressure
+        return engine._shed("digest")
+
+    return step, engine._shed_latch
+
+
+def handler_digest_gate(group):
+    """Drive the layer's ingest gate: pressure is the queue's fill."""
+    layer = group.initiator.gossip_layer
+    assert isinstance(layer._ingest_latch, ShedLatch)
+    capacity = group.config.overload.ingest_capacity
+
+    def step(pressure):
+        layer._ingest_queue = deque([(b"", None)] * round(pressure * capacity))
+        before = group.hub.overload.shed_digests
+        layer._ingest_gate(ADVERTISE_ACTION.encode(), None)  # a digest frame
+        return group.hub.overload.shed_digests > before
+
+    return step, layer._ingest_latch
+
+
+@pytest.mark.parametrize("gate", [engine_digest_gate, handler_digest_gate],
+                         ids=["engine", "handler"])
+def test_shed_latch_rises_holds_and_clears(gate):
+    """Below the digest rung nothing sheds; crossing the high watermark
+    latches; between the watermarks the latch holds pressure at the high
+    mark (digests still shed); below the low watermark it clears."""
+    group = GossipConfig(n_disseminators=3, seed=5, auto_tune=False,
+                         overload={"ingest_capacity": 20}).build()
+    group.setup(settle=1.0, eager_join=True)
+    step, latch = gate(group)
+    highs = group.hub.overload.pressure_highs
+    sequence = [
+        (0.55, False, False),  # under the digest rung, unlatched
+        (0.85, True, True),    # rise: latched, shed
+        (0.55, True, True),    # hold between the watermarks: still shed
+        (0.45, False, False),  # clear below the low watermark
+        (0.55, False, False),  # and stays clear
+    ]
+    for pressure, shed, latched in sequence:
+        assert step(pressure) is shed, pressure
+        assert latch.overloaded is latched, pressure
+    assert group.hub.overload.pressure_highs == highs + 1
+    assert group.message_counts()["gossip.shed.digest"] == 2
 
 
 # -- GossipConfig opt-in -----------------------------------------------------

@@ -237,8 +237,8 @@ class TestConfigSurface:
         assert config.durability == DurabilityPolicy()
 
     def test_dict_is_parsed(self):
-        config = GossipConfig(durability={"catch_up_peers": 5})
-        assert config.durability.catch_up_peers == 5
+        config = GossipConfig(durability={"snapshot_every": 5})
+        assert config.durability.snapshot_every == 5
 
     def test_bad_value_raises_param_error(self):
         with pytest.raises(ParamError) as excinfo:

@@ -272,10 +272,7 @@ class TestDurabilityPolicy:
             ({"mode": "tape"}, "mode"),
             ({"mode": "file"}, "directory"),
             ({"fsync": "sometimes"}, "fsync"),
-            ({"fsync_every": 0}, "fsync_every"),
             ({"snapshot_every": 0}, "snapshot_every"),
-            ({"catch_up_peers": 0}, "catch_up_peers"),
-            ({"catch_up_rounds": 0}, "catch_up_rounds"),
         ],
     )
     def test_validation_names_the_key(self, overrides, key):
@@ -290,7 +287,7 @@ class TestDurabilityPolicy:
 
     def test_from_value_to_value_roundtrip(self):
         policy = DurabilityPolicy.from_value(
-            {"snapshot_every": 32, "catch_up_peers": 5}
+            {"snapshot_every": 32, "catch_up": False}
         )
         assert policy.snapshot_every == 32
         assert DurabilityPolicy.from_value(policy.to_value()) == policy

@@ -8,13 +8,14 @@ Three claims are locked in here:
   traffic than the cheapest static configuration that also holds it
   (group size via ``REPRO_ADAPTIVE_N``, default 120; the make target
   runs the full N=500);
-* the controller's ``fanout_ceiling`` really is the outer bound: the
+* the controller's ``FANOUT_CEILING`` really is the outer bound: the
   health layer's degraded-mode boost and the controller's own boost can
   never compound past it;
-* attaching a controller whose policy pins every knob at the configured
-  static values reproduces the ``adaptive=None`` run *byte for byte* on
-  the serialized network trace -- observation is free, and disabling
-  ``adaptive`` is exactly the static-knob behavior.
+* a controller that never moves a knob (a push-pull group already at
+  the controller's floor, holding the SLO) reproduces the
+  ``adaptive=False`` run *byte for byte* on the serialized network
+  trace -- observation is free, and disabling ``adaptive`` is exactly
+  the static-knob behavior.
 """
 
 import io
@@ -23,6 +24,7 @@ import os
 import pytest
 
 from repro import GossipConfig
+from repro.core.control import FANOUT_CEILING, MIN_FANOUT, MIN_ROUNDS
 from repro.core.engine import GossipEngine
 from repro.simnet.faults import FaultPlan
 from repro.simnet.traceio import dump_jsonl
@@ -53,7 +55,7 @@ def run_perturbed(n_nodes, adaptive, static_fanout=4, static_rounds=6,
         params=params,
         auto_tune=False,
         health=True,
-        adaptive={"epoch": 2.0} if adaptive else None,
+        adaptive=adaptive,
     )
     group = config.build()
     group.setup(settle=1.5, eager_join=True)
@@ -129,8 +131,7 @@ def test_adaptive_holds_slo_under_perturbation_cheaper_than_static():
 
 def test_controller_and_health_boost_never_pass_ceiling(monkeypatch):
     """The adaptive boost and the health layer's degraded-mode fanout
-    boost compound, but never past ``AdaptivePolicy.fanout_ceiling``."""
-    ceiling = 6
+    boost compound, but never past ``FANOUT_CEILING``."""
     fanouts = []
     original = GossipEngine._select_targets
 
@@ -145,13 +146,13 @@ def test_controller_and_health_boost_never_pass_ceiling(monkeypatch):
     config = GossipConfig(
         n_disseminators=29,
         seed=3,
-        params={"style": "push", "fanout": 4, "rounds": 5, "period": 0.5},
+        # A view wider than the ceiling, so only the ceiling can be the
+        # reason no round selects more targets than it.
+        params={"style": "push", "fanout": 4, "rounds": 5, "period": 0.5,
+                "peer_sample_size": 24},
         auto_tune=False,
-        # Generous health boost, tight controller ceiling: only the
-        # ceiling can be the reason nothing exceeds it.
-        health={"boost_cap": 3.0},
-        adaptive={"max_fanout": ceiling, "fanout_ceiling": ceiling,
-                  "epoch": 1.0, "cooldown_epochs": 1},
+        health=True,
+        adaptive=True,
     )
     group = config.build()
     group.setup(settle=1.5, eager_join=True)
@@ -164,31 +165,27 @@ def test_controller_and_health_boost_never_pass_ceiling(monkeypatch):
     group.run_for(8.0)
 
     assert fanouts, "no instrumented sends observed"
-    assert max(fanouts) <= ceiling
+    assert max(fanouts) <= FANOUT_CEILING
     # The scenario actually pushed against the bound, so the clamp (not
     # mild conditions) is what kept the fanout at or below the ceiling.
-    stressed = group.hub.control.boosts + group.hub.health.fanout_boosts
-    assert stressed > 0
+    assert group.hub.control.boosts > 0
+    assert group.hub.health.fanout_boosts > 0
+    assert group.hub.control.ceiling_clamps > 0
 
 
 def reference_run(adaptive):
-    """A fixed-seed run with either no controller or a knob-pinning one."""
-    params = {"style": "push", "fanout": 3, "rounds": 5, "period": 0.5}
-    neutral = {
-        "min_fanout": 3, "max_fanout": 3,
-        "min_rounds": 5, "max_rounds": 5,
-        "fanout_ceiling": 3,
-        "min_batch_rumors": 1, "max_batch_rumors": 1,
-        "escalate": False,
-        "epoch": 2.0,
-    }
+    """A fixed-seed run with or without a controller.  Push-pull at the
+    controller's floor holds the SLO on a calm network, so a controller
+    has nothing to boost and nothing to give back."""
+    params = {"style": "push-pull", "fanout": MIN_FANOUT,
+              "rounds": MIN_ROUNDS, "period": 0.5}
     config = GossipConfig(
         n_disseminators=11,
         seed=42,
         params=params,
         auto_tune=False,
         trace=True,
-        adaptive=neutral if adaptive else None,
+        adaptive=adaptive,
     )
     group = config.build()
     group.setup(settle=1.5)
@@ -202,10 +199,10 @@ def reference_run(adaptive):
 
 
 def test_neutral_controller_reproduces_static_run_byte_for_byte():
-    """With every knob pinned at the static values, the controller only
-    *observes* -- and observation must not perturb the simulation.  This
-    is also the proof that ``adaptive=None`` is exactly the old
-    static-knob behavior: both runs serialize to the identical trace."""
+    """With nothing to change, the controller only *observes* -- and
+    observation must not perturb the simulation.  This is also the proof
+    that ``adaptive=False`` is exactly the static-knob behavior: both runs
+    serialize to the identical trace."""
     plain_group, plain_trace = reference_run(adaptive=False)
     steered_group, steered_trace = reference_run(adaptive=True)
     assert plain_trace == steered_trace

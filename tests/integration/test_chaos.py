@@ -34,13 +34,11 @@ HEALTH_STATS = default_hub().health
 
 # One observed failure is enough to suspect, and a crash-length half-life
 # keeps warmup-learned suspicions alive through the measured publish;
-# breakers probe again after 5 s.
+# breakers open after two failures (and probe again after BREAKER_RESET).
 HEALTH_POLICY = {
     "suspicion_threshold": 0.9,
     "half_life": 60.0,
-    "max_retries": 1,
     "breaker_threshold": 2,
-    "breaker_reset": 5.0,
 }
 
 

@@ -16,7 +16,7 @@ show the collapse the subsystem prevents: unbounded queue growth and
 degraded delivery.  Group size scales with ``REPRO_OVERLOAD_N`` (default
 60; the make target runs 500).
 
-The composition test drives ``adaptive=...`` and ``overload=...``
+The composition test drives ``adaptive=True`` and ``overload=...``
 together: the controller must read the pressure signal and *narrow*
 (pressure-relief shrinks batching/fanout) instead of boosting into the
 collapsing network -- the two subsystems cooperate, they do not fight.
@@ -30,6 +30,7 @@ import os
 import pytest
 
 from repro import GossipConfig
+from repro.core.control import PRESSURE_HIGH
 from repro.core.overload import OverloadError
 from repro.simnet.faults import FaultPlan
 
@@ -64,7 +65,7 @@ def group_size() -> int:
     return int(os.environ.get("REPRO_OVERLOAD_N", "60"))
 
 
-def run_overloaded(n_nodes, overload, adaptive=None, seed=SEED):
+def run_overloaded(n_nodes, overload, adaptive=False, seed=SEED):
     """Throttle every disseminator, publish at ~3x capacity, settle.
 
     Returns ``(published_gossip_ids, rejected_count, group)``.
@@ -178,14 +179,14 @@ def test_publisher_backpressure_at_hard_limit():
 
 
 def test_controller_reacts_to_pressure_without_fighting_the_shedder():
-    """``adaptive=...`` + ``overload=...`` compose: the controller sees the
+    """``adaptive=True`` + ``overload=...`` compose: the controller sees the
     pressure signal, takes the pressure-relief path (narrowing batch and
     fanout), and never boosts while pressure is at or above its
-    ``pressure_high`` threshold."""
+    ``PRESSURE_HIGH`` threshold."""
     published, _, group = run_overloaded(
         40,
         overload=dict(OVERLOAD),
-        adaptive={"epoch": 2.0},
+        adaptive=True,
     )
     control = group.hub.control
     assert control.pressure_reliefs > 0, (
@@ -193,7 +194,7 @@ def test_controller_reacts_to_pressure_without_fighting_the_shedder():
     )
     pressured = [
         decision for decision in group.hub.decisions
-        if decision.signals.pressure >= 0.8
+        if decision.signals.pressure >= PRESSURE_HIGH
     ]
     assert pressured, "no decision epoch observed overload pressure"
     for decision in pressured:

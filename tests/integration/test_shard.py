@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.api import GossipConfig
 from repro.core.params import ParamError
-from repro.core.shardworker import topology_names
 
 CONTRACT = dict(
     n_disseminators=39,
@@ -69,11 +68,6 @@ class TestShardedDelivery:
         )
         assert _delivered_sets(11, 2) == reference
 
-    def test_explicit_partition_map_round_trips(self):
-        names = topology_names(CONTRACT["n_disseminators"], 0)
-        shard_map = {name: index % 2 for index, name in enumerate(names)}
-        assert _delivered_sets(11, 2, shard_map=shard_map) == _delivered_sets(11, 1)
-
 
 class TestShardedDeterminism:
     def _digests(self, seed=11, shards=2):
@@ -108,14 +102,6 @@ class TestShardParamErrors:
     def test_shards_bool_rejected(self):
         with pytest.raises(ParamError, match="shards"):
             GossipConfig(n_disseminators=10, shards=True)
-
-    def test_partition_map_omitting_nodes_names_the_key(self):
-        shard_map = {"coordinator": 0, "initiator": 1}  # omits d*/c*
-        with pytest.raises(ParamError, match="omits") as excinfo:
-            GossipConfig(
-                n_disseminators=10, shards=2, shard_map=shard_map
-            ).build()
-        assert excinfo.value.key == "shard_map"
 
     @pytest.mark.parametrize("subsystem", ["adaptive", "telemetry"])
     def test_adaptive_with_shards_rejected(self, subsystem):

@@ -94,25 +94,23 @@ def test_burn_rate_alert_fires_under_loss_and_clears_after_heal():
     group = GossipConfig(
         n_disseminators=n - 1,
         seed=5,
-        # Lean fanout/rounds: enough redundancy to hold the SLO on a calm
-        # network, not enough to shrug off the loss ramp below (epidemic
-        # push at fanout 6 / rounds 8 survives even 95% loss).
-        params={"style": "push", "fanout": 5, "rounds": 6, "period": 0.5},
+        # Enough redundancy to deliver every rumor on a calm network (so
+        # the healed tail burns nothing), not enough to shrug off the loss
+        # ramp below: push dies out once loss eats most of the fanout.
+        params={"style": "push", "fanout": 6, "rounds": 8, "period": 0.5},
         auto_tune=False,
-        telemetry={
-            "sample_rate": 1.0,
-            "epoch": 1.0,
-            "window": 8.0,
-            "slo_delivery": 0.99,
-        },
+        telemetry={"sample_rate": 1.0},
     ).build()
     group.setup()
     assert group.burn_monitor is not None
 
+    # The burn-rate window spans SLO_WINDOW (30 s): the ramp and the
+    # healed tail each last about as long.
     plan = FaultPlan(group.network)
-    ramp_start, heal_at, end = 10.0, 30.0, 60.0
+    ramp_start, heal_at, end = 10.0, 40.0, 90.0
     plan.loss_ramp_at(ramp_start, 0.5, 0.92, heal_at - ramp_start)
     plan.loss_at(heal_at, 0.0)
+    plan.apply()
 
     # Steady publish load so the SLO window always has fresh spans to judge.
     while group.sim.now < end:

@@ -77,13 +77,6 @@ def test_tracer_percentile_empty_raises():
         tracer.rounds_percentile(0.5)
 
 
-def test_disabled_tracer_records_nothing():
-    tracer = RumorTracer(enabled=False)
-    tracer.on_publish("m", "o", 0.0, budget=3)
-    tracer.on_deliver("m", "a", 0.1, hops_left=2)
-    assert len(tracer) == 0
-
-
 def test_reset_drops_spans():
     tracer, _ = make_traced_span()
     tracer.reset()
@@ -111,13 +104,3 @@ def test_engine_emits_spans_through_batched_wire_path():
     for span in spans.values():
         assert span.delivered_count == 11
         assert max(span.rounds_of_deliveries()) <= 5
-
-
-def test_rumor_tracing_can_be_disabled_via_config():
-    from repro.core.api import GossipConfig
-
-    group = GossipConfig(n_disseminators=4, seed=5, rumor_tracing=False).build()
-    group.setup()
-    group.publish({"x": 1})
-    group.run_for(5.0)
-    assert len(group.hub.tracer) == 0

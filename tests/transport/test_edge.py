@@ -7,7 +7,12 @@ functions, without sockets.
 
 import pytest
 
-from repro.core.overload import OverloadPolicy, TokenBucket
+from repro.core.overload import (
+    ADMISSION_BURST,
+    ADMISSION_RATE,
+    RETRY_AFTER,
+    TokenBucket,
+)
 from repro.simnet.metrics import OverloadStats, WireStats
 from repro.transport.base import parse_retry_after
 from repro.transport.edge import (
@@ -108,13 +113,11 @@ class TestEdgeAdmission:
         assert not ok
         assert retry_after == 2.5  # bucket predicts 1ms; the floor wins
 
-    def test_from_policy_maps_the_admission_knobs(self):
-        policy = OverloadPolicy(admission_rate=7.0, admission_burst=3,
-                                retry_after=0.75)
-        admission = EdgeAdmission.from_policy(policy, clock=PinnedClock())
-        assert admission._bucket.rate == 7.0
-        assert admission._bucket.burst == 3.0
-        assert admission.retry_after_floor == 0.75
+    def test_defaults_are_the_overload_constants(self):
+        admission = EdgeAdmission(clock=PinnedClock())
+        assert admission._bucket.rate == ADMISSION_RATE
+        assert admission._bucket.burst == ADMISSION_BURST
+        assert admission.retry_after_floor == RETRY_AFTER
 
     def test_rejection_runs_before_idempotency(self):
         """A 429d request must not be remembered: its honored retry would
