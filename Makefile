@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test perf-check test-chaos test-recovery test-obs test-adaptive test-overload test-telemetry soak-smoke soak bench bench-smoke bench-core bench-shard bench-shard-smoke bench-perturbation bench-perturbation-smoke bench-overload bench-overload-smoke bench-telemetry-smoke bench-telemetry profile examples record clean bench-e3
+.PHONY: install test perf-check test-chaos test-recovery test-obs test-adaptive test-overload test-telemetry soak-smoke soak bench bench-smoke bench-core bench-shard bench-shard-smoke bench-perturbation bench-perturbation-smoke bench-overload bench-overload-smoke bench-telemetry-smoke bench-telemetry profile examples record clean bench-e3 census
 
 install:
 	pip install -e . || pip install -e . --no-build-isolation
@@ -149,6 +149,13 @@ bench-overload-smoke:
 # cProfile one batched N=1000 burst; top 25 functions by cumulative time.
 profile:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_perf_core.py --profile
+
+# Call census (~9 min on 2 vCPUs): tier-1 under a profiler, then every
+# def in src/repro that no test runs, by file, with line counts
+# (tests/census.py).  Subprocess-only code (the shard workers) reads as
+# never run.  Prints only; not a gate.
+census:
+	PYTHONPATH=src $(PYTHON) -m pytest -p tests.census
 
 # Every example script end to end (~20 s); they are the config API's
 # main non-test callers.

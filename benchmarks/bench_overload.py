@@ -129,7 +129,7 @@ def run_arm(
     horizon = stress + settle
     fractions = [group.delivered_fraction(gid) for gid in published]
     complete = sum(1 for fraction in fractions if fraction >= 0.99)
-    overload_stats = group.hub.overload
+    shed = group.hub.overload.snapshot()
     return {
         "arm": "shed-on" if overload else "shed-off",
         "multiplier": multiplier,
@@ -141,10 +141,10 @@ def run_arm(
         ),
         "goodput_rumors_per_s": round(complete / horizon, 3),
         "peak_queue": group.hub.gauge("overload.ingest-queue-peak").value,
-        "shed_digests": overload_stats.shed_digests,
-        "shed_feedback": overload_stats.shed_feedback,
-        "shed_pull": overload_stats.shed_pull,
-        "shed_payloads": overload_stats.shed_payloads,
+        "shed_digests": shed["shed_digests"],
+        "shed_feedback": shed["shed_feedback"],
+        "shed_pull": shed["shed_pull"],
+        "shed_payloads": shed["shed_payloads"],
         "wall_s": round(wall, 2),
     }
 

@@ -101,10 +101,9 @@ def run_size(n: int, seed: int = 3, max_batch_rumors: int = MAX_BATCH_RUMORS) ->
     with profiler.section("setup"):
         group.setup(settle=1.0, eager_join=True)
 
-    # The group owns its hub, so resetting the wire/batch groups after
-    # setup scopes the counts to the burst (and touches no other run).
-    group.hub.wire.reset()
-    group.hub.batch.reset()
+    # Counts at the end of setup: the burst's counts are the difference.
+    wire_at_setup = group.hub.wire.snapshot()
+    batch_at_setup = group.hub.batch.snapshot()
     sent_at_setup = group.metrics.counter("soap.sent").value
     shared_at_setup = group.metrics.counter("soap.sent-shared").value
 
@@ -128,8 +127,14 @@ def run_size(n: int, seed: int = 3, max_batch_rumors: int = MAX_BATCH_RUMORS) ->
         for mid in message_ids
         for delivery_time in group.delivery_times(mid)
     )
-    stats = group.hub.wire.snapshot()
-    batch = group.hub.batch.snapshot()
+    stats = {
+        field: value - wire_at_setup[field]
+        for field, value in group.hub.wire.snapshot().items()
+    }
+    batch = {
+        field: value - batch_at_setup[field]
+        for field, value in group.hub.batch.snapshot().items()
+    }
     counts = group.message_counts()
     sent = counts.get("soap.sent", 0) - sent_at_setup
     shared = counts.get("soap.sent-shared", 0) - shared_at_setup

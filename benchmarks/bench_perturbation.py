@@ -195,14 +195,11 @@ def run_arm(
         "wall_s": round(time.monotonic() - wall_start, 1),
     }
     if adaptive:
-        control = group.hub.control
+        control = group.hub.control.snapshot()
         row["control"] = {
-            "epochs": control.epochs,
-            "boosts": control.boosts,
-            "shrinks": control.shrinks,
-            "escalations": control.escalations,
-            "deescalations": control.deescalations,
-            "ceiling_clamps": control.ceiling_clamps,
+            key: control[key]
+            for key in ("epochs", "boosts", "shrinks", "escalations",
+                        "deescalations", "ceiling_clamps")
         }
         targets = group.controller.targets
         row["final_params"] = {

@@ -129,8 +129,8 @@ async def run_soak(
         "latency_p99_ms": round(percentile(latencies, 99) * 1000, 2),
         "metrics_scrapes": scrapes_ok,
         "metrics_scrape_bytes": scrape_bytes,
-        "wire_parse_count": hub.wire.parse_count,
-        "dedup_preparse_hits": hub.wire.dedup_preparse_hits,
+        "wire_parse_count": hub.wire.parse_count.value,
+        "dedup_preparse_hits": hub.wire.dedup_preparse_hits.value,
         "wall_s": round(time.monotonic() - wall_start, 1),
     }
 

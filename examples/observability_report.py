@@ -4,7 +4,7 @@ One seeded dissemination is measured three ways from the same
 :class:`~repro.obs.hub.MetricsHub`:
 
 1. the operator report ``repro obs report`` prints (per-node delivery,
-   rounds-to-99%, wire/batch stat groups),
+   rounds-to-99%, wire/batch counter groups),
 2. causal span queries -- the infection curve and rounds percentiles the
    experiments derive from publish/forward/deliver hops, and
 3. machine-readable exports (JSONL records, Prometheus text format).

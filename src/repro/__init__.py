@@ -40,10 +40,9 @@ from repro.core import (
 )
 from repro.obs import MetricsHub, Profiler, RumorTracer, default_hub
 from repro.simnet.events import Simulator
-from repro.simnet.metrics import ControlStats, HealthStats, RecoveryStats, WireStats
 from repro.stats import summarize
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "AdaptiveController",
@@ -54,20 +53,16 @@ __all__ = [
     "GossipLog",
     "GossipParams",
     "GossipStyle",
-    "ControlStats",
     "HealthPolicy",
     "OverloadPolicy",
     "MetricsHub",
     "Profiler",
     "RumorTracer",
     "default_hub",
-    "HealthStats",
     "ParamError",
     "PeerHealth",
-    "RecoveryStats",
     "TelemetryPolicy",
     "Simulator",
-    "WireStats",
     "atomic_delivery_probability",
     "expected_rounds",
     "fanout_for_atomicity",

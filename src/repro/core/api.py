@@ -345,7 +345,7 @@ class GossipGroup:
                 [self.initiator, *self.disseminators],
                 self.config.health,
                 clock=lambda: self.sim.now,
-                stats=self.hub.health,
+                hub=self.hub,
             )
 
         self.controller: Optional[AdaptiveController] = None

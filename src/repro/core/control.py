@@ -19,7 +19,7 @@ Once per *epoch* it reads the group's :class:`~repro.obs.hub.MetricsHub`:
   redundancy headroom that can be traded away in calm periods;
 * **suspicion mass** from the peer-health layer (fraction of the
   population currently suspected);
-* **send-failure rate** (health-stats failures per wire send);
+* **send-failure rate** (``health.send_failures`` per wire send);
 * **publish rate** vs. its own EWMA (burst detection).
 
 and then *decides*, matching the response to what the signal threatens:
@@ -59,8 +59,7 @@ controller on (``GossipConfig(adaptive=True)``) is the only setting.
 
 Every decision is appended to ``hub.decisions`` (a
 :class:`ControlDecision` timeline rendered by ``repro obs report`` and
-exported as JSONL) and counted in the hub's
-:class:`~repro.simnet.metrics.ControlStats` group.
+exported as JSONL) and counted in the hub's ``control`` counter group.
 
 The controller is deterministic: it draws no randomness, so two runs of
 the same seed make identical decisions, and a controller that never
@@ -216,7 +215,7 @@ class AdaptiveController:
         )
         self._engines = engines
         self._healths = healths
-        self.stats = hub.control
+        self._control = hub.control
         # Targets (set from the first engine seen, then steered).
         self._base_params: Optional[GossipParams] = None
         self._base_level = 0  # escalation level of the configured style
@@ -268,7 +267,7 @@ class AdaptiveController:
         if self._base_params is None:
             self._seed_targets(engines[0].params)
         self._epoch_index += 1
-        self.stats.epochs += 1
+        self._control.epochs.inc()
         signals = self._observe()
         decision = self._decide(signals)
         self._apply(engines, decision)
@@ -341,7 +340,7 @@ class AdaptiveController:
         duplicate_ratio = duplicates / fresh if fresh else 0.0
 
         failures = self._counter_delta(
-            "health.send_failures", self.hub.health.send_failures
+            "health.send_failures", self.hub.health.send_failures.value
         )
         sent = self._counter_delta("net.sent", self.hub.counter("net.sent").value)
         failure_rate = failures / sent if sent else 0.0
@@ -462,7 +461,7 @@ class AdaptiveController:
         guard = self._guard_reasons(signals)
         burst = self._burst_reasons(signals)
         if breach:
-            self.stats.slo_breaches += 1
+            self._control.slo_breaches.inc()
 
         if signals.pressure >= PRESSURE_HIGH:
             # The overload subsystem is shedding: every other response is
@@ -476,7 +475,7 @@ class AdaptiveController:
                 f"{PRESSURE_HIGH:.2f}: narrowing, not boosting"
             ] + breach
             self._pressure_relief()
-            self.stats.pressure_reliefs += 1
+            self._control.pressure_reliefs.inc()
             self._cooldown = COOLDOWN_EPOCHS
         elif breach:
             action = "boost"
@@ -492,7 +491,7 @@ class AdaptiveController:
             reasons = guard + burst
             if not changed:
                 reasons = reasons + ["holding capacity"]
-                self.stats.holds += 1
+                self._control.holds.inc()
             self._cooldown = COOLDOWN_EPOCHS
         else:
             # A group that *was* publishing and went quiet is calm too:
@@ -518,7 +517,7 @@ class AdaptiveController:
             if calm and not at_floor:
                 if self._cooldown > 0:
                     self._cooldown -= 1
-                    self.stats.cooldown_holds += 1
+                    self._control.cooldown_holds.inc()
                     action = "hold"
                     reasons = [f"cooldown ({self._cooldown + 1} epochs left)"]
                 else:
@@ -541,12 +540,12 @@ class AdaptiveController:
                 action = "hold"
                 reasons = ["at floor" if at_floor else "no verdict yet"
                            if signals.delivery is None else "holding SLO"]
-                self.stats.holds += 1
+                self._control.holds.inc()
 
         if action == "boost":
-            self.stats.boosts += 1
+            self._control.boosts.inc()
         elif action == "shrink":
-            self.stats.shrinks += 1
+            self._control.shrinks.inc()
         level = self._level
         style = (
             _ESCALATION_LADDER[level].value
@@ -607,7 +606,7 @@ class AdaptiveController:
         """One step up the style ladder, unless already at the top."""
         if 0 <= self._level < len(_ESCALATION_LADDER) - 1:
             self._level += 1
-            self.stats.escalations += 1
+            self._control.escalations.inc()
             return True
         return False
 
@@ -623,7 +622,7 @@ class AdaptiveController:
         """
         if self._level > max(self._base_level, 0) and self._level > 0:
             self._level -= 1
-            self.stats.deescalations += 1
+            self._control.deescalations.inc()
             return
         if self._fanout > MIN_FANOUT:
             self._fanout -= 1
@@ -644,7 +643,7 @@ class AdaptiveController:
             if target != current:
                 was_periodic = current.style is not GossipStyle.PUSH
                 engine.params = target
-                self.stats.param_updates += 1
+                self._control.param_updates.inc()
                 if target.style is not GossipStyle.PUSH and not was_periodic:
                     # Escalated into a periodic style: the loop only
                     # starts on an explicit kick.

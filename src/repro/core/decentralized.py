@@ -94,7 +94,7 @@ class DecentralizedGossipNode(AppNode):
             self.health = PeerHealth(
                 health_policy,
                 clock=lambda: self.sim.now,
-                stats=network.hub.health,
+                hub=network.hub,
             )
             self.runtime.transport.configure_resilience(
                 retry=health_policy.retry_policy(),

@@ -225,12 +225,11 @@ class GossipEngine:
         self._outbox_control: Dict[str, BatchControl] = {}
         self._flush_scheduled = False
         # Observability: the hub behind this node's metrics sink provides
-        # the batch/recovery stat groups and the causal rumor tracer.
+        # the counter groups and the causal rumor tracer.
         obs = hub_of(runtime.metrics)
-        self._batch_stats = obs.batch
-        self._recovery_stats = obs.recovery
-        self._control_stats = obs.control
-        self._overload_stats = obs.overload
+        self._hub = obs
+        self._batch = obs.batch
+        self._recovery = obs.recovery
         self._tracer = obs.tracer
         # Live telemetry plane (docs/OBSERVABILITY.md, "Live telemetry").
         # ``None`` (the default) keeps every trace-context code path
@@ -253,7 +252,7 @@ class GossipEngine:
         # bounded ingest queue) so one signal covers both directions.
         if overload is not None:
             self.overload = overload
-            self._shed_latch = ShedLatch(obs.overload, runtime.metrics)
+            self._shed_latch = ShedLatch(obs.overload)
         if pressure_provider is not None:
             self._pressure_provider = pressure_provider
 
@@ -365,8 +364,7 @@ class GossipEngine:
         if self.overload is not None:
             pressure = self.overload_pressure
             if pressure >= 1.0:
-                self._overload_stats.publish_rejected += 1
-                self.metrics.counter("gossip.publish-rejected").inc()
+                self._hub.overload.publish_rejected.inc()
                 raise OverloadError(
                     "publish rejected: node overloaded", pressure=pressure
                 )
@@ -473,7 +471,7 @@ class GossipEngine:
         if not fresh:
             self.metrics.counter("gossip.duplicate").inc()
             if self._recovering:
-                self._recovery_stats.redelivered_suppressed += 1
+                self._recovery.redelivered_suppressed.inc()
             if self.params.style is GossipStyle.FEEDBACK and source is not None:
                 self._send_feedback(header.message_id, source)
             return False
@@ -486,7 +484,7 @@ class GossipEngine:
             self._record_trace_sample(header.trace)
         self._log_message(header.message_id, envelope.to_bytes(), header.origin)
         if self._recovering:
-            self._recovery_stats.fetched += 1
+            self._recovery.fetched.inc()
         if header.origin == self.app_address and header.sequence is not None:
             # Our own pre-crash publication came back via catch-up: never
             # reuse a sequence number the group may already have delivered.
@@ -517,7 +515,7 @@ class GossipEngine:
         self._pending_fetch.discard(message_id)
         self.metrics.counter("gossip.duplicate").inc()
         if self._recovering:
-            self._recovery_stats.redelivered_suppressed += 1
+            self._recovery.redelivered_suppressed.inc()
         if self.params.style is GossipStyle.FEEDBACK and source is not None:
             self._send_feedback(message_id, source)
 
@@ -562,7 +560,7 @@ class GossipEngine:
                 # around again; swallowing it is the whole point of the
                 # durable FIFO counters.
                 self.metrics.counter("gossip.fifo-suppressed").inc()
-                self._recovery_stats.redelivered_suppressed += 1
+                self._recovery.redelivered_suppressed.inc()
             else:
                 self.metrics.counter("gossip.held-back").inc()
         for data in released:
@@ -661,7 +659,7 @@ class GossipEngine:
         ceiling = self.fanout_ceiling
         if ceiling is not None and fanout > ceiling:
             fanout = ceiling
-            self._control_stats.ceiling_clamps += 1
+            self._hub.control.ceiling_clamps.inc()
         return self.selector.select(view, fanout, self.rng, exclude=exclude)
 
     # -- overload protection (backpressure + the shed ladder) ---------------------
@@ -738,7 +736,7 @@ class GossipEngine:
         control, self._outbox_control = self._outbox_control, {}
         if self._stopped:
             return
-        self._batch_stats.flushes += 1
+        self._batch.flushes.inc()
         per_destination: Dict[str, List[bytes]] = {}
         for destination, frames in direct.items():
             per_destination.setdefault(destination, []).extend(frames)
@@ -789,9 +787,8 @@ class GossipEngine:
             if len(chunk) == 1 and chunk_control is None:
                 # A lone rumor needs no carrier: ship the legacy frame, so
                 # batching-unaware peers stay fully interoperable.
-                self._batch_stats.legacy_singletons += 1
+                self._batch.legacy_singletons.inc()
                 self.runtime.send_bytes(destination, chunk[0])
-                self.metrics.counter("gossip.fanout-send").inc()
                 continue
             # Fan-out twins share one encode: an identical frame run
             # resolves to the same buffer (the zero-copy batch path), and so
@@ -802,17 +799,16 @@ class GossipEngine:
             else:
                 if not chunk and chunk_control.summary_only():
                     key = ("summary",) + chunk_control.summary
-                self._batch_stats.control_piggybacked += chunk_control.section_count()
+                self._batch.control_piggybacked.inc(chunk_control.section_count())
             data = shared.get(key) if key is not None else None
             if data is None:
                 data = build_batch(self.activity_id, holder, chunk, chunk_control)
-                self._batch_stats.batches_built += 1
+                self._batch.batches_built.inc()
                 if key is not None:
                     shared[key] = data
-            self._batch_stats.batches_sent += 1
-            self._batch_stats.rumors_batched += len(chunk)
+            self._batch.batches_sent.inc()
+            self._batch.rumors_batched.inc(len(chunk))
             self.runtime.send_bytes(destination, data)
-            self.metrics.counter("gossip.batch-send").inc()
 
     def _chunk_frames(self, frames: Sequence[bytes]) -> List[List[bytes]]:
         """Split a frame run at the batch caps (count and bytes); an
@@ -1206,10 +1202,9 @@ class GossipEngine:
         self._flush_scheduled = False
         if self._shed_latch is not None:
             self._shed_latch.overloaded = False
-        self._recovery_stats.restarts += 1
-        self.metrics.counter("gossip.restart").inc()
+        self._recovery.restarts.inc()
         if amnesia:
-            self._recovery_stats.amnesia_restarts += 1
+            self._recovery.amnesia_restarts.inc()
             if self.log is not None:
                 self.log.clear()
             return 0
@@ -1227,8 +1222,7 @@ class GossipEngine:
             replayed += self._apply_replay_state(snapshot, on_replayed)
         for record in result.records:
             replayed += self._apply_replay_record(record, on_replayed)
-        self._recovery_stats.replayed_messages += replayed
-        self.metrics.counter("gossip.replayed").inc(replayed)
+        self._recovery.replayed_messages.inc(replayed)
         if self.params.ordered:
             self._reoffer_replayed()
         return replayed
@@ -1374,8 +1368,7 @@ class GossipEngine:
             self.scheduler.call_after(self.params.period, self._catch_up_round)
             return
         self._catch_up_rounds_left -= 1
-        self._recovery_stats.catch_up_rounds += 1
-        self.metrics.counter("gossip.catch-up-round").inc()
+        self._recovery.catch_up_rounds.inc()
         targets = self.selector.select(
             view, CATCH_UP_PEERS, self.rng, exclude=[self.app_address]
         )
@@ -1403,8 +1396,7 @@ class GossipEngine:
         if not self._recovering:
             return
         self._recovering = False
-        self._recovery_stats.catch_ups_completed += 1
-        self.metrics.counter("gossip.catch-up-complete").inc()
+        self._recovery.catch_ups_completed.inc()
 
     # -- lifecycle ----------------------------------------------------------------------
 

@@ -115,13 +115,12 @@ class GossipLayer(Handler):
         # sampled frames on delivery (docs/OBSERVABILITY.md).
         self.telemetry = telemetry
         self._engines: Dict[str, GossipEngine] = {}
-        # Observability: wire/batch stat groups of the hub behind this
-        # node's metrics sink.
+        # Observability: the hub behind this node's metrics sink, and the
+        # counter groups the receive path counts into.
         obs = hub_of(runtime.metrics)
-        self._wire_stats = obs.wire
-        self._batch_stats = obs.batch
-        self._overload_stats = obs.overload
         self._hub = obs
+        self._wire = obs.wire
+        self._batch = obs.batch
         # Overload protection: the bounded ingest queue + its shed ladder
         # (docs/RESILIENCE.md, "Overload and backpressure").  With
         # ``overload=None`` the queue machinery only engages when a
@@ -131,7 +130,7 @@ class GossipLayer(Handler):
         self.overload = overload
         self._ingest_bucket: Optional[TokenBucket] = None
         self._ingest_latch = (
-            ShedLatch(obs.overload, runtime.metrics) if overload is not None else None
+            ShedLatch(obs.overload) if overload is not None else None
         )
         self._draining = False
         self._drain_scheduled = False
@@ -162,7 +161,7 @@ class GossipLayer(Handler):
         if self.durability is not None:
             log = self.durability.make_log(
                 f"{self.app_address}:{context.identifier}",
-                stats=hub_of(self.runtime.metrics).recovery,
+                hub=self._hub,
             )
         engine = GossipEngine(
             runtime=self.runtime,
@@ -291,7 +290,7 @@ class GossipLayer(Handler):
             self._ingest_bucket is None or self._ingest_bucket.admit(now)
         ):
             if self.overload is not None:
-                self._overload_stats.admitted += 1
+                self._hub.overload.admitted.inc()
             return self._preparse_classify(data, source)
         policy = self.overload
         if policy is not None:
@@ -302,13 +301,12 @@ class GossipLayer(Handler):
             if len(self._ingest_queue) >= policy.ingest_capacity:
                 # The bound is absolute: whatever the class, nothing
                 # queues past it (this is the memory guarantee).
-                self._overload_stats.count_shed("payload")
-                self.runtime.metrics.counter("gossip.shed.payload").inc()
+                self._hub.overload.shed_payloads.inc()
                 return False
         if not isinstance(self._ingest_queue, deque):
             self._ingest_queue = deque()
         self._ingest_queue.append((data, source))
-        self._overload_stats.throttled += 1
+        self._hub.overload.throttled.inc()
         depth = len(self._ingest_queue)
         peak = self._hub.gauge("overload.ingest-queue-peak")
         if depth > peak.value:
@@ -335,7 +333,7 @@ class GossipLayer(Handler):
                 break
             data, source = self._ingest_queue.popleft()
             if self.overload is not None:
-                self._overload_stats.admitted += 1
+                self._hub.overload.admitted.inc()
             self._draining = True
             try:
                 self.runtime.receive(data, source=source)
@@ -372,8 +370,7 @@ class GossipLayer(Handler):
             return True
         for engine in self._engines.values():
             if message_id in engine.store:
-                self._wire_stats.dedup_preparse_hits += 1
-                self.runtime.metrics.counter("gossip.dedup-preparse").inc()
+                self._wire.dedup_preparse_hits.inc()
                 engine.on_duplicate_preparse(message_id, source)
                 return False
         return True
@@ -393,7 +390,7 @@ class GossipLayer(Handler):
         except BatchError:
             self.runtime.metrics.counter("gossip.batch-unsplittable").inc()
             return True
-        self._batch_stats.batches_received += 1
+        self._batch.batches_received.inc()
         has_control = batch_has_control(data)
         if frames and not has_control:
             message_ids = scan_gossip_message_ids(data)
@@ -405,16 +402,13 @@ class GossipLayer(Handler):
                         break
                     owners.append((message_id, owner))
                 if len(owners) == len(message_ids):
-                    self._batch_stats.batches_skipped_preparse += 1
-                    self._wire_stats.dedup_preparse_hits += len(message_ids)
-                    self.runtime.metrics.counter("gossip.dedup-preparse").inc(
-                        len(message_ids)
-                    )
+                    self._batch.batches_skipped_preparse.inc()
+                    self._wire.dedup_preparse_hits.inc(len(message_ids))
                     for message_id, owner in owners:
                         owner.on_duplicate_preparse(message_id, source)
                     return False
         for frame in frames:
-            self._batch_stats.rumors_unpacked += 1
+            self._batch.rumors_unpacked.inc()
             self.runtime.receive(frame, source=source)
         if has_control:
             self._apply_batch_control(data, source)

@@ -32,16 +32,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.core.params import Knobs, knob
-from repro.simnet.metrics import HealthStats
 from repro.transport.base import (
     BreakerPolicy,
     RetryPolicy,
     SendOutcome,
     split_address,
 )
+
+if TYPE_CHECKING:
+    from repro.obs.hub import MetricsHub
 
 
 #: Suspicion score added per observed send failure.
@@ -120,21 +124,23 @@ class PeerHealth:
         policy: the knobs (defaults used when omitted).
         clock: monotonic time source; inject the simulator clock inside
             experiments (defaults to :func:`time.monotonic`).
+        hub: the hub the ``health`` counters go to (defaults to the
+            process-wide default hub).
     """
 
     def __init__(
         self,
         policy: Optional[HealthPolicy] = None,
         clock: Optional[Callable[[], float]] = None,
-        stats: Optional[HealthStats] = None,
+        hub: Optional["MetricsHub"] = None,
     ) -> None:
         self.policy = policy if policy is not None else HealthPolicy()
         self._clock = clock if clock is not None else time.monotonic
-        if stats is None:
+        if hub is None:
             from repro.obs.hub import default_hub
 
-            stats = default_hub().health
-        self.stats = stats
+            hub = default_hub()
+        self._health = hub.health
         # key -> (score at `stamp`, stamp)
         self._scores: Dict[str, Tuple[float, float]] = {}
         self._suspected: set = set()
@@ -211,7 +217,7 @@ class PeerHealth:
         multiplier = min(BOOST_CAP, len(view) / len(healthy))
         boosted = int(round(fanout * multiplier))
         if boosted > fanout:
-            self.stats.fanout_boosts += 1
+            self._health.fanout_boosts.inc()
         return max(fanout, boosted)
 
     def suspected_peers(self) -> List[str]:
@@ -253,10 +259,10 @@ class PeerHealth:
         suspected = score > self.policy.suspicion_threshold
         if suspected and key not in self._suspected:
             self._suspected.add(key)
-            self.stats.peers_suspected += 1
+            self._health.peers_suspected.inc()
         elif not suspected and key in self._suspected:
             self._suspected.discard(key)
-            self.stats.peers_restored += 1
+            self._health.peers_restored.inc()
 
     def __repr__(self) -> str:
         return (
@@ -269,7 +275,7 @@ def install_health(
     nodes: Iterable[Any],
     policy: HealthPolicy,
     clock: Callable[[], float],
-    stats: HealthStats,
+    hub: "MetricsHub",
 ) -> None:
     """Put each gossip node of a simulated group under ``policy``.
 
@@ -278,7 +284,7 @@ def install_health(
     gossip layer selects peers in degraded mode.
     """
     for node in nodes:
-        health = PeerHealth(policy, clock=clock, stats=stats)
+        health = PeerHealth(policy, clock=clock, hub=hub)
         node.runtime.transport.configure_resilience(
             retry=policy.retry_policy(), breaker=policy.breaker_policy()
         )

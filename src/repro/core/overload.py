@@ -87,36 +87,43 @@ class OverloadPolicy(Knobs):
     ingest_capacity: int = knob(256, ge=1)
 
 
+#: The overload counter each shed-ladder class is counted under.
+SHED_COUNTERS = {
+    "digest": "shed_digests",
+    "feedback": "shed_feedback",
+    "pull": "shed_pull",
+    "payload": "shed_payloads",
+}
+
+
 class ShedLatch:
     """The shed ladder of one bounded queue, with its watermark latch.
 
     :meth:`sheds` latches the queue overloaded when pressure reaches
-    :data:`HIGH_WATERMARK` (counted once in ``pressure_highs``) and holds
-    the effective pressure at the watermark until raw pressure falls back
-    below :data:`LOW_WATERMARK` -- so shedding does not flap at the
-    boundary.  A shed is counted in the overload stats and in the
-    ``gossip.shed.<class>`` counter of ``metrics``.
+    :data:`HIGH_WATERMARK` (counted once in ``overload.pressure_highs``)
+    and holds the effective pressure at the watermark until raw pressure
+    falls back below :data:`LOW_WATERMARK` -- so shedding does not flap
+    at the boundary.  A shed is counted in the ``overload`` counter group
+    under :data:`SHED_COUNTERS`.
     """
 
-    __slots__ = ("overloaded", "_stats", "_metrics")
+    __slots__ = ("overloaded", "_overload")
 
-    def __init__(self, stats, metrics) -> None:
+    def __init__(self, overload) -> None:
         self.overloaded = False
-        self._stats = stats
-        self._metrics = metrics
+        self._overload = overload
 
     def sheds(self, pressure: float, shed_class: str) -> bool:
         """True when ``shed_class`` traffic is dropped at ``pressure``."""
         if not self.overloaded and pressure >= HIGH_WATERMARK:
             self.overloaded = True
-            self._stats.pressure_highs += 1
+            self._overload.pressure_highs.inc()
         elif self.overloaded and pressure < LOW_WATERMARK:
             self.overloaded = False
         if self.overloaded and pressure < HIGH_WATERMARK:
             pressure = HIGH_WATERMARK
         if pressure >= SHED_THRESHOLDS[shed_class]:
-            self._stats.count_shed(shed_class)
-            self._metrics.counter(f"gossip.shed.{shed_class}").inc()
+            getattr(self._overload, SHED_COUNTERS[shed_class]).inc()
             return True
         return False
 

@@ -126,7 +126,7 @@ class GossipService(Service):
             raise sender_fault("Batch requires a GossipBatch body")
         runtime = self._layer.runtime
         for data in frames_from_element(body):
-            self._layer._batch_stats.rumors_unpacked += 1
+            self._layer._batch.rumors_unpacked.inc()
             runtime.receive(data, source=context.source)
         control = control_from_element(body)
         if control.empty():

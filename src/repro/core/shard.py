@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional
 from repro.core.message import GossipStyle
 from repro.core.params import ParamError
 from repro.core.shardworker import gossip_shard_worker, topology_names
-from repro.obs.hub import MetricsHub, default_hub
+from repro.obs.hub import MetricsHub
 from repro.simnet.latency import FixedLatency
 from repro.simnet.shard import ShardCluster, ShardPlan, compute_lookahead
 
@@ -193,12 +193,15 @@ class ShardedGossipGroup:
         return self._measure(gossip_id)["times"]
 
     def merged_hub(self) -> MetricsHub:
-        """A fresh hub holding the K shard hubs merged (see
-        :meth:`~repro.obs.hub.MetricsHub.merge_snapshot` for the rules)."""
-        hub = MetricsHub(parent=default_hub(), name="sharded-gossip-group")
-        for reply in self.cluster.broadcast({"op": "hub"}):
-            hub.merge_snapshot(reply["state"])
-        return hub
+        """A fresh, detached hub holding the K shard hubs merged (see
+        :meth:`~repro.obs.hub.MetricsHub.merge_snapshot` for the rules).
+
+        Detached (``parent=None``): every read merges anew, so a parent
+        would be handed the same totals again on each read."""
+        return MetricsHub.merged(
+            (reply["state"] for reply in self.cluster.broadcast({"op": "hub"})),
+            name="sharded-gossip-group",
+        )
 
     @property
     def hub(self) -> MetricsHub:

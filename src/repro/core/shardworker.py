@@ -132,7 +132,7 @@ class GossipShardRuntime:
                 self._gossip_nodes(),
                 config.health,
                 clock=lambda: self.sim.now,
-                stats=self.hub.health,
+                hub=self.hub,
             )
 
         for node in self._app_nodes():

@@ -35,10 +35,12 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.core.params import Knobs, ParamError, knob
-from repro.simnet.metrics import RecoveryStats
+
+if TYPE_CHECKING:
+    from repro.obs.hub import MetricsHub
 
 _HEADER = struct.Struct("<II")
 #: Upper bound on a single record; a corrupted length field larger than
@@ -105,31 +107,31 @@ class GossipLog:
     * :meth:`clear` -- discard everything (models losing the disk too).
     """
 
-    def __init__(self, stats: Optional[RecoveryStats] = None) -> None:
+    def __init__(self, hub: Optional["MetricsHub"] = None) -> None:
         self.appends_since_snapshot = 0
-        # The recovery stat group this log reports into; logs created by a
-        # GossipLayer get their node's hub group, direct constructions
-        # fall back to the process-wide default hub.
-        if stats is None:
+        # The hub this log counts into; logs created by a GossipLayer get
+        # their node's hub, direct constructions fall back to the
+        # process-wide default hub.
+        if hub is None:
             from repro.obs.hub import default_hub
 
-            stats = default_hub().recovery
-        self.stats = stats
+            hub = default_hub()
+        self._recovery = hub.recovery
 
     def append(self, record: Dict[str, Any]) -> None:
         self.appends_since_snapshot += 1
-        self.stats.log_appends += 1
+        self._recovery.log_appends.inc()
         self._append(record)
 
     def write_snapshot(self, state: Dict[str, Any]) -> None:
         self.appends_since_snapshot = 0
-        self.stats.snapshots += 1
+        self._recovery.snapshots.inc()
         self._write_snapshot(state)
 
     def _count_damage(self, result: "ReplayResult") -> "ReplayResult":
-        self.stats.corrupt_records += result.corrupt_records
-        self.stats.truncated_tails += int(result.truncated_tail)
-        self.stats.corrupt_snapshots += int(result.snapshot_corrupt)
+        self._recovery.corrupt_records.inc(result.corrupt_records)
+        self._recovery.truncated_tails.inc(int(result.truncated_tail))
+        self._recovery.corrupt_snapshots.inc(int(result.snapshot_corrupt))
         return result
 
     def replay(self) -> ReplayResult:
@@ -158,8 +160,8 @@ class MemoryGossipLog(GossipLog):
     ``restart_at(..., amnesia=False)`` can replay it.
     """
 
-    def __init__(self, stats: Optional[RecoveryStats] = None) -> None:
-        super().__init__(stats=stats)
+    def __init__(self, hub: Optional["MetricsHub"] = None) -> None:
+        super().__init__(hub=hub)
         self._snapshot: Optional[Dict[str, Any]] = None
         self._records: List[Dict[str, Any]] = []
 
@@ -207,9 +209,9 @@ class FileGossipLog(GossipLog):
         path: str,
         fsync: str = "batch",
         fsync_every: int = FSYNC_EVERY,
-        stats: Optional[RecoveryStats] = None,
+        hub: Optional["MetricsHub"] = None,
     ) -> None:
-        super().__init__(stats=stats)
+        super().__init__(hub=hub)
         if fsync not in FSYNC_POLICIES:
             raise ParamError(
                 "fsync",
@@ -366,23 +368,23 @@ class DurabilityPolicy(Knobs):
             )
 
     def make_log(
-        self, name: str, stats: Optional[RecoveryStats] = None
+        self, name: str, hub: Optional["MetricsHub"] = None
     ) -> GossipLog:
         """A fresh log for one (node, activity), named ``name``.
 
-        File mode places the WAL at ``<directory>/<slug>.wal``.  ``stats``
-        is the recovery stat group the log should report into (the node's
-        hub group; defaults to the process-wide default hub's).
+        File mode places the WAL at ``<directory>/<slug>.wal``.  ``hub``
+        is the hub the log counts into (the node's; defaults to the
+        process-wide default hub).
         """
         if self.mode == "memory":
-            return MemoryGossipLog(stats=stats)
+            return MemoryGossipLog(hub=hub)
         slug = "".join(
             ch if ch.isalnum() or ch in "-_." else "_" for ch in name
         )
         return FileGossipLog(
             os.path.join(self.directory, f"{slug}.wal"),
             fsync=self.fsync,
-            stats=stats,
+            hub=hub,
         )
 
 

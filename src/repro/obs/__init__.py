@@ -1,9 +1,9 @@
 """Unified observability for the WS-Gossip reproduction.
 
 One :class:`MetricsHub` per simulation scopes counters, gauges,
-histograms, time series, the wire/batch/health/recovery stat groups and
-the causal rumor tracer; hubs chain to the process-wide default hub so
-aggregate reads keep working.  Exporters render a hub as JSONL or
+histograms, time series, the six counter groups (``hub.wire`` and its
+siblings) and the causal rumor tracer; hub counters chain to the
+process-wide default hub's, so aggregate reads keep working.  Exporters render a hub as JSONL or
 Prometheus text; the :class:`Profiler` times benchmark phases.
 
 See ``docs/OBSERVABILITY.md`` for the full tour.
@@ -18,6 +18,8 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.hub import (
+    COUNTER_GROUPS,
+    CounterGroup,
     LabeledCounter,
     LabeledGauge,
     MetricsHub,
@@ -31,6 +33,8 @@ from repro.obs.profiler import Profiler
 from repro.obs.tracing import RumorSpan, RumorTracer
 
 __all__ = [
+    "COUNTER_GROUPS",
+    "CounterGroup",
     "LabeledCounter",
     "LabeledGauge",
     "MetricsHub",

@@ -18,9 +18,7 @@ import json
 import re
 from typing import Dict, IO, List, Optional
 
-from repro.obs.hub import MetricsHub
-
-_STAT_GROUPS = ("wire", "batch", "health", "recovery", "control", "overload")
+from repro.obs.hub import COUNTER_GROUPS, MetricsHub
 
 
 def hub_snapshot(hub: MetricsHub) -> Dict:
@@ -52,7 +50,7 @@ def hub_snapshot(hub: MetricsHub) -> Dict:
         },
         "alerts": [alert.to_value() for alert in hub.alerts],
     }
-    for group in _STAT_GROUPS:
+    for group in COUNTER_GROUPS:
         snapshot[group] = getattr(hub, group).snapshot()
     return snapshot
 
@@ -77,9 +75,10 @@ def _histogram_summary(histogram) -> Dict:
 def dump_jsonl(hub: MetricsHub, stream: IO[str]) -> int:
     """Write one JSON object per metric; returns the number written.
 
-    Record kinds: ``counter`` / ``gauge`` (optionally labelled),
+    Record kinds: ``counter`` / ``gauge`` (optionally labelled; the
+    counter groups' fields are counters named ``<group>.<field>``),
     ``histogram`` (summary statistics), ``series`` (raw samples),
-    ``stat`` (one record per stat-group field), ``decision`` (one per
+    ``decision`` (one per
     adaptive-controller epoch, in time order), ``window`` (one per rolling
     window: rate/total over its span) and ``alert`` (one per SLO alert
     edge, in time order).
@@ -114,9 +113,6 @@ def dump_jsonl(hub: MetricsHub, stream: IO[str]) -> int:
         emit(record)
     for name, series in sorted(hub._series.items()):
         emit({"kind": "series", "name": name, "samples": series.samples()})
-    for group in _STAT_GROUPS:
-        for field, value in getattr(hub, group).snapshot().items():
-            emit({"kind": "stat", "group": group, "field": field, "value": value})
     for decision in hub.decisions:
         record = {"kind": "decision"}
         record.update(decision.to_value())
@@ -209,7 +205,6 @@ _HELP_TEXTS = {
     "gossip.fresh": "First-time rumor deliveries.",
     "gossip.duplicate": "Duplicate rumor arrivals consumed by dedup.",
     "gossip.forward": "Fresh rumors forwarded, once per rumor whatever the fanout.",
-    "gossip.fanout-send": "Single-rumor frames sent (one per target copy).",
     "gossip.hops-exhausted": "Rumors dropped with no forwarding budget left.",
     "net.sent": "Messages handed to the network fabric.",
     "net.delivered": "Messages delivered by the network fabric.",
@@ -240,24 +235,28 @@ def _family_header(
 def prometheus_text(hub: MetricsHub, prefix: str = "repro_") -> str:
     """Render every metric in the Prometheus text exposition format.
 
-    Counters and stat-group fields export as ``counter`` families (node
-    labelled series ride under the same family as the unlabelled
-    aggregate); gauges as ``gauge``; histograms as ``summary`` families
+    Counters export as ``counter`` families (node labelled series ride
+    under the same family as the unlabelled aggregate), every declared
+    counter-group field included, at 0 when never counted; gauges as ``gauge``; histograms as ``summary`` families
     with ``quantile`` series plus ``_sum``/``_count``.  Every family is
     introduced by its ``# HELP`` and ``# TYPE`` header pair.
     """
     lines: List[str] = []
 
     # counter families: unlabelled aggregate + labelled series.
+    counters = hub.counters()
+    for group, fields in COUNTER_GROUPS.items():
+        for field in fields:
+            counters.setdefault(f"{group}.{field}", 0)
     labeled_by_name: Dict[str, List] = {}
     for (name, labels), value in hub.labeled_counters().items():
         labeled_by_name.setdefault(name, []).append((labels, value))
-    counter_names = sorted(set(hub.counters()) | set(labeled_by_name))
+    counter_names = sorted(set(counters) | set(labeled_by_name))
     for name in counter_names:
         family = _metric_name(name, prefix)
         _family_header(lines, family, "counter", name)
-        if name in hub.counters():
-            lines.append(f"{family} {_format_value(hub.counters()[name])}")
+        if name in counters:
+            lines.append(f"{family} {_format_value(counters[name])}")
         for labels, value in sorted(labeled_by_name.get(name, [])):
             lines.append(f"{family}{_render_labels(labels)} {_format_value(value)}")
 
@@ -284,12 +283,6 @@ def prometheus_text(hub: MetricsHub, prefix: str = "repro_") -> str:
                 )
         lines.append(f"{family}_sum {_format_value(histogram.total)}")
         lines.append(f"{family}_count {histogram.count}")
-
-    for group in _STAT_GROUPS:
-        for field, value in getattr(hub, group).snapshot().items():
-            family = _metric_name(f"{group}_{field}", prefix)
-            _family_header(lines, family, "counter", f"{group}.{field}")
-            lines.append(f"{family} {_format_value(value)}")
 
     return "\n".join(lines) + "\n"
 

@@ -1,17 +1,19 @@
 """The metrics hub: per-simulation, label-aware metric scoping.
 
 A :class:`MetricsHub` is a :class:`~repro.simnet.metrics.MetricsRegistry`
-that additionally owns the wire/batch/health/recovery/control stat groups, a
+that additionally owns the six counter groups (``hub.wire``, ``hub.batch``,
+``hub.health``, ``hub.recovery``, ``hub.control``, ``hub.overload``), a
 :class:`~repro.obs.tracing.RumorTracer`, labelled per-node counter views
 (:class:`NodeScope`), and gauges.  Every :class:`~repro.simnet.network.Network`
 (and therefore every :class:`~repro.core.api.GossipGroup` /
 :class:`~repro.core.decentralized.DecentralizedGroup`) gets its own hub, so
 two simulations in one process never share metric state.
 
-Hubs chain to the process-wide **default hub**: a child hub's stat-group
-writes propagate their deltas upward (see
-:class:`~repro.simnet.metrics.StatGroup`), so ``default_hub().wire`` and
-its siblings report process-wide aggregates.
+One rule aggregates every count: a counter's ``parent`` receives each of
+its increments.  A hub counter's parent is the counter of the same name
+in the parent hub (normally the process-wide **default hub**, so
+``default_hub().wire.parse_count`` is a process-wide total), and a
+labelled counter's parent is its hub's plain counter.
 
 Call sites that have no handle on a hub (the :mod:`repro.soap.envelope`
 codec, deep inside ``to_bytes``/``from_bytes``) use :func:`current_hub`,
@@ -26,17 +28,7 @@ import threading
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.simnet.metrics import (
-    BatchStats,
-    ControlStats,
-    Counter,
-    Gauge,
-    HealthStats,
-    MetricsRegistry,
-    OverloadStats,
-    RecoveryStats,
-    WireStats,
-)
+from repro.simnet.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.tracing import RumorTracer
 from repro.obs.windows import Alert, RollingWindow
 
@@ -49,30 +41,87 @@ def _label_key(labels: Dict[str, str]) -> LabelKey:
 
 
 class LabeledCounter(Counter):
-    """A counter carrying a label set, aggregating into its unlabelled twin.
+    """A counter carrying a label set; its parent is the hub's plain
+    counter of the same name, so ``hub.counter("soap.sent").value`` keeps
+    the whole-simulation total while per-node values stay attributable."""
 
-    Incrementing a labelled counter also bumps the hub's plain counter of
-    the same name, so existing group-level reads
-    (``hub.counter("soap.sent").value``) keep seeing the whole-simulation
-    total while per-node values stay attributable.
-    """
+    __slots__ = ("labels",)
 
-    __slots__ = ("labels", "_aggregate")
-
-    def __init__(self, name: str, labels: LabelKey, aggregate: Counter) -> None:
-        super().__init__(name)
+    def __init__(self, name: str, labels: LabelKey, parent: Counter) -> None:
+        super().__init__(name, parent)
         self.labels = labels
-        self._aggregate = aggregate
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter increments must be non-negative: {amount!r}")
-        self.value += amount
-        self._aggregate.value += amount
 
     def __repr__(self) -> str:
         rendered = ",".join(f"{k}={v}" for k, v in self.labels)
         return f"LabeledCounter({self.name!r}, {{{rendered}}}, value={self.value})"
+
+
+#: The declared fields of every counter group: ``hub.<group>.<field>`` is
+#: the hub counter named ``<group>.<field>``.  Their meanings are the
+#: counters table of docs/OBSERVABILITY.md.
+COUNTER_GROUPS: Dict[str, Tuple[str, ...]] = {
+    "wire": (
+        "serialize_count", "serialize_reused", "parse_count", "parse_reused",
+        "dedup_preparse_hits", "idempotent_replays",
+    ),
+    "batch": (
+        "batches_built", "batches_sent", "rumors_batched", "control_piggybacked",
+        "batches_received", "rumors_unpacked", "batches_skipped_preparse",
+        "flushes", "legacy_singletons",
+    ),
+    "health": (
+        "send_failures", "retries", "sends_suppressed", "breaker_opened",
+        "breaker_probes", "breaker_closed", "peers_suspected", "peers_restored",
+        "fanout_boosts", "dead_letters",
+    ),
+    "recovery": (
+        "restarts", "amnesia_restarts", "replayed_messages", "log_appends",
+        "snapshots", "corrupt_records", "truncated_tails", "corrupt_snapshots",
+        "fetched", "redelivered_suppressed", "catch_up_rounds",
+        "catch_ups_completed",
+    ),
+    "control": (
+        "epochs", "boosts", "shrinks", "holds", "escalations", "deescalations",
+        "slo_breaches", "cooldown_holds", "ceiling_clamps", "param_updates",
+        "pressure_reliefs",
+    ),
+    "overload": (
+        "admitted", "shed_digests", "shed_feedback", "shed_pull",
+        "shed_payloads", "publish_rejected", "edge_rejected",
+        "retry_after_honored", "throttled", "pressure_highs",
+    ),
+}
+
+
+class CounterGroup:
+    """One counter group of a hub: its declared fields as bound handles.
+
+    ``group.<field>`` is the hub's :class:`Counter` ``<group>.<field>``,
+    made on first use and then kept as an attribute; an undeclared field
+    raises ``AttributeError``.  Writers bind a group once
+    (``self._batch = hub.batch``) and count with ``self._batch.flushes.inc()``.
+    """
+
+    def __init__(self, hub: MetricsRegistry, name: str) -> None:
+        self._hub = hub
+        self._name = name
+        self._fields = COUNTER_GROUPS[name]
+
+    def __getattr__(self, field: str) -> Counter:
+        if field.startswith("_") or field not in self._fields:
+            raise AttributeError(f"counter group has no field {field!r}")
+        handle = self._hub.counter(f"{self._name}.{field}")
+        setattr(self, field, handle)
+        return handle
+
+    def snapshot(self) -> Dict[str, int]:
+        """Every declared field's value (0 for a field never counted)."""
+        counters = self._hub._counters
+        values = {}
+        for field in self._fields:
+            counter = counters.get(f"{self._name}.{field}")
+            values[field] = counter.value if counter is not None else 0
+        return values
 
 
 class LabeledGauge(Gauge):
@@ -90,24 +139,23 @@ class LabeledGauge(Gauge):
 
 
 class MetricsHub(MetricsRegistry):
-    """A registry plus stat groups, labels, node scopes and a rumor tracer.
+    """A registry plus counter groups, labels, node scopes and a rumor tracer.
 
     Args:
-        parent: hub to chain stat-group deltas into (normally the default
-            hub); ``None`` for a detached root hub.
+        parent: hub whose counters parent this hub's counters (normally
+            the default hub); ``None`` for a detached root hub.
         name: optional human label used by exporters.
     """
 
     def __init__(self, parent: Optional["MetricsHub"] = None, name: str = "") -> None:
-        super().__init__()
-        self.parent = parent
+        super().__init__(parent)
         self.name = name
-        self.wire = WireStats(parent=parent.wire if parent else None)
-        self.batch = BatchStats(parent=parent.batch if parent else None)
-        self.health = HealthStats(parent=parent.health if parent else None)
-        self.recovery = RecoveryStats(parent=parent.recovery if parent else None)
-        self.control = ControlStats(parent=parent.control if parent else None)
-        self.overload = OverloadStats(parent=parent.overload if parent else None)
+        self.wire = CounterGroup(self, "wire")
+        self.batch = CounterGroup(self, "batch")
+        self.health = CounterGroup(self, "health")
+        self.recovery = CounterGroup(self, "recovery")
+        self.control = CounterGroup(self, "control")
+        self.overload = CounterGroup(self, "overload")
         self.tracer = RumorTracer()
         #: Adaptive-controller decision timeline: ControlDecision records
         #: appended by :class:`repro.core.control.AdaptiveController`.
@@ -126,8 +174,7 @@ class MetricsHub(MetricsRegistry):
     def labeled_counter(self, name: str, labels: Dict[str, str]) -> LabeledCounter:
         """The counter ``name{labels}`` (created on first use).
 
-        Its increments also feed the unlabelled :meth:`counter` of the
-        same name.
+        Its parent is the unlabelled :meth:`counter` of the same name.
         """
         key = (name, _label_key(labels))
         existing = self._labeled_counters.get(key)
@@ -206,10 +253,6 @@ class MetricsHub(MetricsRegistry):
             "gauges": {n: g.value for n, g in self._gauges.items()},
             "histograms": {n: h.values() for n, h in self._histograms.items()},
             "series": {n: s.samples() for n, s in self._series.items()},
-            "groups": {
-                group: getattr(self, group).snapshot()
-                for group in ("wire", "batch", "health", "recovery", "control", "overload")
-            },
             "labeled_counters": [
                 (name, labels, counter.value)
                 for (name, labels), counter in self._labeled_counters.items()
@@ -241,19 +284,18 @@ class MetricsHub(MetricsRegistry):
 
         Merge rules (asserted by ``tests/obs/test_merge.py``):
 
-        * **counters** (plain and labelled) sum -- merging K shard hubs
-          yields the totals a single-hub run of the same traffic would
-          have counted.  Labelled counters are merged by direct value
-          add, *not* ``inc()``, which would double-count through the
-          unlabelled aggregate (itself merged as a plain counter).
+        * **counters** (plain, labelled and the counter groups') sum --
+          merging K shard hubs yields the totals a single-hub run of the
+          same traffic would have counted.  Values are added in place,
+          *not* through ``inc()``: nothing propagates to a parent, and a
+          labelled counter does not double-count into its hub counter
+          (itself merged as a plain counter).
         * **gauges** (plain and labelled) take the max: gauges are
           point-in-time levels, sums of them lie, and max is
           merge-order independent.
         * **histograms** keep raw samples, so the merge concatenates
           them -- the exact-percentile analogue of bucket-wise addition.
         * **time series** are merge-sorted by timestamp.
-        * **stat groups** add field-wise (they are all monotone counters);
-          deltas propagate up the parent chain as normal writes do.
         * **tracer spans** are replayed hop-by-hop: publish hops claim the
           origin, deliveries keep first-arrival-per-node semantics.
         * **rolling windows** merge bucket-wise (slot sums add), so a
@@ -275,10 +317,6 @@ class MetricsHub(MetricsRegistry):
             series.clear()
             for time, value in merged:
                 series.record(time, value)
-        for group_name, snapshot in state["groups"].items():
-            group = getattr(self, group_name)
-            for field, value in snapshot.items():
-                setattr(group, field, getattr(group, field) + value)
         for name, labels, value in state["labeled_counters"]:
             key = (name, tuple(tuple(pair) for pair in labels))
             existing = self._labeled_counters.get(key)
@@ -335,15 +373,9 @@ class MetricsHub(MetricsRegistry):
     def reset(self) -> None:
         """Zero every metric *in place* (bound metric objects stay valid).
 
-        Stat-group resets do not propagate deltas to the parent chain; a
-        child hub resetting must not erase upstream history.
+        Nothing propagates to the parent hub: a child hub resetting must
+        not erase upstream history.
         """
-        self.wire.reset()
-        self.batch.reset()
-        self.health.reset()
-        self.recovery.reset()
-        self.control.reset()
-        self.overload.reset()
         self.tracer.reset()
         self.decisions.clear()
         self.alerts.clear()
@@ -438,7 +470,7 @@ _DEFAULT_LOCK = threading.Lock()
 def default_hub() -> MetricsHub:
     """The process-wide root hub (created on first use).
 
-    Per-simulation hubs chain to it, so its stat groups hold process-wide
+    Per-simulation hubs chain to it, so its counters hold process-wide
     aggregates.
     """
     global _DEFAULT_HUB

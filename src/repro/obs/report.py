@@ -1,6 +1,6 @@
 """Human-readable observability reports (``repro obs report``).
 
-Renders one :class:`~repro.obs.hub.MetricsHub` -- counters, the stat
+Renders one :class:`~repro.obs.hub.MetricsHub` -- counters, the counter
 groups, the rumor tracer's causal spans, rolling-window rates, the SLO
 alert timeline, telemetry latency histograms, and the adaptive
 controller's decision timeline -- as the operator-facing text the CLI
@@ -247,7 +247,7 @@ def render_report(
 
     Sections: per-rumor causal spans (delivery fraction, rounds-to-99%,
     infection curve tail), per-node delivery counts, the highlighted
-    wire / batch / health / recovery / control stat-group fields,
+    wire / batch / health / recovery / control counter-group fields,
     rolling-window rates and the SLO alert timeline (when telemetry
     ran), latency histograms, the adaptive controller's decision
     timeline, and -- when a :class:`~repro.obs.profiler.Profiler` report
@@ -285,8 +285,8 @@ def render_report(
         lines.extend(_format_rows(wire_rows))
 
     for group_name, fields in _GROUP_HIGHLIGHTS.items():
-        group = getattr(hub, group_name)
-        rows = [(field, str(getattr(group, field))) for field in fields]
+        values = getattr(hub, group_name).snapshot()
+        rows = [(field, str(values[field])) for field in fields]
         if any(value != "0" for _, value in rows):
             lines.append("")
             lines.append(group_name)
@@ -343,7 +343,7 @@ def report_model(
     """The report as one JSON-serialisable dict (``repro obs report --json``).
 
     Same facts as :func:`render_report`, uncurated: every counter and
-    stat-group field, per-rumor span analysis, rolling-window rates, the
+    counter-group field, per-rumor span analysis, rolling-window rates, the
     SLO alert timeline, histogram summaries, controller decisions, and
     the optional profiler phases.  Serialise with ``sort_keys=True`` for
     stable output.

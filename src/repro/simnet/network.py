@@ -74,7 +74,7 @@ class Network:
         )
         # The observability hub scoping this network's simulation.  When a
         # plain registry was injected (tests asserting on bare counters)
-        # the hub is a fresh sibling so stat groups still resolve somewhere.
+        # the hub is a fresh sibling so counter groups still resolve somewhere.
         self.hub = (
             self.metrics
             if isinstance(self.metrics, MetricsHub)

@@ -188,9 +188,9 @@ class Envelope:
         mutated, so fan-out sends and store retention share one buffer.
         """
         if self._wire is not None:
-            current_hub().wire.serialize_reused += 1
+            current_hub().wire.serialize_reused.inc()
             return self._wire
-        current_hub().wire.serialize_count += 1
+        current_hub().wire.serialize_count.inc()
         self._wire = canonical_bytes(self.to_element())
         return self._wire
 
@@ -237,14 +237,14 @@ class Envelope:
         data = data if isinstance(data, bytes) else bytes(data)
         cached = _PARSE_CACHE.get(data)
         if cached is not None:
-            current_hub().wire.parse_reused += 1
+            current_hub().wire.parse_reused.inc()
             data, root = cached
         else:
             try:
                 root = parse_bytes(data)
             except XmlParseError as exc:
                 raise EnvelopeError(str(exc)) from exc
-            current_hub().wire.parse_count += 1
+            current_hub().wire.parse_count.inc()
         envelope = cls.from_element(root)
         if cached is None and not any(
             block.tag in _UNSHARED_HEADERS for block in envelope._headers

@@ -98,7 +98,7 @@ class ReliableLayer(Handler):
             raise ValueError(f"max_retries must be >= 0: {max_retries!r}")
         self.runtime = runtime
         self.scheduler = scheduler
-        self._health_stats = hub_of(runtime.metrics).health
+        self._health = hub_of(runtime.metrics).health
         self.retry_interval = retry_interval
         self.max_retries = max_retries
         self.on_dead_letter = on_dead_letter
@@ -149,8 +149,7 @@ class ReliableLayer(Handler):
         if retries_left <= 0:
             del self._unacked[key]
             self.dead_letters += 1
-            self._health_stats.dead_letters += 1
-            self.runtime.metrics.counter("rm.gave-up").inc()
+            self._health.dead_letters.inc()
             if self.on_dead_letter is not None:
                 destination, number = key
                 self.on_dead_letter(destination, number, data)

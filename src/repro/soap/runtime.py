@@ -222,7 +222,7 @@ class SoapRuntime:
             destination = context.destination
             data = canonical_bytes(context.envelope.to_element())
         # Both routes meet here, so each message counts once.
-        current_hub().wire.serialize_count += 1
+        current_hub().wire.serialize_count.inc()
         self._transmit(destination, data)
         return message_id
 

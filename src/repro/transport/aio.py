@@ -52,7 +52,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.export import prometheus_text
 from repro.obs.hub import MetricsHub, default_hub, hub_of
-from repro.simnet.metrics import HealthStats
 from repro.soap.runtime import SoapRuntime
 from repro.transport.base import (
     BreakerPolicy,
@@ -278,9 +277,9 @@ class AsyncResilientTransport(ResilientTransport):
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerPolicy] = None,
         rng: Optional[random.Random] = None,
-        stats: Optional[HealthStats] = None,
+        hub: Optional[MetricsHub] = None,
     ) -> None:
-        super().__init__(retry=retry, breaker=breaker, rng=rng, stats=stats)
+        super().__init__(retry=retry, breaker=breaker, rng=rng, hub=hub)
         self.loop = resolve_loop(loop)
         self._queued = 0
         self._queued_lock = threading.Lock()
@@ -763,7 +762,7 @@ class _AsyncNodeBase:
         # Per-node hub (chained to the default) -- what GET /v1/metrics
         # serves.  Pass an explicit hub to serve a wider scope instead
         # (the soak harness's metrics edge exports the default hub, i.e.
-        # the whole mesh's aggregated stat groups).
+        # the whole mesh's aggregated counters).
         self.hub = hub if hub is not None else MetricsHub(
             parent=default_hub(), name=self.base_address
         )
@@ -1047,9 +1046,8 @@ class AsyncHttpNode(_AsyncNodeBase):
         path = strip_query(path)
         if method == "POST" and path == GOSSIP_PATH:
             status, extra, process = ingest_response(
-                self.idempotency, headers, body, self.hub.wire,
+                self.idempotency, headers, body, self.hub,
                 admission=self.admission,
-                overload_stats=self.hub.overload,
             )
             if process:
                 try:

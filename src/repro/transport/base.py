@@ -17,9 +17,10 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.simnet.metrics import HealthStats
+if TYPE_CHECKING:
+    from repro.obs.hub import MetricsHub
 
 
 def split_address(address: str) -> tuple:
@@ -180,8 +181,8 @@ class CircuitBreaker:
     CLOSED counts consecutive failures; at ``failure_threshold`` it OPENs
     and refuses sends.  After ``reset_timeout`` one probe is admitted
     (HALF_OPEN); its success closes the breaker, its failure re-opens it
-    and re-arms the timer.  State transitions are recorded in the owning
-    transport's :class:`~repro.simnet.metrics.HealthStats` group.
+    and re-arms the timer.  State transitions are counted in the
+    ``health`` group of the owning transport's hub.
     """
 
     CLOSED = "closed"
@@ -189,14 +190,14 @@ class CircuitBreaker:
     HALF_OPEN = "half-open"
 
     def __init__(
-        self, policy: BreakerPolicy, stats: Optional[HealthStats] = None
+        self, policy: BreakerPolicy, hub: Optional["MetricsHub"] = None
     ) -> None:
         self.policy = policy
-        if stats is None:
+        if hub is None:
             from repro.obs.hub import default_hub
 
-            stats = default_hub().health
-        self.stats = stats
+            hub = default_hub()
+        self._health = hub.health
         self.state = self.CLOSED
         self.consecutive_failures = 0
         self.opened_at: Optional[float] = None
@@ -208,7 +209,7 @@ class CircuitBreaker:
         if self.state == self.OPEN:
             if self.opened_at is not None and now - self.opened_at >= self.policy.reset_timeout:
                 self.state = self.HALF_OPEN
-                self.stats.breaker_probes += 1
+                self._health.breaker_probes.inc()
                 return True
             return False
         # HALF_OPEN: exactly one probe in flight; refuse the rest.
@@ -217,7 +218,7 @@ class CircuitBreaker:
     def record_success(self) -> None:
         """A send (or the half-open probe) succeeded."""
         if self.state != self.CLOSED:
-            self.stats.breaker_closed += 1
+            self._health.breaker_closed.inc()
         self.state = self.CLOSED
         self.consecutive_failures = 0
         self.opened_at = None
@@ -236,7 +237,7 @@ class CircuitBreaker:
         ):
             self.state = self.OPEN
             self.opened_at = now
-            self.stats.breaker_opened += 1
+            self._health.breaker_opened.inc()
 
 
 FaultHook = Callable[[str], Optional[str]]
@@ -264,7 +265,7 @@ class ResilientTransport:
         breaker: Optional[BreakerPolicy] = None,
         clock: Optional[Callable[[], float]] = None,
         rng: Optional[random.Random] = None,
-        stats: Optional[HealthStats] = None,
+        hub: Optional["MetricsHub"] = None,
     ) -> None:
         self._retry = retry if retry is not None else RetryPolicy()
         self._breaker_policy = breaker
@@ -275,14 +276,12 @@ class ResilientTransport:
         # Drawn only on a retry: resolved then (see ``_retry_rng``).
         self._resilience_rng = rng
         self._breaker_lock = threading.Lock()
-        from repro.obs.hub import default_hub
+        # The hub the health and overload counters go to.
+        if hub is None:
+            from repro.obs.hub import default_hub
 
-        if stats is None:
-            stats = default_hub().health
-        self._health_stats = stats
-        # Retry-After honors are backpressure accounting, not peer
-        # health; they land on the process-wide overload group.
-        self._overload_stats = default_hub().overload
+            hub = default_hub()
+        self._hub = hub
 
     # -- configuration ------------------------------------------------------
 
@@ -341,7 +340,7 @@ class ResilientTransport:
             breaker = self._breakers.get(key)
             if breaker is None:
                 breaker = CircuitBreaker(
-                    self._breaker_policy, stats=self._health_stats
+                    self._breaker_policy, hub=self._hub
                 )
                 self._breakers[key] = breaker
             return breaker
@@ -358,7 +357,7 @@ class ResilientTransport:
             with self._breaker_lock:
                 allowed = breaker.allow(self._clock())
             if not allowed:
-                self._health_stats.sends_suppressed += 1
+                self._hub.health.sends_suppressed.inc()
                 self._emit(
                     SendOutcome(address, ok=False, error="circuit-open", attempts=0)
                 )
@@ -398,8 +397,8 @@ class ResilientTransport:
             # either.  Honor the server-specified delay instead of the
             # exponential schedule.
             if attempt <= self._retry.max_retries:
-                self._overload_stats.retry_after_honored += 1
-                self._health_stats.retries += 1
+                self._hub.overload.retry_after_honored.inc()
+                self._hub.health.retries.inc()
                 self._defer(
                     max(0.0, retry_after),
                     lambda: self._attempt(address, data, attempt + 1),
@@ -413,7 +412,7 @@ class ResilientTransport:
                 )
             )
             return
-        self._health_stats.send_failures += 1
+        self._hub.health.send_failures.inc()
         breaker = self.breaker_for(address)
         opened = False
         if breaker is not None:
@@ -421,7 +420,7 @@ class ResilientTransport:
                 breaker.record_failure(self._clock())
                 opened = breaker.state != CircuitBreaker.CLOSED
         if attempt <= self._retry.max_retries and not opened:
-            self._health_stats.retries += 1
+            self._hub.health.retries.inc()
             delay = self._retry.delay(attempt, self._retry_rng())
             self._defer(
                 delay, lambda: self._attempt(address, data, attempt + 1)
@@ -474,10 +473,10 @@ class LoopbackTransport(ResilientTransport):
         breaker: Optional[BreakerPolicy] = None,
         clock: Optional[Callable[[], float]] = None,
         rng: Optional[random.Random] = None,
-        stats: Optional[HealthStats] = None,
+        hub: Optional["MetricsHub"] = None,
     ) -> None:
         super().__init__(
-            retry=retry, breaker=breaker, clock=clock, rng=rng, stats=stats
+            retry=retry, breaker=breaker, clock=clock, rng=rng, hub=hub
         )
         self._receivers: Dict[str, object] = {}
         self._pending = None

@@ -22,7 +22,7 @@ Ingest is idempotent: an ``Idempotency-Key`` request header (falling back
 to the wire gossip ``MessageId`` scanned from the body bytes) is checked
 against a bounded per-node :class:`IdempotencyIndex`; a replayed POST is
 answered ``200`` with ``Idempotent-Replay: true`` without re-entering the
-runtime, and counted in the hub's wire stats.
+runtime, and counted as the hub's ``wire.idempotent_replays``.
 
 Ingest is also admission-controlled when the node opts in: an
 :class:`EdgeAdmission` token bucket gates ``POST /v1/gossip``; a request
@@ -39,7 +39,7 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 from repro.core.message import scan_gossip_message_id
 from repro.core.overload import (
@@ -48,7 +48,9 @@ from repro.core.overload import (
     RETRY_AFTER,
     TokenBucket,
 )
-from repro.simnet.metrics import OverloadStats, WireStats
+
+if TYPE_CHECKING:
+    from repro.obs.hub import MetricsHub
 
 API_VERSION = "v1"
 GOSSIP_PATH = "/v1/gossip"
@@ -192,33 +194,32 @@ def ingest_response(
     index: IdempotencyIndex,
     headers: Mapping[str, str],
     body: bytes,
-    wire_stats: Optional[WireStats] = None,
+    hub: Optional["MetricsHub"] = None,
     admission: Optional[EdgeAdmission] = None,
-    overload_stats: Optional[OverloadStats] = None,
 ) -> Tuple[int, Dict[str, str], bool]:
     """Decide one POST's response: ``(status, headers, process_body)``.
 
     Fresh requests answer ``202 Accepted`` and must be handed to the
     runtime; replays answer ``200`` with ``Idempotent-Replay: true`` and
-    must NOT re-enter the handler.  Replays are counted on ``wire_stats``
-    (the hub's wire group) when given.
+    must NOT re-enter the handler.  Replays are counted as
+    ``wire.idempotent_replays`` on ``hub`` when given.
 
     With an ``admission`` bucket, over-rate requests answer ``429`` with
     a decimal-seconds ``Retry-After`` header.  The admission gate runs
     *before* the idempotency check: a rejected request must not be
     remembered, or its honored retry would be answered as a replay and
-    the payload silently lost.  Rejections are counted on
-    ``overload_stats`` (the hub's overload group) when given.
+    the payload silently lost.  Rejections are counted as
+    ``overload.edge_rejected`` on ``hub`` when given.
     """
     if admission is not None:
         ok, retry_after = admission.admit()
         if not ok:
-            if overload_stats is not None:
-                overload_stats.edge_rejected += 1
+            if hub is not None:
+                hub.overload.edge_rejected.inc()
             return 429, {RETRY_AFTER_HEADER: f"{retry_after:.3f}"}, False
     if index.check_and_remember(index.key_for(headers, body)):
-        if wire_stats is not None:
-            wire_stats.idempotent_replays += 1
+        if hub is not None:
+            hub.wire.idempotent_replays.inc()
         return 200, {IDEMPOTENT_REPLAY_HEADER: "true"}, False
     return 202, {}, True
 

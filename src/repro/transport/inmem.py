@@ -59,7 +59,7 @@ class SimTransport(ResilientTransport):
             retry=retry,
             breaker=breaker,
             clock=lambda: node.sim.now,
-            stats=node.network.hub.health,
+            hub=node.network.hub,
         )
         self._node = node
 

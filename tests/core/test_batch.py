@@ -185,10 +185,10 @@ class TestEndToEnd:
         mids = [group.publish({"tick": index}) for index in range(10)]
         group.run_for(10.0)
         assert all(group.delivered_fraction(mid) == 1.0 for mid in mids)
-        assert BATCH_STATS.batches_sent > 0
-        assert BATCH_STATS.rumors_batched > BATCH_STATS.batches_sent
-        assert BATCH_STATS.batches_received > 0
-        assert BATCH_STATS.rumors_unpacked > 0
+        assert BATCH_STATS.batches_sent.value > 0
+        assert BATCH_STATS.rumors_batched.value > BATCH_STATS.batches_sent.value
+        assert BATCH_STATS.batches_received.value > 0
+        assert BATCH_STATS.rumors_unpacked.value > 0
 
     def test_batching_reduces_envelopes(self):
         sent = {}
@@ -206,8 +206,8 @@ class TestEndToEnd:
         mid = group.publish({"tick": 0})
         group.run_for(6.0)
         assert group.delivered_fraction(mid) == 1.0
-        assert BATCH_STATS.batches_sent == 0
-        assert BATCH_STATS.batches_received == 0
+        assert BATCH_STATS.batches_sent.value == 0
+        assert BATCH_STATS.batches_received.value == 0
 
     def test_single_rumor_falls_back_to_legacy_frame(self):
         # A batching sender with exactly one rumor and no control ships a
@@ -216,8 +216,8 @@ class TestEndToEnd:
         mid = group.publish({"tick": 0})
         group.run_for(6.0)
         assert group.delivered_fraction(mid) == 1.0
-        assert BATCH_STATS.legacy_singletons > 0
-        assert BATCH_STATS.batches_sent == 0
+        assert BATCH_STATS.legacy_singletons.value > 0
+        assert BATCH_STATS.batches_sent.value == 0
 
     def test_duplicate_batch_skipped_before_parse(self):
         group = make_group(max_batch_rumors=16)
@@ -229,9 +229,9 @@ class TestEndToEnd:
         batch = build_batch(
             group.activity_id, "sim://replayer/gossip", frames
         )
-        skipped_before = BATCH_STATS.batches_skipped_preparse
+        skipped_before = BATCH_STATS.batches_skipped_preparse.value
         node.runtime.receive(batch, source="sim://replayer")
-        assert BATCH_STATS.batches_skipped_preparse == skipped_before + 1
+        assert BATCH_STATS.batches_skipped_preparse.value == skipped_before + 1
 
     def test_batched_push_pull_repairs(self):
         # The batched digest exchange ("req" -> frames + "rsp") must still

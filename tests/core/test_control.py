@@ -76,9 +76,9 @@ class TestDecide:
         assert decision.action == "boost"
         assert decision.fanout == 5 and decision.rounds == 7
         assert decision.style == "push-pull"  # escalated for repair
-        assert hub.control.boosts == 1
-        assert hub.control.slo_breaches == 1
-        assert hub.control.escalations == 1
+        assert hub.control.boosts.value == 1
+        assert hub.control.slo_breaches.value == 1
+        assert hub.control.escalations.value == 1
         assert controller._cooldown == COOLDOWN_EPOCHS
 
     def test_repeated_breaches_cap_at_maxima(self):
@@ -95,7 +95,7 @@ class TestDecide:
         assert decision.style == "push-pull"
         # Delivery holds the SLO: fanout and rounds stay where they were.
         assert decision.fanout == 3 and decision.rounds == 5
-        assert hub.control.escalations == 1
+        assert hub.control.escalations.value == 1
 
     def test_sustained_guard_stress_holds_capacity(self):
         controller, hub, _ = make_controller()
@@ -143,7 +143,7 @@ class TestDecide:
             for _ in range(COOLDOWN_EPOCHS + 1)
         ]
         assert actions == ["hold"] * COOLDOWN_EPOCHS + ["shrink"]
-        assert hub.control.cooldown_holds == COOLDOWN_EPOCHS
+        assert hub.control.cooldown_holds.value == COOLDOWN_EPOCHS
 
     def test_shrink_order_deescalate_fanout_rounds_batch(self):
         controller, hub, _ = make_controller(
@@ -166,7 +166,7 @@ class TestDecide:
                           controller._rounds, controller._batch))
         assert steps == expected  # then fanout, rounds, batching last
         assert controller._decide(calm_signals()).reasons == ["at floor"]
-        assert hub.control.deescalations == 1
+        assert hub.control.deescalations.value == 1
 
     def test_hold_at_floor(self):
         controller, hub, _ = make_controller(
@@ -189,7 +189,7 @@ class TestDecide:
         decision = controller._decide(calm_signals(delivery=0.9))
         assert decision.style == "anti-entropy"
         assert decision.fanout == 5  # capacity still boosted
-        assert hub.control.escalations == 0
+        assert hub.control.escalations.value == 0
 
     def test_periodic_base_style_never_deescalates_below_base(self):
         controller, hub, _ = make_controller(
@@ -199,7 +199,7 @@ class TestDecide:
         for _ in range(6):
             controller._decide(calm_signals())
         assert controller._level == 1  # the configured style is the floor
-        assert hub.control.deescalations == 0
+        assert hub.control.deescalations.value == 0
 
 
 class TestApply:
@@ -219,7 +219,7 @@ class TestApply:
         assert engine.params.rounds == 7
         assert engine.params.style is GossipStyle.PUSH_PULL
         assert engine.kicks == 1  # periodic loop kicked on escalation
-        assert hub.control.param_updates == 1
+        assert hub.control.param_updates.value == 1
 
     def test_apply_is_a_noop_when_nothing_changed(self):
         engine = FakeEngine(GossipParams(fanout=3, rounds=5))
@@ -228,7 +228,7 @@ class TestApply:
         controller._apply([engine], decision)
         assert engine.assignments == 0
         assert engine.kicks == 0
-        assert hub.control.param_updates == 0
+        assert hub.control.param_updates.value == 0
 
     def test_apply_raises_peer_sample_size_to_fanout(self):
         engine = FakeEngine(
@@ -253,7 +253,7 @@ class TestEpochTick:
         controller._scheduler = FakeScheduler()
         assert controller.epoch_tick() is None
         assert hub.decisions == []
-        assert hub.control.epochs == 0
+        assert hub.control.epochs.value == 0
 
     def test_tick_records_decision_series_and_stats(self):
         engine = FakeEngine(GossipParams(fanout=3, rounds=5))
@@ -267,7 +267,7 @@ class TestEpochTick:
         decision = controller.epoch_tick()
         assert decision is not None
         assert hub.decisions == [decision]
-        assert hub.control.epochs == 1
+        assert hub.control.epochs.value == 1
         assert hub.series("control.fanout").samples()
 
     def test_start_schedules_on_scheduler(self):

@@ -11,6 +11,7 @@ from repro.core.engine import (
 )
 from repro.core.message import GossipHeader, GossipStyle
 from repro.core.params import GossipParams
+from repro.obs.hub import default_hub
 from repro.soap.envelope import Envelope
 from repro.soap.runtime import SoapRuntime
 from repro.transport.base import LoopbackTransport
@@ -183,7 +184,7 @@ def test_publish_push_sends_fanout_copies(setup):
     engine.view = [f"test://peer{index}/app" for index in range(5)]
     message_id = engine.publish("urn:app/Event", {"n": 1})
     scheduler.flush()
-    assert runtime.metrics.counter("gossip.fanout-send").value == 2
+    assert default_hub().batch.legacy_singletons.value == 2
     assert not engine.store.is_new(message_id)  # own message remembered
     assert engine.store.get(message_id).data  # retained for pull serving
 
@@ -195,7 +196,7 @@ def test_publish_pull_style_stores_only(setup):
     engine.view = ["test://peer/app"]
     message_id = engine.publish("urn:app/Event", {"n": 1})
     scheduler.flush()
-    assert runtime.metrics.counter("gossip.fanout-send").value == 0
+    assert default_hub().batch.legacy_singletons.value == 0
     assert engine.store.get(message_id).data
 
 

@@ -7,6 +7,7 @@ import pytest
 from repro.core.engine import GossipEngine
 from repro.core.message import GossipStyle
 from repro.core.params import GossipParams
+from repro.obs.hub import default_hub
 from repro.soap.runtime import SoapRuntime
 from repro.transport.base import LoopbackTransport
 from repro.wsa.addressing import EndpointReference
@@ -42,7 +43,7 @@ def lazy_engine():
 def test_publish_advertises_instead_of_pushing(lazy_engine):
     transport, runtime, scheduler, engine = lazy_engine
     engine.publish("urn:app/Event", {"n": 1})
-    assert runtime.metrics.counter("gossip.fanout-send").value == 0
+    assert default_hub().batch.legacy_singletons.value == 0
     assert runtime.metrics.counter("gossip.advertise").value == 2  # fanout
 
 

@@ -232,8 +232,8 @@ def test_in_sync_unbatched_group_sends_only_summaries(monkeypatch):
     # fanout summary-only frames per node per period, and nothing else:
     # no full id list, no PullResponse, no reply frame of any kind.
     assert grew("gossip.pull-request") == fanout * nodes * periods
-    assert grew("gossip.batch-send") == grew("gossip.pull-request")
-    assert grew("soap.sent") == grew("gossip.batch-send")
+    assert grew("batch.batches_sent") == grew("gossip.pull-request")
+    assert grew("soap.sent") == grew("batch.batches_sent")
     assert grew("gossip.pull-in-sync") == grew("gossip.pull-request")
     assert len(wire.payloads) == grew("soap.sent")
     assert all(describe(data) == (0, "summary") for data in wire.payloads)
@@ -305,9 +305,9 @@ def test_restarted_node_catches_up_over_the_digest_exchange(monkeypatch):
     group.run_for(6.0)
     # Push has no periodic repair: catch-up is the only way back.
     assert victim.has_delivered(mid)
-    recovery = group.hub.recovery
-    assert recovery.catch_up_rounds >= 1
-    assert recovery.catch_ups_completed == 1
+    recovery = group.hub.recovery.snapshot()
+    assert recovery["catch_up_rounds"] >= 1
+    assert recovery["catch_ups_completed"] == 1
     controls = [scan_batch_control(d) for d in wire.payloads if is_batch_frame(d)]
     kinds = {c.digest[1] for c in controls if c is not None and c.digest is not None}
     assert kinds == {"req", "rsp"}
@@ -561,6 +561,6 @@ def test_lossy_batched_group_converges_then_idles_on_summaries(seed):
     # Idle tail: one summary per target per period and not one reply --
     # the full-list exchange cost a second frame for every one of these.
     assert grew("gossip.pull-request") == fanout * nodes * periods
-    assert grew("gossip.batch-send") == grew("gossip.pull-request")
+    assert grew("batch.batches_sent") == grew("gossip.pull-request")
     assert grew("gossip.pull-served") == 0
     assert 0 < grew("gossip.pull-in-sync") <= grew("gossip.pull-request")

@@ -64,7 +64,7 @@ def test_failures_accumulate_to_suspicion():
     assert not health.is_suspected("sim://a/app")
     health.record_outcome(SendOutcome("sim://a/app", ok=False, error="x"))
     assert health.is_suspected("sim://a/app")
-    assert HEALTH_STATS.peers_suspected == 1
+    assert HEALTH_STATS.peers_suspected.value == 1
 
 
 def test_score_decays_with_half_life():
@@ -86,7 +86,7 @@ def test_success_relieves_suspicion_and_restores():
     for _ in range(2):
         health.record_outcome(SendOutcome("sim://a/app", ok=True))
     assert not health.is_suspected("sim://a/app")
-    assert HEALTH_STATS.peers_restored == 1
+    assert HEALTH_STATS.peers_restored.value == 1
 
 
 def test_hearing_from_a_peer_counts_as_alive():
@@ -128,7 +128,7 @@ def test_effective_fanout_compensates_for_suspects():
         health.mark_failed(peer)
     # 5 of 10 suspected: multiplier 10/5 = 2 (at BOOST_CAP, not past it).
     assert health.effective_fanout(4, view) == 8
-    assert HEALTH_STATS.fanout_boosts == 1
+    assert HEALTH_STATS.fanout_boosts.value == 1
 
 
 def test_effective_fanout_is_capped():

@@ -43,9 +43,9 @@ def test_lazy_push_saves_payload_transfers():
     push_group, push_id = run_group("push", payload=big)
     lazy_payload_transfers = lazy_group.message_counts().get(
         "gossip.deliver-sent", 0
-    ) + lazy_group.message_counts().get("gossip.fanout-send", 0)
+    ) + lazy_group.message_counts().get("batch.legacy_singletons", 0)
     push_payload_transfers = (
-        push_group.message_counts().get("gossip.fanout-send", 0)
+        push_group.message_counts().get("batch.legacy_singletons", 0)
         + push_group.message_counts().get("gossip.forward", 0)
     )
     assert lazy_group.delivered_fraction(lazy_id) == 1.0

@@ -93,9 +93,9 @@ def handler_digest_gate(group):
 
     def step(pressure):
         layer._ingest_queue = deque([(b"", None)] * round(pressure * capacity))
-        before = group.hub.overload.shed_digests
+        before = group.hub.overload.shed_digests.value
         layer._ingest_gate(ADVERTISE_ACTION.encode(), None)  # a digest frame
-        return group.hub.overload.shed_digests > before
+        return group.hub.overload.shed_digests.value > before
 
     return step, layer._ingest_latch
 
@@ -110,7 +110,7 @@ def test_shed_latch_rises_holds_and_clears(gate):
                          overload={"ingest_capacity": 20}).build()
     group.setup(settle=1.0, eager_join=True)
     step, latch = gate(group)
-    highs = group.hub.overload.pressure_highs
+    highs = group.hub.overload.pressure_highs.value
     sequence = [
         (0.55, False, False),  # under the digest rung, unlatched
         (0.85, True, True),    # rise: latched, shed
@@ -121,8 +121,8 @@ def test_shed_latch_rises_holds_and_clears(gate):
     for pressure, shed, latched in sequence:
         assert step(pressure) is shed, pressure
         assert latch.overloaded is latched, pressure
-    assert group.hub.overload.pressure_highs == highs + 1
-    assert group.message_counts()["gossip.shed.digest"] == 2
+    assert group.hub.overload.pressure_highs.value == highs + 1
+    assert group.message_counts()["overload.shed_digests"] == 2
 
 
 # -- GossipConfig opt-in -----------------------------------------------------
@@ -197,9 +197,9 @@ class TestThrottleFault:
 
     def test_throttled_arrivals_queue_and_drain(self):
         group, gossip_ids = self.run_throttled()
-        overload = group.hub.overload
-        assert overload.throttled > 0, "throttle never queued an arrival"
-        assert overload.admitted > 0
+        overload = group.hub.overload.snapshot()
+        assert overload["throttled"] > 0, "throttle never queued an arrival"
+        assert overload["admitted"] > 0
         peak = group.hub.gauge("overload.ingest-queue-peak").value
         assert 0 < peak <= 16
         # After unthrottle + settle, everything admitted was delivered.
@@ -209,9 +209,7 @@ class TestThrottleFault:
     def test_throttle_is_deterministic(self):
         first, _ = self.run_throttled()
         second, _ = self.run_throttled()
-        a, b = first.hub.overload, second.hub.overload
-        for name in a._fields:
-            assert getattr(a, name) == getattr(b, name), name
+        assert first.hub.overload.snapshot() == second.hub.overload.snapshot()
         assert first.message_counts() == second.message_counts()
 
     def test_throttle_rate_must_be_positive(self):
@@ -249,7 +247,7 @@ class TestOverloadObservability:
         from repro.obs.export import prometheus_text
 
         group = self.build_shedding_group()
-        assert group.hub.overload.throttled > 0
+        assert group.hub.overload.throttled.value > 0
         text = prometheus_text(group.hub)
         assert "repro_overload_throttled" in text
         assert "repro_overload_shed_digests" in text

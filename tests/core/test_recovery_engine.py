@@ -45,9 +45,9 @@ class TestDurableRestart:
         # The message is back before any network round trip: it came from
         # the WAL, not from the peers.
         assert victim.has_delivered(m1)
-        assert RECOVERY_STATS.replayed_messages >= 1
-        assert RECOVERY_STATS.restarts == 1
-        assert RECOVERY_STATS.amnesia_restarts == 0
+        assert RECOVERY_STATS.replayed_messages.value >= 1
+        assert RECOVERY_STATS.restarts.value == 1
+        assert RECOVERY_STATS.amnesia_restarts.value == 0
 
     def test_replay_restores_dedup(self):
         group = make_group()
@@ -107,7 +107,7 @@ class TestSnapshotRoundTrip:
         )
         assert after == before
         assert victim.replayed_messages == len(published)
-        assert RECOVERY_STATS.snapshots >= 1
+        assert RECOVERY_STATS.snapshots.value >= 1
 
 
 class TestAmnesiaRestart:
@@ -126,10 +126,10 @@ class TestAmnesiaRestart:
         group.run_for(6.0)
         # ...but bounded anti-entropy with healthy peers got it back.
         assert victim.has_delivered(m1)
-        assert RECOVERY_STATS.amnesia_restarts == 1
-        assert RECOVERY_STATS.fetched >= 1
-        assert RECOVERY_STATS.catch_up_rounds >= 1
-        assert RECOVERY_STATS.catch_ups_completed >= 1
+        assert RECOVERY_STATS.amnesia_restarts.value == 1
+        assert RECOVERY_STATS.fetched.value >= 1
+        assert RECOVERY_STATS.catch_up_rounds.value >= 1
+        assert RECOVERY_STATS.catch_ups_completed.value >= 1
 
     def test_ablation_no_catch_up_stays_lost(self):
         # The control arm for the chaos gate: amnesia without catch-up
@@ -143,7 +143,7 @@ class TestAmnesiaRestart:
         victim.restart(amnesia=True)
         group.run_for(6.0)
         assert not victim.has_delivered(m1)
-        assert RECOVERY_STATS.catch_ups_completed == 0
+        assert RECOVERY_STATS.catch_ups_completed.value == 0
 
 
 class TestFifoAcrossRestart:
@@ -228,7 +228,7 @@ class TestDecentralizedRestart:
         # the catch-up protocol then refills the message store.
         group.run_for(10.0)
         assert victim.has_delivered(m1)
-        assert RECOVERY_STATS.amnesia_restarts == 1
+        assert RECOVERY_STATS.amnesia_restarts.value == 1
 
 
 class TestConfigSurface:

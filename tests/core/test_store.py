@@ -16,7 +16,7 @@ from repro.core.store import (
     MemoryGossipLog,
     ReplayResult,
 )
-from repro.simnet.metrics import RecoveryStats
+from repro.obs.hub import MetricsHub
 
 RECORDS = [
     {"type": "msg", "id": "m-1", "data": b"\x00\x01wire", "at": 1.5, "origin": "sim://a"},
@@ -216,7 +216,7 @@ def test_replay_survives_any_truncation_or_byte_flip(case):
     snapshot, records, frames, kind, offset, mask = case
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "node.wal")
-        log = FileGossipLog(path, fsync="never", stats=RecoveryStats())
+        log = FileGossipLog(path, fsync="never", hub=MetricsHub())
         if snapshot is not None:
             log.write_snapshot(snapshot)
         for record in records:
@@ -231,7 +231,7 @@ def test_replay_survives_any_truncation_or_byte_flip(case):
                 byte = handle.read(1)[0]
                 handle.seek(offset)
                 handle.write(bytes([byte ^ mask]))
-        result = FileGossipLog(path, fsync="never", stats=RecoveryStats()).replay()
+        result = FileGossipLog(path, fsync="never", hub=MetricsHub()).replay()
 
     assert _is_subsequence(result.records, records)
     if kind == "flip-snapshot":

@@ -79,14 +79,14 @@ def recording_engine():
 
 def test_publish_fanout_shares_one_buffer(recording_engine):
     transport, runtime, engine = recording_engine
-    WIRE_STATS.reset()
+    default_hub().reset()
     engine.publish("urn:app/Event", {"price": 42})
     engine.scheduler.flush()
     payloads = [data for _address, data in transport.sent]
     assert len(payloads) == engine.params.fanout
     assert all(data is payloads[0] for data in payloads)
     # One encode serves the whole fan-out.
-    assert WIRE_STATS.serialize_count == 1
+    assert WIRE_STATS.serialize_count.value == 1
 
 
 def test_forward_fanout_shares_one_buffer(recording_engine):
@@ -163,15 +163,15 @@ def test_preparse_gate_drops_known_duplicates(recording_engine):
     envelope, header = make_gossip_envelope(message_id=new_gossip_message_id())
     data = envelope.to_bytes()
 
-    WIRE_STATS.reset()
+    default_hub().reset()
     runtime.receive(data, source="test://peer0/app")  # fresh: full parse
-    assert WIRE_STATS.parse_count >= 1
+    assert WIRE_STATS.parse_count.value >= 1
     duplicates_before = runtime.metrics.counter("gossip.duplicate").value
 
-    parses_after_first = WIRE_STATS.parse_count
+    parses_after_first = WIRE_STATS.parse_count.value
     runtime.receive(data, source="test://peer1/app")  # duplicate: gate drops
-    assert WIRE_STATS.parse_count == parses_after_first  # no second parse
-    assert WIRE_STATS.dedup_preparse_hits == 1
+    assert WIRE_STATS.parse_count.value == parses_after_first  # no second parse
+    assert WIRE_STATS.dedup_preparse_hits.value == 1
     assert runtime.metrics.counter("soap.preparse-dropped").value == 1
     # Same observable accounting as the post-parse duplicate branch.
     assert runtime.metrics.counter("gossip.duplicate").value == duplicates_before + 1
@@ -181,10 +181,10 @@ def test_preparse_gate_passes_unknown_messages(recording_engine):
     transport, runtime, engine = recording_engine
     _install_layer(runtime, engine)
     envelope, _header = make_gossip_envelope(message_id=new_gossip_message_id())
-    WIRE_STATS.reset()
+    default_hub().reset()
     runtime.receive(envelope.to_bytes(), source=None)
-    assert WIRE_STATS.dedup_preparse_hits == 0
-    assert WIRE_STATS.parse_count >= 1
+    assert WIRE_STATS.dedup_preparse_hits.value == 0
+    assert WIRE_STATS.parse_count.value >= 1
 
 
 def test_preparse_gate_ignores_gossip_ids_in_application_bodies(recording_engine):
@@ -212,7 +212,7 @@ def test_preparse_gate_ignores_gossip_ids_in_application_bodies(recording_engine
     data = envelope.to_bytes()
     assert b":MessageId>" + header.message_id.encode("ascii") in data
 
-    dedup = runtime.metrics.counter("gossip.dedup-preparse")
+    dedup = default_hub().wire.dedup_preparse_hits
     before = dedup.value
     runtime.receive(data, source="test://peer0/app")
     assert dedup.value == before
@@ -226,7 +226,7 @@ def test_preparse_gate_ignores_gossip_ids_in_application_bodies(recording_engine
 def test_simulated_run_exercises_fast_path():
     from repro import GossipConfig
 
-    WIRE_STATS.reset()
+    default_hub().reset()
     group = GossipConfig(
         n_disseminators=11,
         seed=3,
@@ -242,8 +242,8 @@ def test_simulated_run_exercises_fast_path():
     counts = group.message_counts()
     # Every gossip copy rides the shared-buffer path, one single-rumor
     # frame per target copy (a push-only group never sends a batch) ...
-    assert counts["soap.sent-shared"] == counts["gossip.fanout-send"]
-    assert counts.get("gossip.batch-send", 0) == 0
+    assert counts["soap.sent-shared"] == counts["batch.legacy_singletons"]
+    assert counts.get("batch.batches_sent", 0) == 0
     # ... fanning each encode out to multiple targets (more copies sent
     # than gossip hops that could have encoded) ...
     assert counts["soap.sent-shared"] > counts["gossip.publish"] + counts["gossip.fresh"]
@@ -251,7 +251,7 @@ def test_simulated_run_exercises_fast_path():
     # ... and duplicates die before the parser sees them.
     assert stats["dedup_preparse_hits"] > 0
     assert counts["soap.preparse-dropped"] == stats["dedup_preparse_hits"]
-    assert counts["gossip.dedup-preparse"] == stats["dedup_preparse_hits"]
+    assert counts["wire.dedup_preparse_hits"] == stats["dedup_preparse_hits"]
 
 
 # -- the forward splices against parse -> decrement -> serialize ---------------

@@ -114,9 +114,9 @@ def test_adaptive_holds_slo_under_perturbation_cheaper_than_static():
             f"in phase {phase}"
         )
     # The controller actually worked for its keep.
-    control = group.hub.control
-    assert control.epochs > 0
-    assert control.boosts > 0
+    control = group.hub.control.snapshot()
+    assert control["epochs"] > 0
+    assert control["boosts"] > 0
     assert group.hub.decisions, "no decision timeline recorded"
 
     static_delivery, static_sent, _ = run_perturbed(n_nodes, adaptive=False)
@@ -168,9 +168,9 @@ def test_controller_and_health_boost_never_pass_ceiling(monkeypatch):
     assert max(fanouts) <= FANOUT_CEILING
     # The scenario actually pushed against the bound, so the clamp (not
     # mild conditions) is what kept the fanout at or below the ceiling.
-    assert group.hub.control.boosts > 0
-    assert group.hub.health.fanout_boosts > 0
-    assert group.hub.control.ceiling_clamps > 0
+    assert group.hub.control.boosts.value > 0
+    assert group.hub.health.fanout_boosts.value > 0
+    assert group.hub.control.ceiling_clamps.value > 0
 
 
 def reference_run(adaptive):
@@ -210,5 +210,5 @@ def test_neutral_controller_reproduces_static_run_byte_for_byte():
     # The controller genuinely ran (decisions recorded), it just never
     # had anything to change.
     assert steered_group.hub.decisions
-    assert steered_group.hub.control.param_updates == 0
+    assert steered_group.hub.control.param_updates.value == 0
     assert plain_group.hub.decisions == []

@@ -82,9 +82,9 @@ def test_health_layer_meets_chaos_delivery_target():
     fraction = chaos_delivery(health=True)
     assert fraction >= 0.99
     # The machinery demonstrably engaged.
-    assert HEALTH_STATS.peers_suspected > 0
-    assert HEALTH_STATS.breaker_opened > 0
-    assert HEALTH_STATS.sends_suppressed > 0
+    assert HEALTH_STATS.peers_suspected.value > 0
+    assert HEALTH_STATS.breaker_opened.value > 0
+    assert HEALTH_STATS.sends_suppressed.value > 0
 
 
 def test_health_layer_beats_health_off_on_the_same_seed():
@@ -150,5 +150,5 @@ def test_breaker_readmits_recovered_peer_via_half_open_probe():
     assert breaker.state == CircuitBreaker.CLOSED
     send(sim, a)  # normal traffic resumes
     assert outcomes[-1].ok
-    assert HEALTH_STATS.breaker_probes >= 1
-    assert HEALTH_STATS.breaker_closed >= 1
+    assert HEALTH_STATS.breaker_probes.value >= 1
+    assert HEALTH_STATS.breaker_closed.value >= 1

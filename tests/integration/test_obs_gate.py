@@ -50,5 +50,5 @@ def test_seeded_push_run_meets_delivery_and_round_bounds():
     )
 
     # The wire path was exercised and attributed to this group's hub.
-    assert group.hub.wire.serialize_count > 0
+    assert group.hub.wire.serialize_count.value > 0
     assert group.message_counts()["net.sent"] > 0

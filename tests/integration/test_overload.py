@@ -123,13 +123,13 @@ def test_overload_bounds_queues_and_holds_admitted_delivery():
     assert peak_queue(group) <= capacity, (
         f"ingest queue peaked at {peak_queue(group)} > bound {capacity}"
     )
-    overload = group.hub.overload
-    assert overload.shed_digests > 0, "no digests shed under 3x overload"
-    assert overload.shed_digests >= overload.shed_payloads, (
+    overload = group.hub.overload.snapshot()
+    assert overload["shed_digests"] > 0, "no digests shed under 3x overload"
+    assert overload["shed_digests"] >= overload["shed_payloads"], (
         "shed ladder inverted: payloads shed more often than digests "
-        f"({overload.shed_payloads} > {overload.shed_digests})"
+        f"({overload['shed_payloads']} > {overload['shed_digests']})"
     )
-    assert overload.pressure_highs > 0, "high watermark never crossed"
+    assert overload["pressure_highs"] > 0, "high watermark never crossed"
 
     # Ablation: same seed, same load, no policy -- the queue grows far
     # past the bound (unbounded memory) and delivery degrades.
@@ -147,7 +147,7 @@ def test_overload_bounds_queues_and_holds_admitted_delivery():
         f"shedding on ({delivered:.4f}) did not beat the ablation "
         f"({ab_delivered:.4f})"
     )
-    assert ab_group.hub.overload.shed_digests == 0, (
+    assert ab_group.hub.overload.shed_digests.value == 0, (
         "ablation run shed traffic despite overload=None"
     )
 
@@ -172,7 +172,7 @@ def test_publisher_backpressure_at_hard_limit():
             assert exc.retry_after > 0
             assert exc.pressure >= 1.0
     assert rejected > 0, "hard outbox limit never rejected a publish"
-    assert group.hub.overload.publish_rejected == rejected
+    assert group.hub.overload.publish_rejected.value == rejected
     # Once drained, publishing works again (backpressure, not a latch).
     group.run_for(5.0)
     assert group.publish({"seq": "after"}) is not None
@@ -188,8 +188,7 @@ def test_controller_reacts_to_pressure_without_fighting_the_shedder():
         overload=dict(OVERLOAD),
         adaptive=True,
     )
-    control = group.hub.control
-    assert control.pressure_reliefs > 0, (
+    assert group.hub.control.pressure_reliefs.value > 0, (
         "controller never took the pressure-relief path under overload"
     )
     pressured = [

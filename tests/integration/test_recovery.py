@@ -71,9 +71,9 @@ def test_recovery_gate_meets_delivery_target():
     assert fraction >= 0.99
     # The machinery demonstrably engaged: every victim restarted with
     # amnesia, ran catch-up rounds, and fetched what it had lost.
-    assert RECOVERY_STATS.amnesia_restarts == round(CRASH_FRACTION * (N - 1))
-    assert RECOVERY_STATS.catch_ups_completed == RECOVERY_STATS.amnesia_restarts
-    assert RECOVERY_STATS.fetched > 0
+    assert RECOVERY_STATS.amnesia_restarts.value == round(CRASH_FRACTION * (N - 1))
+    assert RECOVERY_STATS.catch_ups_completed.value == RECOVERY_STATS.amnesia_restarts.value
+    assert RECOVERY_STATS.fetched.value > 0
 
 
 def test_catch_up_beats_ablation_on_the_same_seed():

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.api import GossipConfig
 from repro.core.params import ParamError
+from repro.obs.hub import default_hub
 
 CONTRACT = dict(
     n_disseminators=39,
@@ -57,6 +58,27 @@ class TestShardedDelivery:
             assert group.is_atomic(message_id)
             assert group.barriers > 0
             assert len(group.delivery_times(message_id)) == group.population - 1
+        finally:
+            group.close()
+
+    def test_hub_reads_leave_the_default_hub_alone(self):
+        # The merged hub is rebuilt on every read; were it chained to the
+        # default hub, each read would add the shards' totals there again.
+        group = GossipConfig(**dict(CONTRACT, seed=5, shards=2)).build()
+        try:
+            group.setup(settle=1.0, eager_join=True)
+            group.publish({"hello": "shards"})
+            group.run_for(4.0)
+            def process_totals():
+                hub = default_hub()
+                return hub.counters(), hub.wire.snapshot(), hub.batch.snapshot()
+
+            before = process_totals()
+            first, second = group.hub, group.hub
+            counts = group.message_counts()
+            assert process_totals() == before
+            assert first.wire.snapshot()["parse_count"] > 0
+            assert first.counters() == second.counters() == counts
         finally:
             group.close()
 

@@ -12,7 +12,7 @@ from repro.obs.export import (
     load_jsonl,
     prometheus_text,
 )
-from repro.obs.hub import MetricsHub
+from repro.obs.hub import COUNTER_GROUPS, MetricsHub
 
 
 @pytest.fixture
@@ -25,8 +25,8 @@ def populated_hub():
     hub.gauge("view.size").set(16)
     hub.histogram("net.latency").observe(0.01)
     hub.histogram("net.latency").observe(0.03)
-    hub.wire.serialize_count += 5
-    hub.batch.batches_sent += 2
+    hub.wire.serialize_count.inc(5)
+    hub.batch.batches_sent.inc(2)
     return hub
 
 
@@ -59,12 +59,10 @@ def test_jsonl_round_trip(populated_hub):
         if "labels" not in record
     }
     assert counters["soap.sent"] == 7
-    stats = {
-        (record["group"], record["field"]): record["value"]
-        for record in by_kind["stat"]
-    }
-    assert stats[("wire", "serialize_count")] == 5
-    assert stats[("batch", "batches_sent")] == 2
+    # Counter-group fields are plain counters named <group>.<field>.
+    assert counters["wire.serialize_count"] == 5
+    assert counters["batch.batches_sent"] == 2
+    assert "stat" not in by_kind
 
 
 def test_jsonl_rejects_garbage():
@@ -119,6 +117,21 @@ def test_prometheus_families_lead_with_help_and_type(populated_hub):
         assert lines[help_index + 1] == f"# TYPE {family} {kind}"
 
 
+def test_prometheus_exports_every_counter_group_field():
+    # Every declared field is a family, at 0 when never counted, under
+    # the name, HELP line and TYPE the stat-group export always had.
+    hub = MetricsHub(name="groups")
+    hub.recovery.restarts.inc(3)
+    lines = prometheus_text(hub).splitlines()
+    for group, fields in COUNTER_GROUPS.items():
+        for field in fields:
+            family = f"repro_{group}_{field}"
+            value = 3 if (group, field) == ("recovery", "restarts") else 0
+            index = lines.index(f"# HELP {family} Value of {group}.{field}.")
+            assert lines[index + 1] == f"# TYPE {family} counter"
+            assert lines[index + 2] == f"{family} {value}"
+
+
 def test_prometheus_name_sanitization_and_label_escaping():
     hub = MetricsHub(name="escape-test")
     hub.counter("gossip.dedup-preparse").inc()
@@ -152,8 +165,8 @@ def test_jsonl_and_snapshot_carry_controller_decisions():
     from repro.core.control import ControlDecision, EpochSignals
 
     hub = MetricsHub(name="decisions")
-    hub.control.epochs += 2
-    hub.control.boosts += 1
+    hub.control.epochs.inc(2)
+    hub.control.boosts.inc(1)
     hub.decisions.append(
         ControlDecision(
             time=4.0, epoch=2, action="boost",

@@ -1,6 +1,9 @@
 """The MetricsHub: scoping, chaining, node labels."""
 
+import pytest
+
 from repro.obs.hub import (
+    COUNTER_GROUPS,
     MetricsHub,
     NodeScope,
     current_hub,
@@ -15,27 +18,60 @@ from repro.simnet.network import Network
 def test_counters_and_stat_groups_chain_to_parent():
     parent = MetricsHub(name="parent")
     child = MetricsHub(parent=parent, name="child")
-    child.wire.serialize_count += 2
-    child.health.retries += 1
-    assert child.wire.serialize_count == 2
-    assert parent.wire.serialize_count == 2
-    assert parent.health.retries == 1
+    child.wire.serialize_count.inc(2)
+    child.health.retries.inc(1)
+    assert child.wire.serialize_count.value == 2
+    assert parent.wire.serialize_count.value == 2
+    assert parent.health.retries.value == 1
     # Resetting the child must not erase the parent's history.
     child.reset()
-    assert child.wire.serialize_count == 0
-    assert parent.wire.serialize_count == 2
+    assert child.wire.serialize_count.value == 0
+    assert parent.wire.serialize_count.value == 2
+
+
+def test_counter_group_fields_are_hub_counters():
+    hub = MetricsHub(name="groups")
+    handle = hub.batch.flushes
+    handle.inc(2)
+    # The handle is bound once and is the hub counter <group>.<field>.
+    assert hub.batch.flushes is handle
+    assert hub.counter("batch.flushes") is handle
+    assert hub.counters() == {"batch.flushes": 2}
+    snapshot = hub.batch.snapshot()
+    assert snapshot["flushes"] == 2
+    assert set(snapshot) == set(COUNTER_GROUPS["batch"])
+    assert sum(snapshot.values()) == 2  # every other field reads 0
+
+
+def test_counter_group_rejects_undeclared_fields_and_plain_writes():
+    hub = MetricsHub(name="groups")
+    with pytest.raises(AttributeError):
+        hub.wire.parse_counts
+    with pytest.raises(TypeError):
+        hub.wire.parse_count += 1
+
+
+def test_one_inc_serves_node_hub_and_parent():
+    parent = MetricsHub(name="parent")
+    child = MetricsHub(parent=parent, name="child")
+    child.node("n0").counter("wire.dedup_preparse_hits").inc(3)
+    child.counter("soap.sent").inc()
+    assert child.node("n0").counters() == {"wire.dedup_preparse_hits": 3}
+    assert child.wire.dedup_preparse_hits.value == 3
+    assert parent.wire.dedup_preparse_hits.value == 3
+    assert parent.counter("soap.sent").value == 1
 
 
 def test_two_networks_report_independent_metrics():
     sim_a, sim_b = Simulator(seed=1), Simulator(seed=2)
     network_a, network_b = Network(sim_a), Network(sim_b)
     network_a.metrics.counter("net.sent").inc(5)
-    network_a.hub.wire.parse_count += 3
+    network_a.hub.wire.parse_count.inc(3)
     assert network_b.metrics.counter("net.sent").value == 0
-    assert network_b.hub.wire.parse_count == 0
+    assert network_b.hub.wire.parse_count.value == 0
     # ...while the default hub aggregates both simulations.
-    network_b.hub.wire.parse_count += 4
-    assert default_hub().wire.parse_count == 7
+    network_b.hub.wire.parse_count.inc(4)
+    assert default_hub().wire.parse_count.value == 7
 
 
 def test_two_gossip_groups_report_independent_metrics():
@@ -48,8 +84,8 @@ def test_two_gossip_groups_report_independent_metrics():
     group_a.run_for(5.0)
     assert group_a.message_counts()["net.sent"] > 0
     assert group_b.message_counts().get("net.sent", 0) == 0
-    assert group_a.hub.wire.serialize_count > 0
-    assert group_b.hub.wire.serialize_count == 0
+    assert group_a.hub.wire.serialize_count.value > 0
+    assert group_b.hub.wire.serialize_count.value == 0
     assert len(group_a.hub.tracer) == 1
     assert len(group_b.hub.tracer) == 0
 

@@ -4,8 +4,9 @@ A sharded run ships each worker's :class:`~repro.obs.hub.MetricsHub` over
 a pipe as a plain dict and folds K of them into one parent hub.  These
 tests pin the merge semantics: counters sum (so K merged shard hubs equal
 the single hub one process would have kept), gauges take the max,
-histograms concatenate raw samples, series merge-sort, stat groups add
-field-wise, and tracer spans replay with first-delivery-per-node intact.
+histograms concatenate raw samples, series merge-sort, counter groups add
+field-wise without reaching a parent hub, and tracer spans replay with
+first-delivery-per-node intact.
 """
 
 import pytest
@@ -23,8 +24,8 @@ def _workload(
         hub.series("backlog").record(start + index, float(index % 3))
         hub.node(f"n{index % 2}").counter("soap.sent").inc()
     hub.gauge("queue.depth").value = queue_depth
-    hub.wire.serialize_count += deliveries
-    hub.batch.batches_sent += 1
+    hub.wire.serialize_count.inc(deliveries)
+    hub.batch.batches_sent.inc(1)
 
 
 class TestCounterMerge:
@@ -133,27 +134,31 @@ class TestHistogramAndSeriesMerge:
 class TestStatGroupMerge:
     def test_groups_add_field_wise(self):
         shard_a, shard_b = MetricsHub(), MetricsHub()
-        shard_a.wire.serialize_count += 3
-        shard_a.health.retries += 1
-        shard_b.wire.serialize_count += 4
-        shard_b.overload.admitted += 9
+        shard_a.wire.serialize_count.inc(3)
+        shard_a.health.retries.inc(1)
+        shard_b.wire.serialize_count.inc(4)
+        shard_b.overload.admitted.inc(9)
         merged = MetricsHub.merged(
             [shard_a.snapshot_state(), shard_b.snapshot_state()]
         )
-        assert merged.wire.serialize_count == 7
-        assert merged.health.retries == 1
-        assert merged.overload.admitted == 9
+        assert merged.wire.serialize_count.value == 7
+        assert merged.health.retries.value == 1
+        assert merged.overload.admitted.value == 9
 
-    def test_group_merge_propagates_deltas_to_parent(self):
-        # Merging into a chained hub is a normal write: the parent chain
-        # (ultimately the default hub) sees the merged deltas too.
+    def test_group_merge_does_not_propagate_to_parent(self):
+        # A merge sets values in place, like a reset: only inc() walks
+        # the parent chain, so a merged hub never re-adds its totals to
+        # the hub above it.
         parent = MetricsHub(name="parent")
         child = MetricsHub(parent=parent, name="child")
         shard = MetricsHub(name="shard")
-        shard.wire.parse_count += 11
+        shard.wire.parse_count.inc(11)
+        shard.node("n0").counter("soap.sent").inc(2)
         child.merge_snapshot(shard.snapshot_state())
-        assert child.wire.parse_count == 11
-        assert parent.wire.parse_count == 11
+        assert child.wire.parse_count.value == 11
+        assert child.counter("soap.sent").value == 2
+        assert parent.wire.parse_count.value == 0
+        assert parent.counter("soap.sent").value == 0
 
 
 class TestSpanMerge:

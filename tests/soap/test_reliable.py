@@ -81,7 +81,7 @@ def test_gives_up_after_max_retries():
     sim.run_until(10.0)
     assert b.service.received == []
     assert a.rm.unacked_count == 0
-    assert network.metrics.counter("rm.gave-up").value == 1
+    assert network.hub.health.dead_letters.value == 1
     assert network.metrics.counter("rm.retransmit").value == 3
 
 
@@ -109,7 +109,7 @@ def test_reliability_does_not_survive_receiver_crash():
     a.runtime.send("sim://b/app", "urn:t/Event", value={"n": 1})
     sim.run_until(10.0)
     assert b.service.received == []
-    assert network.metrics.counter("rm.gave-up").value == 1
+    assert network.hub.health.dead_letters.value == 1
 
 
 def test_unsequenced_traffic_passes_through():

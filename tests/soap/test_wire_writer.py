@@ -262,7 +262,7 @@ def test_send_invariants_hold_on_every_route(route, monkeypatch):
 
     monkeypatch.setattr(uuid, "uuid4", counted_uuid4)
     wire = default_hub().wire
-    before = (wire.serialize_count, runtime.metrics.counter("soap.sent").value)
+    before = (wire.serialize_count.value, runtime.metrics.counter("soap.sent").value)
 
     message_id = runtime.send(
         to, ACTION, relates_to="urn:uuid:earlier", on_reply=lambda c, v: None, **kwargs
@@ -270,7 +270,7 @@ def test_send_invariants_hold_on_every_route(route, monkeypatch):
 
     assert drawn == [1] and message_id == f"urn:uuid:{uuid.UUID(int=1)}"
     assert transport.pending_at_send == [1], "callback registered before the transport ran"
-    assert wire.serialize_count == before[0] + 1
+    assert wire.serialize_count.value == before[0] + 1
     assert runtime.metrics.counter("soap.sent").value == before[1] + 1
     assert transport.frames == [
         reference_for(

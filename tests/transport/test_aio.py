@@ -203,14 +203,14 @@ class TestIdempotentIngest:
     def test_replayed_post_answers_200_without_reprocessing(self, node, client):
         url = f"{node.base_address}/v1/gossip"
         keyed = {"Idempotency-Key": "pub-42"}
-        before = node.hub.wire.idempotent_replays
+        before = node.hub.wire.idempotent_replays.value
         status, headers, _ = post(client, url, b"<x/>", headers=keyed)
         assert status == 202
         assert "idempotent-replay" not in headers
         status, headers, _ = post(client, url, b"<x/>", headers=keyed)
         assert status == 200
         assert headers["idempotent-replay"] == "true"
-        assert node.hub.wire.idempotent_replays == before + 1
+        assert node.hub.wire.idempotent_replays.value == before + 1
 
     def test_distinct_keys_are_both_processed(self, node, client):
         url = f"{node.base_address}/v1/gossip"
@@ -449,11 +449,11 @@ class TestUdpNode:
                 engine.publish(source.action, {"n": n})
                 while len(sent) <= n:  # one flush, one datagram per rumor
                     await asyncio.sleep(0)
-            flushes = node.edge.hub.batch.flushes
+            flushes = node.edge.hub.batch.flushes.value
             await node.astart()
             while node.delivery_count < burst:
                 await asyncio.sleep(0.01)
-            return node.edge.hub.batch.flushes - flushes
+            return node.edge.hub.batch.flushes.value - flushes
 
         try:
             flushes = loop.run_until_complete(

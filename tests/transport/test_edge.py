@@ -13,7 +13,7 @@ from repro.core.overload import (
     RETRY_AFTER,
     TokenBucket,
 )
-from repro.simnet.metrics import OverloadStats, WireStats
+from repro.obs.hub import MetricsHub
 from repro.transport.base import parse_retry_after
 from repro.transport.edge import (
     IDEMPOTENCY_KEY_HEADER,
@@ -45,11 +45,11 @@ class TestIdempotencyEviction:
         processed again (at-least-once), landing in the wire stats as a
         fresh ingest, not a replay."""
         index = IdempotencyIndex(capacity=2)
-        wire = WireStats()
+        hub = MetricsHub()
 
         def post(key):
             return ingest_response(
-                index, {IDEMPOTENCY_KEY_HEADER: key}, b"<x/>", wire
+                index, {IDEMPOTENCY_KEY_HEADER: key}, b"<x/>", hub
             )
 
         status, headers, process = post("a")
@@ -62,22 +62,22 @@ class TestIdempotencyEviction:
         status, headers, process = post("c")
         assert (status, process) == (200, False)
         assert headers["Idempotent-Replay"] == "true"
-        assert wire.idempotent_replays == 1
+        assert hub.wire.idempotent_replays.value == 1
         assert index.replays == 1
 
         # ...but the evicted key is re-admitted as fresh and re-counted.
         status, headers, process = post("a")
         assert (status, process) == (202, True)
         assert "Idempotent-Replay" not in headers
-        assert wire.idempotent_replays == 1  # unchanged: not a replay hit
+        assert hub.wire.idempotent_replays.value == 1  # unchanged: not a replay hit
 
     def test_replay_refreshes_lru_position(self):
         index = IdempotencyIndex(capacity=2)
-        wire = WireStats()
+        hub = MetricsHub()
 
         def post(key):
             return ingest_response(
-                index, {IDEMPOTENCY_KEY_HEADER: key}, b"<x/>", wire
+                index, {IDEMPOTENCY_KEY_HEADER: key}, b"<x/>", hub
             )
 
         post("a")
@@ -126,20 +126,19 @@ class TestEdgeAdmission:
         admission = EdgeAdmission(rate=1.0, burst=1.0, retry_after=0.5,
                                   clock=clock)
         index = IdempotencyIndex(capacity=16)
-        wire = WireStats()
-        overload = OverloadStats()
+        hub = MetricsHub()
 
         def post(key):
             return ingest_response(
-                index, {IDEMPOTENCY_KEY_HEADER: key}, b"<x/>", wire,
-                admission=admission, overload_stats=overload,
+                index, {IDEMPOTENCY_KEY_HEADER: key}, b"<x/>", hub,
+                admission=admission,
             )
 
         assert post("k1")[0] == 202
         status, headers, process = post("k2")  # bucket empty
         assert (status, process) == (429, False)
         assert float(headers[RETRY_AFTER_HEADER]) >= 0.5
-        assert overload.edge_rejected == 1
+        assert hub.overload.edge_rejected.value == 1
         assert len(index) == 1  # the rejected key was NOT remembered
 
         clock.advance(1.0)  # the client honors Retry-After
@@ -147,7 +146,7 @@ class TestEdgeAdmission:
         assert (status, process) == (202, True), (
             "the honored retry was misread as a replay"
         )
-        assert wire.idempotent_replays == 0
+        assert hub.wire.idempotent_replays.value == 0
 
 
 # -- parse_retry_after -------------------------------------------------------

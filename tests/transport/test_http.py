@@ -77,10 +77,10 @@ def test_idempotent_replay_over_sync_http(nodes):
     server, _ = nodes
     url = f"{server.base_address}/v1/gossip"
     keyed = {"Idempotency-Key": "pub-7"}
-    before = server.hub.wire.idempotent_replays
+    before = server.hub.wire.idempotent_replays.value
     status, headers, _ = _request(url, data=b"<x/>", headers=keyed)
     assert status == 202
     status, headers, _ = _request(url, data=b"<x/>", headers=keyed)
     assert status == 200
     assert headers["Idempotent-Replay"] == "true"
-    assert server.hub.wire.idempotent_replays == before + 1
+    assert server.hub.wire.idempotent_replays.value == before + 1

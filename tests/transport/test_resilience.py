@@ -166,7 +166,7 @@ class TestResilientTransport:
         assert transport.deferred_delays == [0.1, 0.2]
         assert [o.ok for o in outcomes] == [True]
         assert outcomes[0].attempts == 3
-        assert HEALTH_STATS.retries == 2
+        assert HEALTH_STATS.retries.value == 2
 
     def test_exhausted_retries_emit_failure_with_reason(self):
         transport = FlakyTransport(
@@ -195,8 +195,8 @@ class TestResilientTransport:
         suppressed = [o for o in outcomes if o.error == "circuit-open"]
         assert len(suppressed) == 2
         assert all(o.attempts == 0 for o in suppressed)
-        assert HEALTH_STATS.sends_suppressed == 2
-        assert HEALTH_STATS.breaker_opened == 1
+        assert HEALTH_STATS.sends_suppressed.value == 2
+        assert HEALTH_STATS.breaker_opened.value == 1
 
     def test_breaker_readmits_after_recovery(self):
         clock = FakeClock()
@@ -215,8 +215,8 @@ class TestResilientTransport:
         assert outcomes[-1].ok
         transport.send("sim://a/x", b"data")  # breaker closed again
         assert len(transport.attempts) == 3
-        assert HEALTH_STATS.breaker_probes == 1
-        assert HEALTH_STATS.breaker_closed == 1
+        assert HEALTH_STATS.breaker_probes.value == 1
+        assert HEALTH_STATS.breaker_closed.value == 1
 
     def test_breakers_are_per_destination_base(self):
         clock = FakeClock()
@@ -391,8 +391,8 @@ class TestRetryAfterBackpressure:
                               jitter=0.0),
             breaker=BreakerPolicy(failure_threshold=1, reset_timeout=1.0),
         )
-        failures_before = HEALTH_STATS.send_failures
-        honored_before = default_hub().overload.retry_after_honored
+        failures_before = HEALTH_STATS.send_failures.value
+        honored_before = default_hub().overload.retry_after_honored.value
         outcomes = []
         transport.add_outcome_listener(outcomes.append)
         address = "mem://busy/app"
@@ -401,8 +401,8 @@ class TestRetryAfterBackpressure:
         assert transport.attempts == 3  # 2 rejections + the success
         assert transport.delays == [0.25, 0.25]  # server delay, not backoff
         assert outcomes[-1].ok
-        assert HEALTH_STATS.send_failures == failures_before
-        assert default_hub().overload.retry_after_honored == honored_before + 2
+        assert HEALTH_STATS.send_failures.value == failures_before
+        assert default_hub().overload.retry_after_honored.value == honored_before + 2
         breaker = transport.breaker_for(address)
         assert breaker.state == CircuitBreaker.CLOSED
         assert breaker.consecutive_failures == 0
