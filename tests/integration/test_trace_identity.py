@@ -20,6 +20,13 @@ the byte-exact trace digest still matches.  Regenerate (only when an
 The only nondeterminism on the wire is ``uuid.uuid4()`` (message ids,
 activity ids); each scenario patches it with a seeded counter, after
 which the whole trace -- order included -- is reproducible bit for bit.
+
+:data:`ADDED_SCENARIOS` reach the send paths the first three never do
+(pull, anti-entropy, feedback, FIFO ordering, a durable crash-restart,
+overload protection, full telemetry sampling).  Their digests were
+captured before the engine's style table and subsystem stages replaced
+its per-style branches and ``None`` checks, and sit under ``"added"``
+in the same baseline file; the three ``"digests"`` were not touched.
 """
 
 from __future__ import annotations
@@ -79,7 +86,153 @@ SCENARIOS = (
 )
 
 
-def scenario_digest(overrides: dict) -> str:
+def _crash_restart_d3(group, index: int) -> None:
+    """Crash ``d3`` after the first publication and restart it (no
+    amnesia: the WAL replays) after the second."""
+    node = group.disseminators[3]
+    if index == 1:
+        node.crash()
+    elif index == 2:
+        node.restart(amnesia=False)
+
+
+def _crash_d5(group, index: int) -> None:
+    """Crash ``d5`` for good after the first publication."""
+    if index == 1:
+        group.disseminators[5].crash()
+
+
+#: Seeded scenarios for the paths :data:`SCENARIOS` never reach.  The
+#: optional ``fault`` hook runs before each publication with the group
+#: and the publication's index.
+ADDED_SCENARIOS = (
+    {
+        "name": "pull",
+        "config": dict(
+            n_disseminators=12,
+            seed=41,
+            params={"style": "pull", "fanout": 3, "rounds": 4, "period": 0.5},
+        ),
+    },
+    {
+        "name": "anti_entropy",
+        "config": dict(
+            n_disseminators=12,
+            seed=43,
+            params={
+                "style": "anti-entropy",
+                "fanout": 3,
+                "rounds": 4,
+                "period": 0.5,
+            },
+        ),
+    },
+    {
+        "name": "feedback",
+        "config": dict(
+            n_disseminators=12,
+            seed=47,
+            params={
+                "style": "feedback",
+                "fanout": 3,
+                "rounds": 4,
+                "period": 0.5,
+                "stop_probability": 0.5,
+            },
+        ),
+    },
+    {
+        "name": "ordered_push",
+        "config": dict(
+            n_disseminators=12,
+            seed=53,
+            params={"style": "push", "fanout": 3, "rounds": 5, "ordered": True},
+        ),
+    },
+    {
+        "name": "durable_crash_restart",
+        "config": dict(
+            n_disseminators=12,
+            seed=59,
+            durability={"mode": "memory", "snapshot_every": 4},
+            params={
+                "style": "push-pull",
+                "fanout": 3,
+                "rounds": 4,
+                "period": 0.5,
+            },
+        ),
+        "fault": _crash_restart_d3,
+    },
+    {
+        "name": "overload",
+        "config": dict(
+            n_disseminators=12,
+            seed=61,
+            overload=True,
+            params={
+                "style": "push-pull",
+                "fanout": 3,
+                "rounds": 4,
+                "period": 0.5,
+            },
+        ),
+    },
+    {
+        # A bound small enough that the shed ladder and its latch fire.
+        "name": "overload_shedding",
+        "config": dict(
+            n_disseminators=12,
+            seed=61,
+            overload={"outbox_bound": 4},
+            params={
+                "style": "push-pull",
+                "fanout": 3,
+                "rounds": 4,
+                "period": 0.5,
+            },
+        ),
+    },
+    {
+        "name": "push_pull_batched",
+        "config": dict(
+            n_disseminators=12,
+            seed=71,
+            params={
+                "style": "push-pull",
+                "fanout": 3,
+                "rounds": 4,
+                "period": 0.5,
+                "max_batch_rumors": 8,
+            },
+        ),
+    },
+    {
+        # The controller reads suspicion through the engines' health; a
+        # crashed peer makes it nonzero.
+        "name": "adaptive_health",
+        "config": dict(
+            n_disseminators=12,
+            seed=73,
+            adaptive=True,
+            health=True,
+            params={"style": "push", "fanout": 3, "rounds": 4, "period": 0.5},
+        ),
+        "fault": _crash_d5,
+    },
+    {
+        "name": "telemetry_full",
+        "config": dict(
+            n_disseminators=12,
+            seed=67,
+            telemetry={"sample_rate": 1.0},
+            params={"style": "push", "fanout": 3, "rounds": 5},
+        ),
+    },
+)
+
+
+def scenario_digest(overrides: dict, fault=None) -> str:
     """Run one seeded scenario, hashing every network send in order."""
     records = []
     counter = itertools.count(1)
@@ -113,6 +266,8 @@ def scenario_digest(overrides: dict) -> str:
         try:
             group.setup()
             for index in range(4):
+                if fault is not None:
+                    fault(group, index)
                 group.publish({"symbol": "QIM", "seq": index})
                 group.run_for(1.5)
             group.run_for(4.0)
@@ -128,10 +283,12 @@ def scenario_digest(overrides: dict) -> str:
     return f"{len(records)}:{digest.hexdigest()}"
 
 
-def compute_digests() -> dict:
+def compute_digests(scenarios=SCENARIOS) -> dict:
     return {
-        scenario["name"]: scenario_digest(dict(scenario["config"]))
-        for scenario in SCENARIOS
+        scenario["name"]: scenario_digest(
+            dict(scenario["config"]), scenario.get("fault")
+        )
+        for scenario in scenarios
     }
 
 
@@ -170,10 +327,16 @@ def test_default_config_trace_matches_pre_overload_baseline():
     )
 
 
+def test_added_scenarios_match_baseline():
+    baseline = json.loads(BASELINE_PATH.read_text())
+    assert compute_digests(ADDED_SCENARIOS) == baseline["added"]
+
+
 if __name__ == "__main__":
     import sys
 
     digests = compute_digests()
+    added = compute_digests(ADDED_SCENARIOS)
     if "--regen" in sys.argv:
         BASELINE_PATH.write_text(
             json.dumps(
@@ -187,11 +350,12 @@ if __name__ == "__main__":
                         "See tests/integration/test_trace_identity.py."
                     ),
                     "digests": digests,
+                    "added": added,
                 },
                 indent=2,
             )
             + "\n"
         )
         print(f"wrote {BASELINE_PATH}")
-    for name, value in digests.items():
+    for name, value in {**digests, **added}.items():
         print(f"{name}: {value}")
