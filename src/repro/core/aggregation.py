@@ -21,7 +21,7 @@ import enum
 import random
 from typing import Callable, List, Optional, Sequence
 
-from repro.core.scheduling import Scheduler
+from repro.core.scheduling import PeriodicLoop, Scheduler
 from repro.soap import namespaces as ns
 from repro.soap.fault import sender_fault
 from repro.soap.handler import MessageContext
@@ -81,39 +81,29 @@ class AggregationEngine:
         self.task = task
         self.kind = kind
         self.view_provider = view_provider
-        self.period = period
-        self.jitter = jitter
         self.rng = rng if rng is not None else random.Random()
+        self._loop = PeriodicLoop(
+            scheduler, self.rng, lambda: (period, jitter), self._round
+        )
         if kind is AggregateKind.COUNT:
             local_value = 1.0
         self.value = float(local_value)
         self.weight = float(weight)
-        self._running = False
         self.rounds_run = 0
 
     # -- protocol -----------------------------------------------------------
 
     def start(self) -> None:
         """Begin periodic sharing."""
-        if self._running:
-            return
-        self._running = True
-        self._schedule()
+        self._loop.start()
 
     def stop(self) -> None:
         """Stop periodic sharing."""
-        self._running = False
-
-    def _schedule(self) -> None:
-        delay = self.period + self.rng.uniform(0.0, self.jitter)
-        self.scheduler.call_after(delay, self._round)
+        self._loop.stop()
 
     def _round(self) -> None:
-        if not self._running:
-            return
         self.rounds_run += 1
         self._share_once()
-        self._schedule()
 
     def _share_once(self) -> None:
         peers = [peer for peer in self.view_provider()]

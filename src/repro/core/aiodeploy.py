@@ -41,6 +41,7 @@ from repro.core.engine import PROTOCOL_INITIATOR, GossipEngine
 from repro.core.handler import GossipLayer
 from repro.core.message import GossipHeader
 from repro.core.params import GossipParams
+from repro.core.peers import ProvidedView
 from repro.core.roles import ACTIVATION_PATH, REGISTRATION_PATH, SUBSCRIPTION_PATH
 from repro.core.service import GossipService
 from repro.core.subscription import SUBSCRIBE_ACTION, SubscriptionService
@@ -206,7 +207,7 @@ class AsyncGossipNode:
         register with a coordinator.
         """
         self._peers = [peer for peer in peers if peer != self.app_address]
-        self.gossip_layer.view_provider = self._view
+        self.gossip_layer.view_provider = ProvidedView(self._view)
 
     def _view(self) -> List[str]:
         return self._peers

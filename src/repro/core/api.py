@@ -359,11 +359,6 @@ class GossipGroup:
                     for node in gossip_nodes
                     for engine in node.gossip_layer.engines()
                 ],
-                healths=(
-                    (lambda: [node.health for node in gossip_nodes])
-                    if self.config.health is not None
-                    else None
-                ),
             )
             # Tick on the simulator itself, not a node's scheduler: the
             # control plane models an external operator and must survive

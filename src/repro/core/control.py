@@ -183,8 +183,8 @@ class AdaptiveController:
     """The per-group control loop: observe -> decide -> apply, every epoch.
 
     Deployment-agnostic by construction: it is handed callables for the
-    population, the live engines and the health trackers, so the same
-    class drives a simulated :class:`~repro.core.api.GossipGroup` or any
+    population and the live engines (whose health and overload stages it
+    reads), so the same class drives a simulated :class:`~repro.core.api.GossipGroup` or any
     other deployment that can enumerate its engines.
 
     Args:
@@ -192,9 +192,6 @@ class AdaptiveController:
         population: endpoint count, as a value or zero-arg callable.
         engines: zero-arg callable yielding the live
             :class:`~repro.core.engine.GossipEngine` instances to steer.
-        healths: optional zero-arg callable yielding the
-            :class:`~repro.core.health.PeerHealth` trackers to read
-            suspicion mass from (defaults to the engines' own).
 
     The controller re-applies its chosen parameters to *every* engine each
     epoch, which also heals the case where a node re-registered mid-epoch
@@ -207,14 +204,12 @@ class AdaptiveController:
         *,
         population,
         engines: Callable[[], Iterable[Any]],
-        healths: Optional[Callable[[], Iterable[Any]]] = None,
     ) -> None:
         self.hub = hub
         self._population = (
             population if callable(population) else (lambda: population)
         )
         self._engines = engines
-        self._healths = healths
         self._control = hub.control
         # Targets (set from the first engine seen, then steered).
         self._base_params: Optional[GossipParams] = None
@@ -345,22 +340,10 @@ class AdaptiveController:
         sent = self._counter_delta("net.sent", self.hub.counter("net.sent").value)
         failure_rate = failures / sent if sent else 0.0
 
-        suspicion = 0.0
-        if self._healths is not None:
-            suspected: set = set()
-            for health in self._healths():
-                suspected.update(health.suspected_peers())
-            suspicion = len(suspected) / others
-        else:
-            healths = [
-                engine.health
-                for engine in self._engines()
-                if getattr(engine, "health", None) is not None
-            ]
-            suspected = set()
-            for health in healths:
-                suspected.update(health.suspected_peers())
-            suspicion = len(suspected) / others if healths else 0.0
+        suspected: set = set()
+        for engine in self._engines():
+            suspected.update(engine.health.suspected_peers())
+        suspicion = len(suspected) / others
 
         published = self._counter_delta(
             "gossip.publish", self.hub.counter("gossip.publish").value
@@ -380,11 +363,9 @@ class AdaptiveController:
         # Overload pressure: the worst engine's view of its bounded
         # outbox/ingest saturation (0.0 everywhere when overload
         # protection is off, so the signal is inert by construction).
-        pressure = 0.0
-        for engine in self._engines():
-            pressure = max(
-                pressure, getattr(engine, "overload_pressure", 0.0)
-            )
+        pressure = max(
+            (engine.overload_pressure for engine in self._engines()), default=0.0
+        )
 
         return EpochSignals(
             time=now,

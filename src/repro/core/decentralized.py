@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.engine import GossipEngine, gossip_address_of
 from repro.core.handler import GossipLayer
-from repro.core.health import HealthPolicy, PeerHealth
+from repro.core.health import HealthPolicy, install_health
 from repro.core.message import GossipStyle
 from repro.core.params import GossipParams
 from repro.core.peersampling import (
@@ -86,21 +86,6 @@ class DecentralizedGossipNode(AppNode):
     ) -> None:
         super().__init__(name, network, app_path=APP_PATH)
         scheduler = ProcessScheduler(self)
-        # Optional peer-health layer: retrying/breaker-guarded transport
-        # plus degraded-mode gossip, fed by send outcomes AND the
-        # membership detector's verdicts.
-        self.health: Optional[PeerHealth] = None
-        if health_policy is not None:
-            self.health = PeerHealth(
-                health_policy,
-                clock=lambda: self.sim.now,
-                hub=network.hub,
-            )
-            self.runtime.transport.configure_resilience(
-                retry=health_policy.retry_policy(),
-                breaker=health_policy.breaker_policy(),
-            )
-            self.runtime.transport.add_outcome_listener(self.health.record_outcome)
         self.membership = MembershipEngine(
             runtime=self.runtime,
             scheduler=scheduler,
@@ -108,7 +93,8 @@ class DecentralizedGossipNode(AppNode):
             period=membership_period,
             t_fail=t_fail,
             rng=self.sim.rng.get(f"membership:{name}"),
-            on_failure=self.health.mark_failed if self.health else None,
+            # The detector's verdicts feed the health stage too.
+            on_failure=self._member_failed,
         )
         self.runtime.add_service("/membership", MembershipService(self.membership))
         self.sampling = PeerSamplingEngine(
@@ -130,15 +116,23 @@ class DecentralizedGossipNode(AppNode):
             rng=self.sim.rng.get(f"gossip:{name}"),
             default_params=params,
             view_provider=self._gossip_view,
-            health=self.health,
             durability=durability,
             overload=overload,
         )
+        if health_policy is not None:
+            # Retrying/breaker-guarded transport plus degraded-mode
+            # gossip, fed by send outcomes and the membership detector.
+            install_health(
+                [self], health_policy, clock=lambda: self.sim.now, hub=network.hub
+            )
         self.runtime.chain.add_first(self.gossip_layer)
         self.runtime.add_service("/gossip", GossipService(self.gossip_layer))
         self._seeds: List[str] = []
         #: Messages restored from the WAL by the most recent durable restart.
         self.replayed_messages = 0
+
+    def _member_failed(self, address: str) -> None:
+        self.gossip_layer.health.mark_failed(address)
 
     def _gossip_view(self) -> List[str]:
         """Alive members first; fall back to the sampling view while the
@@ -168,8 +162,7 @@ class DecentralizedGossipNode(AppNode):
         self.replayed_messages = self.gossip_layer.prepare_restart(
             amnesia=amnesia, on_replayed=self._delivered_ids.add
         )
-        if self.health is not None:
-            self.health.reset()
+        self.gossip_layer.health.reset()
 
     def on_restart(self, amnesia: bool) -> None:
         """Rejoin: restart membership and sampling from the seed list,

@@ -19,6 +19,9 @@ behaviour of every gossip style:
   cools the rumor with probability ``stop_probability`` (Demers-style
   coin variant), bounded by the rounds cap.
 
+Each style is one row of :data:`STYLE_TABLE`; the optional subsystems
+are stages with shared no-op defaults (see :class:`GossipEngine`).
+
 The engine normally never *delivers* messages to the application itself:
 delivery is the normal SOAP dispatch that continues after the gossip
 handler lets a fresh message through -- which is how the paper keeps
@@ -29,27 +32,29 @@ re-runs local dispatch when gaps close.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 from repro.core.batch import BatchControl, build_batch
 from repro.core.buffer import MessageStore
+from repro.core.health import NO_HEALTH
 from repro.core.message import (
     GossipHeader,
     GossipStyle,
-    TraceContext,
     new_gossip_message_id,
     splice_forward,
     splice_hops,
 )
 from repro.core.ordering import FifoBuffer
-from repro.core.overload import OverloadError, OverloadPolicy, ShedLatch
+from repro.core.overload import NO_OVERLOAD, OverloadError
 from repro.core.params import GossipParams
-from repro.core.peers import HealthAwareSelector, PeerSelector, UniformSelector
-from repro.core.scheduling import Scheduler
-from repro.core.store import CATCH_UP_PEERS, CATCH_UP_ROUNDS, DurabilityPolicy, GossipLog
-from repro.core.telemetry import CLOCK_SKEW_GUARD, MAX_PATH_LENGTH, TelemetryPolicy
+from repro.core.peers import COORDINATOR_VIEW, PeerSelector, UniformSelector
+from repro.core.scheduling import PeriodicLoop, Scheduler
+from repro.core.store import CATCH_UP_PEERS, CATCH_UP_ROUNDS, NO_JOURNAL
+from repro.core.telemetry import NO_TELEMETRY
 from repro.obs.hub import hub_of
 from repro.soap import namespaces as ns
 from repro.soap.envelope import Envelope
@@ -88,12 +93,16 @@ def gossip_address_of(app_address: str) -> str:
     return f"{scheme}://{authority}{GOSSIP_SERVICE_PATH}"
 
 
+def _ignore(*_args) -> None:
+    """A style's answer to an event it does nothing on."""
+
+
 class GossipEngine:
     """Protocol state machine for one activity on one node.
 
     Args:
         runtime: the node's SOAP runtime.
-        scheduler: timer/clock facade for the host (sim or threads).
+        scheduler: timer/clock facade for the host (sim or event loop).
         context: the activity's coordination context.
         app_address: the local application endpoint the activity targets
             (used for self-exclusion and as the registered participant).
@@ -103,50 +112,42 @@ class GossipEngine:
         selector: peer-selection strategy (uniform by default).
         on_params: optional hook invoked when the coordinator updates the
             parameters.
-        view_provider: optional callable returning the current peer view;
-            when set it replaces the coordinator-supplied ``view`` entirely
-            -- this is the distributed-coordinator mode, fed by peer
-            sampling or WS-Membership.
-        health: optional :class:`~repro.core.health.PeerHealth`.  When
-            set the engine gossips in degraded mode: target selection
-            down-weights suspected peers, the effective fanout grows as
-            the healthy pool shrinks, and inbound gossip counts as proof
-            of life for its sender.
-        log: optional :class:`~repro.core.store.GossipLog`.  When set the
-            engine appends gossip-critical state changes to the WAL so a
-            crashed node can be restarted without amnesia
-            (docs/RESILIENCE.md, "Crash-recovery and rejoin").
-        durability: the :class:`~repro.core.store.DurabilityPolicy`
-            governing snapshot cadence and the rejoin catch-up bounds;
-            defaults apply when a ``log`` is given without a policy.
+
+    The optional subsystems are *stages*, always present, each defaulting
+    to a shared no-op on the class, so no engine path asks whether one is
+    there: ``view_provider`` (the coordinator's peers, or a
+    :class:`~repro.core.peers.ProvidedView`), ``health`` (a
+    :class:`~repro.core.health.PeerHealth`: degraded-mode gossip),
+    ``journal`` (a :class:`~repro.core.store.Journal`: crash recovery
+    without amnesia), ``overload`` (an
+    :class:`~repro.core.overload.OverloadStage`: the outbox's shed ladder)
+    and ``telemetry`` (a :class:`~repro.core.telemetry.TelemetryStage`).
+    ``fanout_ceiling`` caps the effective fanout after the health boost;
+    the adaptive controller sets it.
     """
 
-    # Dormant state and absent subsystems live on the class: an engine
-    # sets them on itself only when they are given or change, so a plain
-    # engine's instance dict stays under CPython's shared-key limit
-    # (30 names) and costs ~0.3 KiB instead of ~1.6 KiB per node.
-    health = None
-    view_provider: Optional[Callable[[], Sequence[str]]] = None
+    # Stages and dormant state live on the class: an engine sets them on
+    # itself only when they differ, so a plain engine's instance dict
+    # stays under CPython's shared-key limit (30 names) and costs ~0.3 KiB
+    # instead of ~1.6 KiB per node.
+    view_provider = COORDINATOR_VIEW
+    health = NO_HEALTH
+    journal = NO_JOURNAL
+    overload = NO_OVERLOAD
+    telemetry = NO_TELEMETRY
+    fanout_ceiling = math.inf
     _on_params: Optional[Callable[[GossipParams], None]] = None
-    _stopped = False
     _pending_limit = 128
+    # Per-life state a restart puts back to these defaults.
+    _stopped = False
     _publish_sequence = 0
-    log: Optional[GossipLog] = None
-    durability: Optional[DurabilityPolicy] = None
     # While ``_recovering`` the engine ingests and delivers but does not
     # eagerly forward -- it first catches up with healthy peers.
     _recovering = False
     _catch_up_rounds_left = 0
-    telemetry: Optional[TelemetryPolicy] = None
-    overload: Optional[OverloadPolicy] = None
-    _pressure_provider: Optional[Callable[[], float]] = None
-    _shed_latch: Optional[ShedLatch] = None
-    # Adaptive control: a hard ceiling on the *effective* fanout after
-    # the health layer's degraded-mode boost.  With ``None`` (the
-    # default) ``health.BOOST_CAP`` alone bounds the boost; the
-    # AdaptiveController sets it so its own boost and the health boost
-    # can never compound past it.
-    fanout_ceiling: Optional[int] = None
+    _RESTART_DEFAULTS = (
+        "_stopped", "_publish_sequence", "_recovering", "_catch_up_rounds_left",
+    )
 
     def __init__(
         self,
@@ -158,13 +159,11 @@ class GossipEngine:
         rng: Optional[random.Random] = None,
         selector: Optional[PeerSelector] = None,
         on_params: Optional[Callable[[GossipParams], None]] = None,
-        view_provider: Optional[Callable[[], Sequence[str]]] = None,
-        health=None,
-        log: Optional[GossipLog] = None,
-        durability: Optional[DurabilityPolicy] = None,
-        overload: Optional[OverloadPolicy] = None,
-        pressure_provider: Optional[Callable[[], float]] = None,
-        telemetry: Optional[TelemetryPolicy] = None,
+        view_provider=COORDINATOR_VIEW,
+        health=NO_HEALTH,
+        journal=NO_JOURNAL,
+        overload=NO_OVERLOAD,
+        telemetry=NO_TELEMETRY,
     ) -> None:
         self.runtime = runtime
         self.scheduler = scheduler
@@ -172,22 +171,41 @@ class GossipEngine:
         self.app_address = app_address
         self.params = params if params is not None else GossipParams()
         self.rng = rng if rng is not None else random.Random()
-        if health is not None:
-            self.health = health
-        self.selector = selector if selector is not None else UniformSelector()
-        if health is not None and not isinstance(self.selector, HealthAwareSelector):
-            # Degraded-mode gossip: prefer unsuspected peers, whatever the
-            # underlying strategy.
-            self.selector = HealthAwareSelector(health, self.selector)
-        self.store = MessageStore(self.params.buffer_capacity)
-        self.view: List[str] = []
-        if view_provider is not None:
-            self.view_provider = view_provider
-        self.registered = False
-        self.register_pending = False
+        self.selector = health.selector(
+            selector if selector is not None else UniformSelector()
+        )
         if on_params is not None:
             self._on_params = on_params
-        self._periodic_started = False
+        stages = {
+            "view_provider": view_provider,
+            "health": health,
+            "journal": journal,
+            "overload": overload,
+            "telemetry": telemetry,
+        }
+        for name, stage in stages.items():
+            if stage is not getattr(GossipEngine, name):
+                setattr(self, name, stage)
+        self._last_protocol = PROTOCOL_DISSEMINATOR
+        # Observability: the hub behind this node's metrics sink provides
+        # the counter groups and the causal rumor tracer.
+        obs = hub_of(runtime.metrics)
+        self._hub = obs
+        self._batch = obs.batch
+        self._recovery = obs.recovery
+        self._tracer = obs.tracer
+        self._reset()
+
+    def _reset(self) -> None:
+        """The state one life of the node builds up (a restart starts
+        from here again)."""
+        self.store = MessageStore(self.params.buffer_capacity)
+        self.view: List[str] = []
+        self.registered = False
+        self.register_pending = False
+        self._rounds = PeriodicLoop(
+            self.scheduler, self.rng, self._round_timing, self._periodic_round
+        )
         # Messages that arrived before registration completed: the paper's
         # flow is register -> obtain targets -> forward, so fresh messages
         # wait here until the RegisterResponse delivers a peer view.
@@ -202,16 +220,6 @@ class GossipEngine:
         self._hot: Dict[str, int] = {}
         # FIFO ordered mode: per-origin holdback and publication counter.
         self._fifo = FifoBuffer()
-        # Crash recovery: optional WAL + policy (the rejoin state starts
-        # from the class-level defaults above).
-        if log is not None:
-            self.log = log
-            self.durability = (
-                durability if durability is not None else DurabilityPolicy()
-            )
-        elif durability is not None:
-            self.durability = durability
-        self._last_protocol = PROTOCOL_DISSEMINATOR
         # The outbox: every gossip send is parked here and coalesced by a
         # zero-delay flush event, so everything a node emits within one
         # simulated instant -- eager payloads, advertisements, feedback,
@@ -224,37 +232,6 @@ class GossipEngine:
         self._outbox_direct: Dict[str, List[bytes]] = {}
         self._outbox_control: Dict[str, BatchControl] = {}
         self._flush_scheduled = False
-        # Observability: the hub behind this node's metrics sink provides
-        # the counter groups and the causal rumor tracer.
-        obs = hub_of(runtime.metrics)
-        self._hub = obs
-        self._batch = obs.batch
-        self._recovery = obs.recovery
-        self._tracer = obs.tracer
-        # Live telemetry plane (docs/OBSERVABILITY.md, "Live telemetry").
-        # ``None`` (the default) keeps every trace-context code path
-        # dormant -- no Trace section is serialized and the wire bytes are
-        # byte-for-byte what they were before this subsystem existed
-        # (tests/integration/test_trace_identity).  The histograms are
-        # bound eagerly so the receive path does a dict-free record.
-        if telemetry is not None:
-            self.telemetry = telemetry
-            self._hop_latency = obs.histogram("telemetry.hop_latency_ms")
-            self._e2e_latency = obs.histogram("telemetry.e2e_latency_ms")
-            self._telemetry_samples = obs.counter("telemetry.samples")
-            self._telemetry_skew = obs.counter("telemetry.skew_guarded")
-            self._telemetry_clamped = obs.counter("telemetry.path_clamped")
-        # Overload protection (docs/RESILIENCE.md, "Overload and
-        # backpressure").  ``None`` (the default) keeps every overload
-        # code path dormant -- the wire trace is guaranteed identical to
-        # the pre-overload behaviour (tests/integration/test_trace_identity).
-        # ``pressure_provider`` folds in external pressure (the layer's
-        # bounded ingest queue) so one signal covers both directions.
-        if overload is not None:
-            self.overload = overload
-            self._shed_latch = ShedLatch(obs.overload)
-        if pressure_provider is not None:
-            self._pressure_provider = pressure_provider
 
     @property
     def activity_id(self) -> str:
@@ -334,10 +311,7 @@ class GossipEngine:
         self.registered = True
         if self._on_params is not None:
             self._on_params(self.params)
-        self._start_periodic_rounds()
-        self._flush_pending_forwards()
-
-    def _flush_pending_forwards(self) -> None:
+        self.start_periodic_rounds()
         pending, self._pending_forwards = self._pending_forwards, []
         for data, header, source in pending:
             self._forward(Envelope.from_bytes(data), header, source)
@@ -353,40 +327,24 @@ class GossipEngine:
         """Disseminate an application invocation; returns its gossip id.
 
         This is the Initiator's single notification: the engine builds the
-        gossip headers and pushes to ``fanout`` peers; the epidemic does the
-        rest.
+        gossip headers and hands the frame to its style (push: ``fanout``
+        peers now); the epidemic does the rest.
 
         Raises:
             OverloadError: when an :class:`OverloadPolicy` is active and
                 the node is at its hard limit -- backpressure on the
                 publisher instead of unbounded queueing.
         """
-        if self.overload is not None:
-            pressure = self.overload_pressure
-            if pressure >= 1.0:
-                self._hub.overload.publish_rejected.inc()
-                raise OverloadError(
-                    "publish rejected: node overloaded", pressure=pressure
-                )
+        pressure = self.overload_pressure
+        if pressure >= 1.0:
+            self._hub.overload.publish_rejected.inc()
+            raise OverloadError("publish rejected: node overloaded", pressure=pressure)
         message_id = new_gossip_message_id()
         sequence = None
         if self.params.ordered:
             sequence = self._publish_sequence
             self._publish_sequence += 1
-        trace = None
-        if self.telemetry is not None:
-            # Head sampling: the publish-time draw decides whether this
-            # publication carries a trace section at all, so telemetry's
-            # wire and parse cost scales with the sample rate instead of
-            # taxing every frame.
-            sample_rate = self.telemetry.sample_rate
-            if sample_rate >= 1.0 or self.rng.random() < sample_rate:
-                trace = TraceContext(
-                    origin=self.app_address,
-                    publish_ts=self.scheduler.now,
-                    path=0,
-                    sampled=True,
-                )
+        now = self.scheduler.now
         header = GossipHeader(
             activity=self.activity_id,
             message_id=message_id,
@@ -394,37 +352,25 @@ class GossipEngine:
             hops=self.params.rounds,
             style=self.params.style,
             sequence=sequence,
-            trace=trace,
+            trace=self.telemetry.trace(self.rng, self.app_address, now),
         )
         self.metrics.counter("gossip.publish").inc()
         self._tracer.on_publish(
-            message_id, self.app_address, self.scheduler.now,
-            budget=self.params.rounds,
+            message_id, self.app_address, now, budget=self.params.rounds
         )
         # Encode the invocation once; every fanout target and the message
         # store share the same wire bytes (the zero-copy fast path).
         data = self._publication_envelope(action, value, tag, header).to_bytes()
-        if self.params.style in (GossipStyle.PUSH, GossipStyle.PUSH_PULL):
-            # Park the frame; a burst of publications flushes together,
-            # batched per destination up to ``max_batch_rumors``.
-            self._enqueue_fanout(data, self.app_address, None)
-        # Pull-family and lazy styles: the payload waits at the origin;
-        # peers pull digests or fetch advertised identifiers.
         # Remember our own message (so an echo is not treated as fresh) and
         # retain the wire bytes for pull serving.
-        self.store.add(message_id, data, self.scheduler.now, self.app_address)
-        self._log_message(message_id, data, self.app_address)
-        if self.params.style is GossipStyle.LAZY_PUSH:
-            self._advertise([message_id], self.params.rounds)
-        elif self.params.style is GossipStyle.FEEDBACK:
-            self._hot[message_id] = self.params.rounds
-            self._forward_hot(message_id)
-            self._log_append({"type": "hot", "id": message_id, "rounds": self.params.rounds})
+        self.store.add(message_id, data, now, self.app_address)
+        self.journal.message(self, message_id, data, self.app_address)
+        STYLE_TABLE[self.params.style].publish(self, message_id, data)
         if self.params.ordered:
             # Our own publication counts toward the origin's sequence.
             self._fifo.offer(self.app_address, sequence, b"")
-            self._log_append({"type": "pub_seq", "value": self._publish_sequence})
-            self._log_fifo(self.app_address)
+            self.journal.publications(self, self._publish_sequence)
+            self._journal_fifo(self.app_address)
         return message_id
 
     def _publication_envelope(self, action, value, tag, header) -> Envelope:
@@ -459,9 +405,7 @@ class GossipEngine:
         False when it is consumed (duplicate, or held back for ordering --
         held messages are re-dispatched by the engine once in order).
         """
-        if self.health is not None and source is not None:
-            self.health.observe_alive(source)
-        self._pending_fetch.discard(header.message_id)
+        self._heard(header.message_id, source)
         fresh = self.store.add(
             header.message_id,
             envelope.to_bytes(),
@@ -469,20 +413,15 @@ class GossipEngine:
             header.origin,
         )
         if not fresh:
-            self.metrics.counter("gossip.duplicate").inc()
-            if self._recovering:
-                self._recovery.redelivered_suppressed.inc()
-            if self.params.style is GossipStyle.FEEDBACK and source is not None:
-                self._send_feedback(header.message_id, source)
+            self._duplicate(header.message_id, source)
             return False
         self.metrics.counter("gossip.fresh").inc()
         self._tracer.on_deliver(
             header.message_id, self.app_address, self.scheduler.now,
             hops_left=header.hops,
         )
-        if self.telemetry is not None and header.trace is not None:
-            self._record_trace_sample(header.trace)
-        self._log_message(header.message_id, envelope.to_bytes(), header.origin)
+        self.telemetry.observe(header.trace, self.scheduler.now)
+        self.journal.message(self, header.message_id, envelope.to_bytes(), header.origin)
         if self._recovering:
             self._recovery.fetched.inc()
         if header.origin == self.app_address and header.sequence is not None:
@@ -491,9 +430,13 @@ class GossipEngine:
             self._publish_sequence = max(
                 self._publish_sequence, header.sequence + 1
             )
-        # (duplicates that never reach here are dropped pre-parse by
-        # on_duplicate_preparse -- keep the two paths in sync)
-        self._propagate(envelope, header, source)
+        if self._recovering:
+            # A rejoining node first reconciles with healthy peers; eager
+            # forwarding resumes once catch-up finishes (the catch-up
+            # fetches would otherwise echo stale hops around the group).
+            self.metrics.counter("gossip.forward-during-recovery-skipped").inc()
+        else:
+            STYLE_TABLE[self.params.style].fresh(self, envelope, header, source)
         if header.sequence is not None:
             # Only an ordered publisher stamps a Sequence, so the header
             # says the activity is ordered even before the RegisterResponse
@@ -504,49 +447,23 @@ class GossipEngine:
         return True
 
     def on_duplicate_preparse(self, message_id: str, source: Optional[str]) -> None:
-        """Handle a duplicate identified by the pre-parse byte scan.
+        """Handle a duplicate identified by the pre-parse byte scan: the
+        same path a parsed duplicate takes, before any XML parse."""
+        self._heard(message_id, source)
+        self._duplicate(message_id, source)
 
-        Mirrors the duplicate branch of :meth:`on_gossip` exactly -- the
-        message was consumed before any XML parse, but the observable
-        protocol behaviour (duplicate accounting, feedback) is identical.
-        """
-        if self.health is not None and source is not None:
+    def _heard(self, message_id: str, source: Optional[str]) -> None:
+        """Any arrival: proof of life for its sender, and the end of our
+        wait for it if we had fetched it."""
+        if source is not None:
             self.health.observe_alive(source)
         self._pending_fetch.discard(message_id)
+
+    def _duplicate(self, message_id: str, source: Optional[str]) -> None:
         self.metrics.counter("gossip.duplicate").inc()
         if self._recovering:
             self._recovery.redelivered_suppressed.inc()
-        if self.params.style is GossipStyle.FEEDBACK and source is not None:
-            self._send_feedback(message_id, source)
-
-    def _propagate(self, envelope: Envelope, header: GossipHeader, source: Optional[str]) -> None:
-        """Run the style's forwarding step for a fresh message."""
-        if self._recovering:
-            # A rejoining node first reconciles with healthy peers; eager
-            # forwarding resumes once catch-up finishes (the catch-up
-            # fetches would otherwise echo stale hops around the group).
-            self.metrics.counter("gossip.forward-during-recovery-skipped").inc()
-            return
-        if self.params.style in (GossipStyle.PUSH, GossipStyle.PUSH_PULL):
-            if self.has_view:
-                self._forward(envelope, header, source)
-            elif len(self._pending_forwards) < self._pending_limit:
-                self.metrics.counter("gossip.forward-deferred").inc()
-                self._pending_forwards.append(
-                    (envelope.to_bytes(), header, source)
-                )
-        elif self.params.style is GossipStyle.LAZY_PUSH:
-            budget = self._ad_hops.pop(header.message_id, header.hops)
-            self._advertise([header.message_id], budget - 1)
-        elif self.params.style is GossipStyle.FEEDBACK:
-            # Become hot: forward now and keep re-forwarding each period
-            # until feedback (or the rounds cap) cools the rumor.
-            self._hot[header.message_id] = self.params.rounds
-            self._log_append(
-                {"type": "hot", "id": header.message_id, "rounds": self.params.rounds}
-            )
-            if self.has_view:
-                self._forward_hot(header.message_id, source)
+        STYLE_TABLE[self.params.style].duplicate(self, message_id, source)
 
     def _offer_ordered(self, envelope: Envelope, header: GossipHeader) -> bool:
         """FIFO mode: hold back out-of-order arrivals; re-dispatch on gap
@@ -567,7 +484,7 @@ class GossipEngine:
             self.metrics.counter("gossip.released-in-order").inc()
             self._dispatch_stored(data)
         if released:
-            self._log_fifo(header.origin)
+            self._journal_fifo(header.origin)
         return False
 
     def _dispatch_stored(self, data: bytes) -> None:
@@ -585,38 +502,41 @@ class GossipEngine:
     @property
     def has_view(self) -> bool:
         """True when the engine has any source of peers."""
-        return self.view_provider is not None or self.registered
+        return self.view_provider.ready(self)
 
     def current_view(self) -> List[str]:
         """The peer view in force (provider-backed or coordinator-supplied)."""
-        if self.view_provider is not None:
-            return list(self.view_provider())
-        return list(self.view)
+        return self.view_provider.peers(self)
 
-    def _record_trace_sample(self, trace: TraceContext) -> None:
-        """Account a first delivery against the frame's trace section.
+    # -- the styles' steps (rows of STYLE_TABLE) ---------------------------------------
 
-        End-to-end latency is the gap between the origin's publish
-        timestamp and our clock; the per-hop figure divides it over the
-        hops actually taken (``path + 1``: a freshly published frame has
-        path 0 and traveled one hop to reach us).  Only sampled frames are
-        measured; the skew guard discards readings more negative than the
-        policy tolerates and clamps the rest to zero.
-        """
-        if not trace.sampled:
-            return
-        hops_taken = trace.path + 1
-        if hops_taken > MAX_PATH_LENGTH:
-            self._telemetry_clamped.inc()
-            return
-        latency = self.scheduler.now - trace.publish_ts
-        if latency < -CLOCK_SKEW_GUARD:
-            self._telemetry_skew.inc()
-            return
-        latency_ms = max(0.0, latency) * 1000.0
-        self._e2e_latency.observe(latency_ms)
-        self._hop_latency.observe(latency_ms / hops_taken)
-        self._telemetry_samples.inc()
+    def _push_publish(self, message_id: str, data: bytes) -> None:
+        # Park the frame; a burst of publications flushes together,
+        # batched per destination up to ``max_batch_rumors``.
+        self._enqueue_fanout(data, self.app_address, None)
+
+    def _push_fresh(self, envelope: Envelope, header: GossipHeader, source: Optional[str]) -> None:
+        if self.has_view:
+            self._forward(envelope, header, source)
+        elif len(self._pending_forwards) < self._pending_limit:
+            self.metrics.counter("gossip.forward-deferred").inc()
+            self._pending_forwards.append((envelope.to_bytes(), header, source))
+
+    def _lazy_publish(self, message_id: str, data: bytes) -> None:
+        self._advertise([message_id], self.params.rounds)
+
+    def _lazy_fresh(self, envelope: Envelope, header: GossipHeader, source: Optional[str]) -> None:
+        budget = self._ad_hops.pop(header.message_id, header.hops)
+        self._advertise([header.message_id], budget - 1)
+
+    def _hot_publish(self, message_id: str, data: bytes) -> None:
+        self._heat(message_id)
+        self._forward_hot(message_id)
+
+    def _hot_fresh(self, envelope: Envelope, header: GossipHeader, source: Optional[str]) -> None:
+        self._heat(header.message_id)
+        if self.has_view:
+            self._forward_hot(header.message_id, source)
 
     def _forward(self, envelope: Envelope, header: GossipHeader, source: Optional[str]) -> None:
         if header.hops <= 0:
@@ -653,19 +573,15 @@ class GossipEngine:
 
     def _select_targets(self, exclude: Sequence[str]) -> List[str]:
         view = self.current_view()
-        fanout = self.params.fanout
-        if self.health is not None:
-            fanout = self.health.effective_fanout(fanout, view)
-        ceiling = self.fanout_ceiling
-        if ceiling is not None and fanout > ceiling:
-            fanout = ceiling
+        fanout = self.health.effective_fanout(self.params.fanout, view)
+        if fanout > self.fanout_ceiling:
+            fanout = self.fanout_ceiling
             self._hub.control.ceiling_clamps.inc()
         return self.selector.select(view, fanout, self.rng, exclude=exclude)
 
     # -- overload protection (backpressure + the shed ladder) ---------------------
 
-    @property
-    def outbox_depth(self) -> int:
+    def _outbox_depth(self) -> int:
         """Frames (and pending control sections) parked in the outbox."""
         return (
             sum(len(frames) for frames in self._outbox_fanout.values())
@@ -675,26 +591,15 @@ class GossipEngine:
 
     @property
     def overload_pressure(self) -> float:
-        """This node's load pressure in ``[0, 1]``; always 0.0 without an
-        :class:`~repro.core.overload.OverloadPolicy`.
-
-        The max of outbox fill (send-side backpressure) and whatever the
-        ``pressure_provider`` reports (the layer's bounded ingest queue),
-        so the adaptive controller reads one number per engine.
-        """
-        policy = self.overload
-        if policy is None:
-            return 0.0
-        pressure = min(1.0, self.outbox_depth / policy.outbox_bound)
-        if self._pressure_provider is not None:
-            pressure = max(pressure, self._pressure_provider())
-        return pressure
+        """This node's load pressure in ``[0, 1]`` (the outbox fill, at
+        least the layer's ingest pressure); always 0.0 without an
+        :class:`~repro.core.overload.OverloadPolicy`."""
+        return self.overload.pressure(self._outbox_depth)
 
     def _shed(self, shed_class: str) -> bool:
-        """True when the shed ladder (:class:`~repro.core.overload.ShedLatch`)
-        says to drop ``shed_class`` traffic at this node's pressure."""
-        latch = self._shed_latch
-        return latch is not None and latch.sheds(self.overload_pressure, shed_class)
+        """True when the shed ladder says to drop ``shed_class`` traffic
+        at this node's pressure."""
+        return self.overload.sheds(self._outbox_depth, shed_class)
 
     # -- the outbox (every gossip send goes through it) ---------------------------
 
@@ -914,11 +819,21 @@ class GossipEngine:
             )
 
     def serve_fetch(self, message_ids: List[str], requester: str) -> None:
-        """Serve a Fetch: deliver the requested retained messages."""
+        """Serve a Fetch: the retained frames ride the outbox to the
+        requester's gossip port, coalescing with anything else pending."""
         self.metrics.counter("gossip.fetch-served").inc()
-        self.push_messages(requester, message_ids)
+        if self._shed("pull"):
+            return
+        if self._enqueue_stored(requester, message_ids):
+            self.metrics.counter("gossip.deliver-sent").inc()
 
     # -- feedback ("coin") rumor mongering --------------------------------------
+
+    def _heat(self, message_id: str) -> None:
+        """Make a rumor hot: it is re-forwarded every period until
+        feedback (or the rounds cap) cools it."""
+        self._hot[message_id] = self.params.rounds
+        self.journal.hot(self, message_id, self.params.rounds)
 
     def _forward_hot(self, message_id: str, source: Optional[str] = None) -> None:
         """Forward a hot rumor to ``fanout`` peers (feedback style)."""
@@ -941,13 +856,13 @@ class GossipEngine:
             if remaining <= 0:
                 self._hot.pop(message_id, None)
                 self.metrics.counter("gossip.cooled.cap").inc()
-                self._log_append({"type": "cooled", "id": message_id})
+                self.journal.cooled(self, message_id)
             else:
                 self._hot[message_id] = remaining
 
-    def _send_feedback(self, message_id: str, source: str) -> None:
+    def _send_feedback(self, message_id: str, source: Optional[str]) -> None:
         """Tell the sender we already had this rumor."""
-        if self._shed("feedback"):
+        if source is None or self._shed("feedback"):
             return
         self.metrics.counter("gossip.feedback-sent").inc()
         self._outbox_control_for(gossip_address_of(source)).feedback.append(
@@ -961,63 +876,37 @@ class GossipEngine:
                 if self.rng.random() < self.params.stop_probability:
                     self._hot.pop(message_id, None)
                     self.metrics.counter("gossip.cooled.feedback").inc()
-                    self._log_append({"type": "cooled", "id": message_id})
+                    self.journal.cooled(self, message_id)
 
     @property
     def hot_count(self) -> int:
         """Rumors this node is still actively spreading (feedback style)."""
         return len(self._hot)
 
-    # -- periodic rounds (pull / push-pull / anti-entropy) ------------------------------
+    # -- periodic rounds -----------------------------------------------------------------
 
     def start_periodic_rounds(self) -> None:
-        """Start the style's periodic activity.
+        """Start the style's periodic rounds, if it has any.
 
-        Called automatically on registration; decentralized deployments
-        (no coordinator, ``view_provider`` set) call it directly.
+        Called on registration; decentralized deployments (a provided
+        view) call it directly, and so does the adaptive controller after
+        it escalates push to a periodic style.
         """
-        self._start_periodic_rounds()
+        if not self._stopped and STYLE_TABLE[self.params.style].period is not None:
+            self._rounds.start()
 
-    def _start_periodic_rounds(self) -> None:
-        if self._periodic_started or self._stopped:
-            return
-        if self.params.style in (
-            GossipStyle.PULL,
-            GossipStyle.PUSH_PULL,
-            GossipStyle.ANTI_ENTROPY,
-            # Lazy push pairs eager advertisements with a periodic pull
-            # repair (Plumtree's recovery path) -- ads alone die out under
-            # loss because only payload holders re-advertise.
-            GossipStyle.LAZY_PUSH,
-            # Feedback style re-forwards hot rumors every period.
-            GossipStyle.FEEDBACK,
-        ):
-            # The flag is only raised for periodic styles, so an engine
-            # whose params later escalate push -> push-pull (adaptive
-            # control) can start the loop with a fresh call here.
-            self._periodic_started = True
-            self._schedule_next_round()
-
-    def _schedule_next_round(self) -> None:
-        delay = self.params.period + self.rng.uniform(0.0, self.params.jitter)
-        self.scheduler.call_after(delay, self._periodic_round)
+    def _round_timing(self):
+        return self.params.period, self.params.jitter
 
     def _periodic_round(self) -> None:
-        if self._stopped:
+        period = STYLE_TABLE[self.params.style].period
+        if period is None:
+            # The params de-escalated back to plain push while the loop was
+            # in flight (adaptive control): let the loop die out so a later
+            # escalation can restart it cleanly.
+            self._rounds.stop()
             return
-        if self.params.style is GossipStyle.PUSH:
-            # The params de-escalated back to plain push while a periodic
-            # loop was in flight (adaptive control): let the loop die out
-            # so a later escalation can restart it cleanly.
-            self._periodic_started = False
-            return
-        if self.params.style is GossipStyle.ANTI_ENTROPY:
-            self._anti_entropy_round()
-        elif self.params.style is GossipStyle.FEEDBACK:
-            self._feedback_round()
-        else:
-            self._pull_round()
-        self._schedule_next_round()
+        period(self)
 
     def _pull_round(self) -> None:
         """Send ``store.summary()`` -- a count and a hash, not the list
@@ -1050,17 +939,6 @@ class GossipEngine:
             gossip_address_of(targets[0])
         ).summary = self.store.summary()
 
-    def push_messages(self, gossip_address: str, message_ids: List[str]) -> None:
-        """Send retained messages to a peer's gossip port.
-
-        The frames ride the outbox instead of a base64 ``Deliver`` body: no
-        re-wrapping, and they coalesce with anything else pending.
-        """
-        if self._shed("pull"):
-            return
-        if self._enqueue_stored(gossip_address, message_ids):
-            self.metrics.counter("gossip.deliver-sent").inc()
-
     def _enqueue_stored(self, gossip_address: str, message_ids: List[str]) -> int:
         """Park the retained frames of ``message_ids`` for one peer; returns
         how many were found."""
@@ -1075,66 +953,30 @@ class GossipEngine:
     # -- pull serving (called by the gossip service) ------------------------------------
 
     def serve_pull(self, remote_digest: List[str], requester_gossip: Optional[str]) -> dict:
-        """Build the PullResponse payload for a remote digest."""
-        if self._shed("pull"):
-            # Shed the expensive part (the payload frames); the requester
-            # re-pulls next period.  The empty reply still flows so the
-            # correlation machinery is not left dangling.
-            return {
-                "messages": [],
-                "wants": [],
-                "peer": gossip_address_of(self.app_address),
-            }
-        missing_at_requester = self.store.not_in(remote_digest)
-        messages = []
-        for message_id in missing_at_requester:
-            stored = self.store.get(message_id)
-            if stored is not None and stored.data:
-                messages.append(stored.data)
-        wants = self.store.missing_from(remote_digest)
-        response = {
+        """Build the PullResponse payload for a remote digest.
+
+        Under load the expensive part (the payload frames) is shed; the
+        requester re-pulls next period, and the empty reply still flows so
+        the correlation machinery is not left dangling.
+        """
+        messages: List[bytes] = []
+        wants: List[str] = []
+        if not self._shed("pull"):
+            for message_id in self.store.not_in(remote_digest):
+                stored = self.store.get(message_id)
+                if stored is not None and stored.data:
+                    messages.append(stored.data)
+            wants = self.store.missing_from(remote_digest)
+        return {
             "messages": messages,
             "wants": wants,
             "peer": gossip_address_of(self.app_address),
         }
-        return response
 
-    # -- durability (WAL + snapshot) ----------------------------------------------------
+    # -- durability (the journal's snapshot and replay) ---------------------------------
 
-    def _log_append(self, record: dict) -> None:
-        """Append one WAL record; snapshot-compact at the policy cadence."""
-        if self.log is None:
-            return
-        self.log.append(record)
-        snapshot_every = (
-            self.durability.snapshot_every if self.durability is not None else 256
-        )
-        if self.log.appends_since_snapshot >= snapshot_every:
-            self.log.write_snapshot(self.snapshot_state())
-
-    def _log_message(self, message_id: str, data: bytes, origin: str) -> None:
-        if self.log is None:
-            return
-        self._log_append(
-            {
-                "type": "msg",
-                "id": message_id,
-                "data": data,
-                "at": self.scheduler.now,
-                "origin": origin,
-            }
-        )
-
-    def _log_fifo(self, origin: str) -> None:
-        if self.log is None:
-            return
-        self._log_append(
-            {
-                "type": "fifo",
-                "origin": origin,
-                "next": self._fifo.next_expected(origin),
-            }
-        )
+    def _journal_fifo(self, origin: str) -> None:
+        self.journal.fifo(self, origin, self._fifo.next_expected(origin))
 
     def snapshot_state(self) -> dict:
         """The gossip-critical state a snapshot must capture: retained
@@ -1158,19 +1000,13 @@ class GossipEngine:
 
     # -- crash recovery -----------------------------------------------------------------
 
-    @property
-    def recovering(self) -> bool:
-        """True between a restart and the end of catch-up (eager
-        forwarding is suppressed while this holds)."""
-        return self._recovering
-
     def prepare_restart(
         self,
         amnesia: bool = True,
         on_replayed: Optional[Callable[[str], None]] = None,
     ) -> int:
-        """Reset the engine to post-crash state, replaying the WAL unless
-        ``amnesia``.
+        """Reset the engine to post-crash state, replaying the journal
+        unless ``amnesia``.
 
         Called by the host node while the process restarts (before
         :meth:`rejoin`).  With ``amnesia`` the durable log is discarded
@@ -1182,91 +1018,40 @@ class GossipEngine:
 
         Returns the number of messages restored into the store.
         """
-        self.store = MessageStore(self.params.buffer_capacity)
-        self.view = []
-        self.registered = False
-        self.register_pending = False
-        self._periodic_started = False
-        self._stopped = False
-        self._recovering = False
-        self._catch_up_rounds_left = 0
-        self._pending_forwards = []
-        self._ad_hops = {}
-        self._pending_fetch = set()
-        self._hot = {}
-        self._fifo = FifoBuffer()
-        self._publish_sequence = 0
-        self._outbox_fanout = {}
-        self._outbox_direct = {}
-        self._outbox_control = {}
-        self._flush_scheduled = False
-        if self._shed_latch is not None:
-            self._shed_latch.overloaded = False
+        for name in self._RESTART_DEFAULTS:
+            vars(self).pop(name, None)
+        self._reset()
+        self.overload.reset()
         self._recovery.restarts.inc()
         if amnesia:
             self._recovery.amnesia_restarts.inc()
-            if self.log is not None:
-                self.log.clear()
+            self.journal.clear()
             return 0
-        if self.log is None:
-            return 0
-        return self._restore_from_log(on_replayed)
-
-    def _restore_from_log(
-        self, on_replayed: Optional[Callable[[str], None]]
-    ) -> int:
-        result = self.log.replay()
-        replayed = 0
-        snapshot = result.snapshot
-        if isinstance(snapshot, dict):
-            replayed += self._apply_replay_state(snapshot, on_replayed)
-        for record in result.records:
-            replayed += self._apply_replay_record(record, on_replayed)
+        result = self.journal.replay()
+        records: Iterator[dict] = iter(result.records)
+        if isinstance(result.snapshot, dict):
+            records = itertools.chain(_snapshot_records(result.snapshot), records)
+        replayed = sum(self._replay(record, on_replayed) for record in records)
         self._recovery.replayed_messages.inc(replayed)
-        if self.params.ordered:
-            self._reoffer_replayed()
+        self._reoffer_replayed()
         return replayed
 
-    def _apply_replay_state(
-        self, state: dict, on_replayed: Optional[Callable[[str], None]]
-    ) -> int:
-        replayed = 0
-        messages = state.get("messages")
-        if isinstance(messages, list):
-            for entry in messages:
-                if isinstance(entry, dict):
-                    replayed += self._restore_message(entry, on_replayed)
-        seen = state.get("seen")
-        if isinstance(seen, list):
-            for message_id in seen:
-                if isinstance(message_id, str) and self.store.is_new(message_id):
-                    # Payload evicted pre-crash; the identity alone keeps
-                    # re-receipt from counting as fresh.
-                    self.store.mark_seen(message_id)
-                    if on_replayed is not None:
-                        on_replayed(message_id)
-        pub_seq = state.get("pub_seq")
-        if isinstance(pub_seq, int):
-            self._publish_sequence = max(self._publish_sequence, pub_seq)
-        fifo = state.get("fifo")
-        if isinstance(fifo, dict):
-            for origin, next_expected in fifo.items():
-                if isinstance(origin, str) and isinstance(next_expected, int):
-                    self._fifo.restore_counter(origin, next_expected)
-        hot = state.get("hot")
-        if isinstance(hot, dict):
-            for message_id, rounds in hot.items():
-                if isinstance(message_id, str) and isinstance(rounds, int):
-                    self._hot[message_id] = rounds
-        return replayed
-
-    def _apply_replay_record(
+    def _replay(
         self, record: dict, on_replayed: Optional[Callable[[str], None]]
     ) -> int:
+        """Apply one journal record; returns 1 for a message restored."""
         kind = record.get("type")
         if kind == "msg":
             return self._restore_message(record, on_replayed)
-        if kind == "pub_seq" and isinstance(record.get("value"), int):
+        if kind == "seen":
+            message_id = record.get("id")
+            if isinstance(message_id, str) and self.store.is_new(message_id):
+                # Payload evicted pre-crash; the identity alone keeps
+                # re-receipt from counting as fresh.
+                self.store.mark_seen(message_id)
+                if on_replayed is not None:
+                    on_replayed(message_id)
+        elif kind == "pub_seq" and isinstance(record.get("value"), int):
             self._publish_sequence = max(self._publish_sequence, record["value"])
         elif kind == "fifo":
             origin, next_expected = record.get("origin"), record.get("next")
@@ -1308,9 +1093,12 @@ class GossipEngine:
         yet delivered when the node crashed -- they go back into holdback
         (and anything now in order is dispatched).  Messages below the
         watermark were already delivered pre-crash and stay suppressed.
+        As on arrival, a frame's own ``Sequence`` says it is ordered, not
+        the params (a lazily joined node may not have them yet); frames
+        without one are skipped unparsed.
         """
         for stored in list(self.store.messages()):
-            if not stored.data:
+            if b"Sequence>" not in stored.data:
                 continue
             try:
                 envelope = Envelope.from_bytes(stored.data)
@@ -1325,31 +1113,27 @@ class GossipEngine:
     def rejoin(self, protocol: Optional[str] = None) -> None:
         """Resume participation after a restart.
 
-        The node re-registers (or restarts its periodic rounds in
-        decentralized mode), marks *itself* suspect in its own health view
-        (its pre-crash picture of the group is stale), and runs a bounded
-        anti-entropy catch-up with :data:`~repro.core.store.CATCH_UP_PEERS`
-        healthy peers per round before resuming eager forwarding.
-        ``protocol`` defaults to whatever this engine registered as before
-        the crash.
+        The node rejoins through its view stage (re-registers, or restarts
+        its periodic rounds in decentralized mode), marks *itself* suspect
+        in its own health view (its pre-crash picture of the group is
+        stale), and runs a bounded anti-entropy catch-up with
+        :data:`~repro.core.store.CATCH_UP_PEERS` healthy peers per round
+        before resuming eager forwarding.  ``protocol`` defaults to
+        whatever this engine registered as before the crash.
         """
         if self._stopped:
             return
         if protocol is None:
             protocol = self._last_protocol
-        catch_up = self.durability is None or self.durability.catch_up
-        if self.health is not None:
-            # Conservative rejoin: our own liveness record is the stalest
-            # thing in the room right after a crash.
-            self.health.mark_failed(self.app_address)
+        catch_up = self.journal.catch_up
+        # Conservative rejoin: our own liveness record is the stalest
+        # thing in the room right after a crash.
+        self.health.mark_failed(self.app_address)
         if catch_up:
             self._recovering = True
             self._catch_up_rounds_left = CATCH_UP_ROUNDS
             self._catch_up_wait_budget = 24
-        if self.view_provider is not None:
-            self._start_periodic_rounds()
-        else:
-            self.register(protocol)
+        self.view_provider.join(self, protocol)
         if catch_up:
             self.metrics.counter("gossip.rejoin").inc()
             self.scheduler.call_after(0.0, self._catch_up_round)
@@ -1403,6 +1187,7 @@ class GossipEngine:
     def stop(self) -> None:
         """Stop periodic activity (timers already dead on sim crash)."""
         self._stopped = True
+        self._rounds.stop()
 
     def __repr__(self) -> str:
         return (
@@ -1410,3 +1195,63 @@ class GossipEngine:
             f"style={self.params.style.value}, view={len(self.view)}, "
             f"seen={self.store.seen_count})"
         )
+
+
+def _snapshot_records(snapshot: dict) -> Iterator[dict]:
+    """A snapshot as the journal records that rebuild it, in the order a
+    replay applies them: messages, evicted identities, the publication
+    counter, FIFO watermarks, the hot set."""
+    messages = snapshot.get("messages")
+    for entry in messages if isinstance(messages, list) else ():
+        if isinstance(entry, dict):
+            yield dict(entry, type="msg")
+    seen = snapshot.get("seen")
+    for message_id in seen if isinstance(seen, list) else ():
+        yield {"type": "seen", "id": message_id}
+    yield {"type": "pub_seq", "value": snapshot.get("pub_seq")}
+    fifo = snapshot.get("fifo")
+    for origin, next_expected in (fifo.items() if isinstance(fifo, dict) else ()):
+        yield {"type": "fifo", "origin": origin, "next": next_expected}
+    hot = snapshot.get("hot")
+    for message_id, rounds in (hot.items() if isinstance(hot, dict) else ()):
+        yield {"type": "hot", "id": message_id, "rounds": rounds}
+
+
+class _Style(NamedTuple):
+    """What one gossip style does on each event: ``publish(engine,
+    message_id, data)`` once the store holds our publication,
+    ``fresh(engine, envelope, header, source)`` on a first arrival (not
+    while catching up), ``duplicate(engine, message_id, source)``, and
+    ``period(engine)`` each round -- ``None``: the style runs no rounds."""
+
+    publish: Callable
+    fresh: Callable
+    duplicate: Callable
+    period: Optional[Callable]
+
+
+_E = GossipEngine
+
+#: The gossip styles (paper Section 4: "encompassing different gossip
+#: styles"), one row each.  The engine reads the row of its *current*
+#: ``params.style`` at every event, so an adaptive escalation between
+#: push and push-pull takes effect at the next one.  Lazy push pairs
+#: eager advertisements with a periodic pull repair (Plumtree's recovery
+#: path: ads alone die out under loss, because only payload holders
+#: re-advertise).
+STYLE_TABLE: Dict[GossipStyle, _Style] = {
+    GossipStyle.PUSH: _Style(_E._push_publish, _E._push_fresh, _ignore, None),
+    GossipStyle.PUSH_PULL: _Style(
+        _E._push_publish, _E._push_fresh, _ignore, _E._pull_round
+    ),
+    GossipStyle.PULL: _Style(_ignore, _ignore, _ignore, _E._pull_round),
+    GossipStyle.ANTI_ENTROPY: _Style(
+        _ignore, _ignore, _ignore, _E._anti_entropy_round
+    ),
+    GossipStyle.LAZY_PUSH: _Style(
+        _E._lazy_publish, _E._lazy_fresh, _ignore, _E._pull_round
+    ),
+    GossipStyle.FEEDBACK: _Style(
+        _E._hot_publish, _E._hot_fresh, _E._send_feedback, _E._feedback_round
+    ),
+}

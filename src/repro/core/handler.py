@@ -39,15 +39,18 @@ from repro.core.engine import (
     PULL_RESPONSE_ACTION,
     GossipEngine,
 )
+from repro.core.health import NO_HEALTH
 from repro.core.message import (
     GossipHeader,
     scan_gossip_message_id,
     scan_gossip_message_ids,
 )
-from repro.core.overload import OverloadPolicy, ShedLatch, TokenBucket
+from repro.core.overload import NO_OVERLOAD, OverloadPolicy, OverloadStage, TokenBucket
 from repro.core.params import GossipParams
-from repro.core.peers import PeerSelector
+from repro.core.peers import COORDINATOR_VIEW, PeerSelector, ProvidedView
 from repro.core.scheduling import Scheduler
+from repro.core.store import NO_JOURNAL
+from repro.core.telemetry import NO_TELEMETRY, TelemetryStage
 from repro.obs.hub import hub_of
 from repro.soap.envelope import Envelope, EnvelopeError
 from repro.soap.handler import Handler, MessageContext
@@ -71,6 +74,11 @@ class GossipLayer(Handler):
             installed (messages pass through with dedup only).
         default_params: parameters used before the coordinator responds.
         selector: peer-selection strategy shared by created engines.
+
+    ``view_provider`` (a callable: peer sampling, WS-Membership),
+    ``health``, ``durability``, ``overload`` and ``telemetry`` become the
+    stages of every engine this layer creates (shared no-ops where
+    absent; see :class:`~repro.core.engine.GossipEngine`).
     """
 
     # The bounded ingest queue is made on the first frame it holds (most
@@ -99,21 +107,6 @@ class GossipLayer(Handler):
         self.auto_join = auto_join
         self.default_params = default_params
         self.selector = selector
-        # Optional node-wide peer-health record; engines created by this
-        # layer gossip in degraded mode when it is set.
-        self.health = health
-        # Optional decentralized mode: engines draw their peer view from
-        # this callable (peer sampling / WS-Membership) instead of the
-        # coordinator's RegisterResponse.
-        self.view_provider = view_provider
-        # Optional crash recovery: a DurabilityPolicy makes every engine
-        # keep a GossipLog, and prepare_restart/rejoin drive the
-        # crash-recovery protocol (docs/RESILIENCE.md).
-        self.durability = durability
-        # Optional live telemetry plane: engines created by this layer
-        # stamp wire-level trace context on publications and account
-        # sampled frames on delivery (docs/OBSERVABILITY.md).
-        self.telemetry = telemetry
         self._engines: Dict[str, GossipEngine] = {}
         # Observability: the hub behind this node's metrics sink, and the
         # counter groups the receive path counts into.
@@ -121,17 +114,27 @@ class GossipLayer(Handler):
         self._hub = obs
         self._wire = obs.wire
         self._batch = obs.batch
-        # Overload protection: the bounded ingest queue + its shed ladder
-        # (docs/RESILIENCE.md, "Overload and backpressure").  With
-        # ``overload=None`` the queue machinery only engages when a
-        # throttle (slow-consumer fault) is active -- and then the queue
+        self.health = health if health is not None else NO_HEALTH
+        self.view_provider = (
+            ProvidedView(view_provider) if view_provider is not None else COORDINATOR_VIEW
+        )
+        # A DurabilityPolicy opens one journal per engine; NO_JOURNAL
+        # opens itself.
+        self.durability = durability if durability is not None else NO_JOURNAL
+        self.telemetry = (
+            TelemetryStage(telemetry, obs) if telemetry is not None else NO_TELEMETRY
+        )
+        # The bounded ingest queue's stage (docs/RESILIENCE.md, "Overload
+        # and backpressure").  Without a policy the queue only engages
+        # while a throttle (slow-consumer fault) is active -- and then it
         # is *unbounded*, which is exactly the collapse the shed-off
         # ablation in bench_overload demonstrates.
-        self.overload = overload
-        self._ingest_bucket: Optional[TokenBucket] = None
-        self._ingest_latch = (
-            ShedLatch(obs.overload) if overload is not None else None
+        self.overload = (
+            OverloadStage(overload, obs.overload, overload.ingest_capacity)
+            if overload is not None
+            else NO_OVERLOAD
         )
+        self._ingest_bucket: Optional[TokenBucket] = None
         self._draining = False
         self._drain_scheduled = False
         # Receive-side fast path: drop already-seen gossip messages with a
@@ -157,12 +160,6 @@ class GossipLayer(Handler):
         existing = self._engines.get(context.identifier)
         if existing is not None:
             return existing
-        log = None
-        if self.durability is not None:
-            log = self.durability.make_log(
-                f"{self.app_address}:{context.identifier}",
-                hub=self._hub,
-            )
         engine = GossipEngine(
             runtime=self.runtime,
             scheduler=self.scheduler,
@@ -173,10 +170,10 @@ class GossipLayer(Handler):
             selector=self.selector,
             view_provider=self.view_provider,
             health=self.health,
-            log=log,
-            durability=self.durability,
-            overload=self.overload,
-            pressure_provider=self.ingest_pressure if self.overload else None,
+            journal=self.durability.journal(
+                f"{self.app_address}:{context.identifier}", self._hub
+            ),
+            overload=self.overload.outbox(self.ingest_pressure),
             telemetry=self.telemetry,
         )
         self._engines[context.identifier] = engine
@@ -215,8 +212,7 @@ class GossipLayer(Handler):
         replayed from durable logs."""
         # Whatever was queued for ingest died with the process.
         self._ingest_queue = ()
-        if self._ingest_latch is not None:
-            self._ingest_latch.overloaded = False
+        self.overload.reset()
         self._drain_scheduled = False
         self._draining = False
         replayed = 0
@@ -254,9 +250,7 @@ class GossipLayer(Handler):
 
     def ingest_pressure(self) -> float:
         """Ingest-queue fill fraction in ``[0, 1]``; 0.0 without a policy."""
-        if self.overload is None:
-            return 0.0
-        return min(1.0, len(self._ingest_queue) / self.overload.ingest_capacity)
+        return self.overload.pressure(self._ingest_queue.__len__)
 
     def _ingest_class(self, data: bytes) -> str:
         """Classify a wire frame onto the shed ladder with byte scans only.
@@ -289,20 +283,15 @@ class GossipLayer(Handler):
         if not self._ingest_queue and (
             self._ingest_bucket is None or self._ingest_bucket.admit(now)
         ):
-            if self.overload is not None:
-                self._hub.overload.admitted.inc()
+            self.overload.admitted()
             return self._preparse_classify(data, source)
-        policy = self.overload
-        if policy is not None:
-            if self._ingest_latch.sheds(
-                self.ingest_pressure(), self._ingest_class(data)
-            ):
-                return False
-            if len(self._ingest_queue) >= policy.ingest_capacity:
-                # The bound is absolute: whatever the class, nothing
-                # queues past it (this is the memory guarantee).
-                self._hub.overload.shed_payloads.inc()
-                return False
+        if self.overload.sheds(self._ingest_queue.__len__, self._ingest_class(data)):
+            return False
+        if len(self._ingest_queue) >= self.overload.bound:
+            # The bound is absolute: whatever the class, nothing queues
+            # past it (this is the memory guarantee).
+            self._hub.overload.shed_payloads.inc()
+            return False
         if not isinstance(self._ingest_queue, deque):
             self._ingest_queue = deque()
         self._ingest_queue.append((data, source))
@@ -332,8 +321,7 @@ class GossipLayer(Handler):
             ):
                 break
             data, source = self._ingest_queue.popleft()
-            if self.overload is not None:
-                self._hub.overload.admitted.inc()
+            self.overload.admitted()
             self._draining = True
             try:
                 self.runtime.receive(data, source=source)
@@ -366,24 +354,23 @@ class GossipLayer(Handler):
         if is_batch_frame(data):
             return self._ingest_batch(data, source)
         message_id = scan_gossip_message_id(data)
-        if message_id is None:
+        engine = self._engine_knowing(message_id)
+        if engine is None:
             return True
-        for engine in self._engines.values():
-            if message_id in engine.store:
-                self._wire.dedup_preparse_hits.inc()
-                engine.on_duplicate_preparse(message_id, source)
-                return False
-        return True
+        self._wire.dedup_preparse_hits.inc()
+        engine.on_duplicate_preparse(message_id, source)
+        return False
 
     def _ingest_batch(self, data: bytes, source: Optional[str]) -> bool:
         """Unpack a batch frame at the byte level.
 
         Fast paths, in order: drop the *whole* batch when every carried
-        rumor is already known (one scan, zero parses); otherwise slice it
-        into legacy frames and feed each through the normal receive path,
-        then apply any piggybacked control sections.  Returns False when
-        consumed here; True falls through to the full XML parse and the
-        gossip service's ``Batch`` operation (the robust fallback).
+        rumor is already known (one anchored scan per frame, zero parses);
+        otherwise slice it into legacy frames and feed each through the
+        normal receive path, then apply any piggybacked control sections.
+        Returns False when consumed here; True falls through to the full
+        XML parse and the gossip service's ``Batch`` operation (the robust
+        fallback).
         """
         try:
             frames = split_batch(data)
@@ -393,20 +380,19 @@ class GossipLayer(Handler):
         self._batch.batches_received.inc()
         has_control = batch_has_control(data)
         if frames and not has_control:
-            message_ids = scan_gossip_message_ids(data)
-            if len(message_ids) == len(frames):
-                owners = []
-                for message_id in message_ids:
-                    owner = self._engine_knowing(message_id)
-                    if owner is None:
-                        break
-                    owners.append((message_id, owner))
-                if len(owners) == len(message_ids):
-                    self._batch.batches_skipped_preparse.inc()
-                    self._wire.dedup_preparse_hits.inc(len(message_ids))
-                    for message_id, owner in owners:
-                        owner.on_duplicate_preparse(message_id, source)
-                    return False
+            owners = []
+            for frame in frames:
+                message_id = scan_gossip_message_id(frame)
+                owner = self._engine_knowing(message_id)
+                if owner is None:
+                    break
+                owners.append((message_id, owner))
+            else:
+                self._batch.batches_skipped_preparse.inc()
+                self._wire.dedup_preparse_hits.inc(len(owners))
+                for message_id, owner in owners:
+                    owner.on_duplicate_preparse(message_id, source)
+                return False
         for frame in frames:
             self._batch.rumors_unpacked.inc()
             self.runtime.receive(frame, source=source)
@@ -414,7 +400,9 @@ class GossipLayer(Handler):
             self._apply_batch_control(data, source)
         return False
 
-    def _engine_knowing(self, message_id: str) -> Optional[GossipEngine]:
+    def _engine_knowing(self, message_id: Optional[str]) -> Optional[GossipEngine]:
+        if message_id is None:
+            return None
         for engine in self._engines.values():
             if message_id in engine.store:
                 return engine
@@ -486,4 +474,6 @@ class GossipLayer(Handler):
             self.runtime.metrics.counter("gossip.no-context").inc()
             return None
         self.runtime.metrics.counter("gossip.auto-join").inc()
-        return self.join(coordination, register=self.view_provider is None)
+        engine = self.create_engine(coordination)
+        self.view_provider.join(engine, PROTOCOL_DISSEMINATOR)
+        return engine

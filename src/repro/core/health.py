@@ -37,6 +37,7 @@ from typing import (
 )
 
 from repro.core.params import Knobs, knob
+from repro.core.peers import HealthAwareSelector, PeerSelector
 from repro.transport.base import (
     BreakerPolicy,
     RetryPolicy,
@@ -220,6 +221,12 @@ class PeerHealth:
             self._health.fanout_boosts.inc()
         return max(fanout, boosted)
 
+    def selector(self, inner: PeerSelector) -> PeerSelector:
+        """``inner`` in degraded mode: unsuspected peers first."""
+        if isinstance(inner, HealthAwareSelector):
+            return inner
+        return HealthAwareSelector(self, inner)
+
     def suspected_peers(self) -> List[str]:
         """Every key currently over threshold (refreshes decayed entries)."""
         now = self._clock()
@@ -271,6 +278,30 @@ class PeerHealth:
         )
 
 
+class NoHealth:
+    """The health stage without the peer-health layer: every peer is
+    healthy and no evidence is kept."""
+
+    __slots__ = ()
+
+    def _nothing(self, *_args) -> None:
+        pass
+
+    observe_alive = mark_failed = reset = _nothing
+
+    def effective_fanout(self, fanout: int, view: Sequence[str]) -> int:
+        return fanout
+
+    def suspected_peers(self) -> List[str]:
+        return []
+
+    def selector(self, inner: PeerSelector) -> PeerSelector:
+        return inner
+
+
+NO_HEALTH = NoHealth()
+
+
 def install_health(
     nodes: Iterable[Any],
     policy: HealthPolicy,
@@ -290,4 +321,3 @@ def install_health(
         )
         node.runtime.transport.add_outcome_listener(health.record_outcome)
         node.gossip_layer.health = health
-        node.health = health

@@ -18,6 +18,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
+from repro.core.batch import BatchError, split_batch
 from repro.soap import namespaces as ns
 from repro.soap.envelope import Envelope
 from repro.xmlutil import qname
@@ -60,7 +61,6 @@ def new_gossip_message_id() -> str:
 # ``<prefix:MessageId>urn:ws-gossip:msg:...</prefix:MessageId>``: every id
 # this package mints starts with the urn, and the byte scans below report
 # only ids of that form.
-_MID_TAG_SUFFIX = b":MessageId>"
 _MID_URN_PREFIX = b"urn:ws-gossip:msg:"
 
 
@@ -90,30 +90,23 @@ def scan_gossip_message_id(data: bytes) -> Optional[str]:
 
 
 def scan_gossip_message_ids(data: bytes) -> List[str]:
-    """All gossip message ids in wire bytes, in order of appearance.
+    """The anchored gossip message id of each rumor frame in a batch
+    envelope, in order; a frame without a scannable id contributes none,
+    and bytes that do not split as a batch yield ``[]``.
 
-    The batched-frame variant of :func:`scan_gossip_message_id`: a batch
-    envelope carries one ``Gossip`` header per inner rumor, so the dedup
-    gate needs every id to decide whether the *whole* batch can be skipped.
-    Unlike the single-frame scan it is not anchored: the caller checks that
-    it found exactly one id per embedded frame.  The ``:MessageId>`` tag
-    suffix can only occur in markup (ElementTree escapes ``>`` in text).
+    The batched-frame variant of :func:`scan_gossip_message_id`: each id is
+    read from its own frame's header block, never from an application body
+    or another header that quotes one.
     """
-    ids: List[str] = []
-    position = data.find(_MID_TAG_SUFFIX)
-    while position != -1:
-        start = position + len(_MID_TAG_SUFFIX)
-        if data.startswith(_MID_URN_PREFIX, start):
-            end = data.find(b"<", start)
-            if end == -1:
-                return ids
-            try:
-                ids.append(data[start:end].decode("ascii"))
-            except UnicodeDecodeError:
-                pass
-            start = end
-        position = data.find(_MID_TAG_SUFFIX, start)
-    return ids
+    try:
+        frames = split_batch(data)
+    except BatchError:
+        return []
+    return [
+        message_id
+        for message_id in map(scan_gossip_message_id, frames)
+        if message_id is not None
+    ]
 
 
 # -- in-place splices of the Gossip header (the forward hot path) -------------

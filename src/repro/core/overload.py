@@ -7,7 +7,7 @@ validated :class:`OverloadPolicy` (opt-in via
 ``GossipConfig(overload=...)``), the deterministic :class:`TokenBucket`
 used by both the edge admission gate and the engine's ingest gate,
 :class:`OverloadError`, the backpressure signal raised at the hard limit,
-and :class:`ShedLatch`, the shed ladder both bounded queues run.
+and :class:`OverloadStage`, the shed ladder both bounded queues run.
 
 The shed-priority ladder (cheapest first -- see docs/RESILIENCE.md,
 "Overload and backpressure"); :data:`SHED_THRESHOLDS` names the
@@ -30,7 +30,9 @@ itself overloaded until pressure falls back below :data:`LOW_WATERMARK`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.params import Knobs, ParamError, knob
 
@@ -96,36 +98,92 @@ SHED_COUNTERS = {
 }
 
 
-class ShedLatch:
-    """The shed ladder of one bounded queue, with its watermark latch.
+def _no_pressure() -> float:
+    return 0.0
 
-    :meth:`sheds` latches the queue overloaded when pressure reaches
+
+class OverloadStage:
+    """One bounded queue under an :class:`OverloadPolicy`, with its shed
+    ladder.
+
+    Its pressure is its fill, ``depth() / bound`` (at least ``floor()``;
+    ``depth`` is a zero-arg callable, read only under a policy).
+    :meth:`sheds` latches the queue ``overloaded`` when pressure reaches
     :data:`HIGH_WATERMARK` (counted once in ``overload.pressure_highs``)
     and holds the effective pressure at the watermark until raw pressure
-    falls back below :data:`LOW_WATERMARK` -- so shedding does not flap
-    at the boundary.  A shed is counted in the ``overload`` counter group
-    under :data:`SHED_COUNTERS`.
+    falls back below :data:`LOW_WATERMARK` -- so shedding does not flap at
+    the boundary.  A shed is counted under :data:`SHED_COUNTERS`.
+
+    A node runs one stage for its ingest queue and, from it, one per
+    engine outbox (:meth:`outbox`: floored by the ingest pressure, so one
+    signal covers both directions).  :data:`NO_OVERLOAD` stands in
+    without a policy.
     """
 
-    __slots__ = ("overloaded", "_overload")
+    __slots__ = ("policy", "bound", "overloaded", "_counters", "_floor")
 
-    def __init__(self, overload) -> None:
+    def __init__(self, policy: OverloadPolicy, counters, bound: int,
+                 floor: Callable[[], float] = _no_pressure) -> None:
+        self.policy = policy
+        self.bound = bound
         self.overloaded = False
-        self._overload = overload
+        self._counters = counters
+        self._floor = floor
 
-    def sheds(self, pressure: float, shed_class: str) -> bool:
-        """True when ``shed_class`` traffic is dropped at ``pressure``."""
+    def outbox(self, floor: Callable[[], float]) -> "OverloadStage":
+        """The stage of one engine's outbox, floored by ``floor``."""
+        return OverloadStage(self.policy, self._counters,
+                             self.policy.outbox_bound, floor)
+
+    def pressure(self, depth: Callable[[], int]) -> float:
+        return max(min(1.0, depth() / self.bound), self._floor())
+
+    def sheds(self, depth: Callable[[], int], shed_class: str) -> bool:
+        """True when ``shed_class`` traffic is dropped at this pressure."""
+        pressure = self.pressure(depth)
         if not self.overloaded and pressure >= HIGH_WATERMARK:
             self.overloaded = True
-            self._overload.pressure_highs.inc()
+            self._counters.pressure_highs.inc()
         elif self.overloaded and pressure < LOW_WATERMARK:
             self.overloaded = False
         if self.overloaded and pressure < HIGH_WATERMARK:
             pressure = HIGH_WATERMARK
         if pressure >= SHED_THRESHOLDS[shed_class]:
-            getattr(self._overload, SHED_COUNTERS[shed_class]).inc()
+            getattr(self._counters, SHED_COUNTERS[shed_class]).inc()
             return True
         return False
+
+    def admitted(self) -> None:
+        self._counters.admitted.inc()
+
+    def reset(self) -> None:
+        """A restart empties the queue; the latch clears with it."""
+        self.overloaded = False
+
+
+class NoOverload:
+    """The overload stage without a policy: pressure 0.0, no bound, and
+    nothing is shed or counted."""
+
+    __slots__ = ()
+    bound = math.inf
+
+    def outbox(self, floor: Callable[[], float]) -> "NoOverload":
+        return self
+
+    def pressure(self, depth: Callable[[], int]) -> float:
+        return 0.0
+
+    def sheds(self, depth: Callable[[], int], shed_class: str) -> bool:
+        return False
+
+    def _nothing(self) -> None:
+        pass
+
+    admitted = reset = _nothing
+
+
+NO_OVERLOAD = NoOverload()
 
 
 class TokenBucket:

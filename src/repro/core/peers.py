@@ -9,7 +9,7 @@ the peer-sampling service can plug in partial views.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 
 class PeerSelector:
@@ -189,3 +189,42 @@ class RoundRobinSelector(PeerSelector):
         ]
         self._cursor = (self._cursor + count) % len(candidates)
         return chosen
+
+
+class CoordinatorView:
+    """The default view stage: the peers the coordinator's
+    RegisterResponse supplied (``engine.view``); joining is registering."""
+
+    __slots__ = ()
+
+    def peers(self, engine) -> List[str]:
+        return list(engine.view)
+
+    def ready(self, engine) -> bool:
+        return engine.registered
+
+    def join(self, engine, protocol: str) -> None:
+        if not engine.registered and not engine.register_pending:
+            engine.register(protocol)
+
+
+COORDINATOR_VIEW = CoordinatorView()
+
+
+class ProvidedView:
+    """A view stage fed by ``provider`` (peer sampling, WS-Membership, a
+    static list): no coordinator, so joining starts the periodic rounds."""
+
+    __slots__ = ("provider",)
+
+    def __init__(self, provider: Callable[[], Sequence[str]]) -> None:
+        self.provider = provider
+
+    def peers(self, engine) -> List[str]:
+        return list(self.provider())
+
+    def ready(self, engine) -> bool:
+        return True
+
+    def join(self, engine, protocol: str) -> None:
+        engine.start_periodic_rounds()

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.scheduling import Scheduler
+from repro.core.scheduling import PeriodicLoop, Scheduler
 from repro.soap import namespaces as ns
 from repro.soap.fault import sender_fault
 from repro.soap.handler import MessageContext
@@ -177,10 +177,10 @@ class PeerSamplingEngine:
         self.self_address = self_address
         self.view = PartialView(capacity, self_address)
         self.shuffle_length = shuffle_length
-        self.period = period
-        self.jitter = jitter
         self.rng = rng if rng is not None else random.Random()
-        self._running = False
+        self._loop = PeriodicLoop(
+            scheduler, self.rng, lambda: (period, jitter), self._shuffle_once
+        )
 
     def bootstrap(self, seeds: Sequence[str]) -> None:
         """Seed the view with known addresses (introducer list)."""
@@ -193,33 +193,20 @@ class PeerSamplingEngine:
 
     def start(self) -> None:
         """Begin periodic shuffling."""
-        if self._running:
-            return
-        self._running = True
-        self._schedule()
+        self._loop.start()
 
     def stop(self) -> None:
         """Stop shuffling."""
-        self._running = False
+        self._loop.stop()
 
     def rejoin(self, seeds: Sequence[str]) -> None:
         """Restart sampling after a crash-faithful process restart: the
         pre-crash partial view is discarded and rebuilt from ``seeds``
         through ordinary shuffles."""
-        self._running = False
         self.view = PartialView(self.view.capacity, self.view.self_address)
         self.bootstrap(seeds)
+        self.stop()
         self.start()
-
-    def _schedule(self) -> None:
-        delay = self.period + self.rng.uniform(0.0, self.jitter)
-        self.scheduler.call_after(delay, self._round)
-
-    def _round(self) -> None:
-        if not self._running:
-            return
-        self._shuffle_once()
-        self._schedule()
 
     def _shuffle_once(self) -> None:
         self.view.age_all()

@@ -10,7 +10,8 @@ interface.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+import random
+from typing import Callable, Protocol, Tuple
 
 from repro.simnet.process import Process
 
@@ -52,3 +53,48 @@ class ProcessScheduler:
     def call_after(self, delay: float, callback: Callable[[], None]):
         """Schedule on the simulated process (dies with it on crash)."""
         return self._process.set_timer(delay, callback)
+
+
+class PeriodicLoop:
+    """The round driver of gossip rounds, aggregation, peer sampling and
+    membership heartbeats: ``step()`` runs every ``period +
+    rng.uniform(0, jitter)`` seconds (``timing()`` gives both, drawn when
+    the round is scheduled) from :meth:`start` until :meth:`stop`, which
+    a step may call on its own loop."""
+
+    __slots__ = ("running", "_scheduler", "_rng", "_timing", "_step")
+
+    def __init__(
+        self,
+        scheduler: Scheduler,
+        rng: random.Random,
+        timing: Callable[[], Tuple[float, float]],
+        step: Callable[[], None],
+    ) -> None:
+        self.running = False
+        self._scheduler = scheduler
+        self._rng = rng
+        self._timing = timing
+        self._step = step
+
+    def start(self) -> None:
+        if self.running:
+            return
+        self.running = True
+        self._schedule()
+
+    def stop(self) -> None:
+        self.running = False
+
+    def _schedule(self) -> None:
+        period, jitter = self._timing()
+        self._scheduler.call_after(
+            period + self._rng.uniform(0.0, jitter), self._round
+        )
+
+    def _round(self) -> None:
+        if not self.running:
+            return
+        self._step()
+        if self.running:
+            self._schedule()

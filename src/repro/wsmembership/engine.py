@@ -6,7 +6,7 @@ import random
 from typing import Callable, List, Optional, Sequence
 
 from repro.core.params import ParamError
-from repro.core.scheduling import Scheduler
+from repro.core.scheduling import PeriodicLoop, Scheduler
 from repro.soap import namespaces as ns
 from repro.soap.runtime import SoapRuntime
 from repro.transport.base import split_address
@@ -69,14 +69,14 @@ class MembershipEngine:
         self.runtime = runtime
         self.scheduler = scheduler
         self.view = MembershipView(self_address)
-        self.period = period
         self.fanout = fanout
         self.t_fail = t_fail
         self.t_cleanup = t_cleanup if t_cleanup is not None else 2.0 * t_fail
         self.rng = rng if rng is not None else random.Random()
-        self.jitter = jitter
         self.on_failure = on_failure
-        self._running = False
+        self._loop = PeriodicLoop(
+            scheduler, self.rng, lambda: (period, jitter), self._round
+        )
 
     @property
     def self_address(self) -> str:
@@ -91,14 +91,11 @@ class MembershipEngine:
 
     def start(self) -> None:
         """Begin heartbeating and gossiping the table."""
-        if self._running:
-            return
-        self._running = True
-        self._schedule()
+        self._loop.start()
 
     def stop(self) -> None:
         """Stop heartbeating."""
-        self._running = False
+        self._loop.stop()
 
     def rejoin(self, seeds: Sequence[str]) -> None:
         """Restart membership after a crash-faithful process restart.
@@ -109,19 +106,13 @@ class MembershipEngine:
         peers meanwhile resolve the node's old incarnation through the
         ordinary SUSPECT/FAILED sweep and its new heartbeats.
         """
-        self._running = False
         self.view = MembershipView(self.view.self_address)
         self.bootstrap(seeds)
         self.runtime.metrics.counter("membership.rejoin").inc()
+        self.stop()
         self.start()
 
-    def _schedule(self) -> None:
-        delay = self.period + self.rng.uniform(0.0, self.jitter)
-        self.scheduler.call_after(delay, self._round)
-
     def _round(self) -> None:
-        if not self._running:
-            return
         now = self.scheduler.now
         self.view.beat(now)
         self._gossip_table()
@@ -130,7 +121,6 @@ class MembershipEngine:
             self.runtime.metrics.counter("membership.failed").inc()
             if self.on_failure is not None:
                 self.on_failure(address)
-        self._schedule()
 
     def _gossip_table(self) -> None:
         candidates = [

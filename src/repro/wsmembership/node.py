@@ -46,7 +46,7 @@ class MembershipNode(WsProcess):
     def on_recover(self) -> None:
         # Crash-recovery: resume heartbeating; peers will see the heartbeat
         # progress again and un-suspect us.
-        self.membership._running = False
+        self.membership.stop()
         self.membership.start()
 
     def bootstrap(self, seeds: Sequence[str]) -> None:

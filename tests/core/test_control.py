@@ -15,6 +15,7 @@ from repro.core.control import (
     ControlDecision,
     EpochSignals,
 )
+from repro.core.health import NO_HEALTH
 from repro.core.message import GossipStyle
 from repro.core.params import GossipParams
 from repro.obs.hub import MetricsHub
@@ -26,6 +27,8 @@ class FakeEngine:
     def __init__(self, params):
         self.params = params
         self.fanout_ceiling = None
+        self.health = NO_HEALTH
+        self.overload_pressure = 0.0
         self.assignments = 0
         self.kicks = 0
 

@@ -59,7 +59,7 @@ def test_periodic_rounds_only_for_periodic_styles():
         (GossipStyle.LAZY_PUSH, True),
     ):
         transport, runtime, scheduler, engine = make_engine(style)
-        engine._start_periodic_rounds()
+        engine.start_periodic_rounds()
         assert bool(scheduler.timers) == expect_timer, style
 
 
@@ -148,7 +148,7 @@ def test_serve_pull_is_symmetric():
 def test_stop_halts_periodic_rounds():
     transport, runtime, scheduler, engine = make_engine(GossipStyle.PULL)
     engine.view = ["test://p/app"]
-    engine._start_periodic_rounds()
+    engine.start_periodic_rounds()
     engine.stop()
     scheduler.fire_due(scheduler.now + 10.0)
     assert runtime.metrics.counter("gossip.pull-request").value == 0
@@ -158,7 +158,7 @@ def test_answered_pulls_are_not_counted_as_expired():
     transport, runtime, scheduler, engine = make_engine(GossipStyle.PULL, name="a")
     make_engine(GossipStyle.PULL, transport=transport, name="b")
     engine.view = ["test://b/app"]
-    engine._start_periodic_rounds()
+    engine.start_periodic_rounds()
     for round_index in range(1, 5):
         scheduler.fire_due(round_index * 1.0)
     assert runtime.metrics.counter("gossip.pull-request").value == 4

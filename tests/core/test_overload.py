@@ -21,7 +21,7 @@ from repro.core.overload import (
     SHED_THRESHOLDS,
     OverloadError,
     OverloadPolicy,
-    ShedLatch,
+    OverloadStage,
 )
 from repro.core.params import ParamError
 from repro.simnet.faults import FaultPlan
@@ -74,21 +74,21 @@ class TestOverloadPolicy:
 def engine_digest_gate(group):
     """Drive the engine's send-side ladder: pressure from its provider."""
     engine = group.initiator.gossip_layer.engines()[0]
-    assert isinstance(engine._shed_latch, ShedLatch)
+    assert isinstance(engine.overload, OverloadStage)
     level = [0.0]
-    engine._pressure_provider = lambda: level[0]
+    engine.overload._floor = lambda: level[0]
 
     def step(pressure):
         level[0] = pressure
         return engine._shed("digest")
 
-    return step, engine._shed_latch
+    return step, engine.overload
 
 
 def handler_digest_gate(group):
     """Drive the layer's ingest gate: pressure is the queue's fill."""
     layer = group.initiator.gossip_layer
-    assert isinstance(layer._ingest_latch, ShedLatch)
+    assert isinstance(layer.overload, OverloadStage)
     capacity = group.config.overload.ingest_capacity
 
     def step(pressure):
@@ -97,7 +97,7 @@ def handler_digest_gate(group):
         layer._ingest_gate(ADVERTISE_ACTION.encode(), None)  # a digest frame
         return group.hub.overload.shed_digests.value > before
 
-    return step, layer._ingest_latch
+    return step, layer.overload
 
 
 @pytest.mark.parametrize("gate", [engine_digest_gate, handler_digest_gate],
@@ -160,7 +160,7 @@ class TestConfigCoercion:
         group.setup(settle=1.0, eager_join=True)
         for node in [group.initiator, *group.disseminators]:
             for engine in node.gossip_layer.engines():
-                assert engine.overload == config.overload
+                assert engine.overload.policy == config.overload
 
 
 # -- OverloadError -----------------------------------------------------------

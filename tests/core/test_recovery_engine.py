@@ -84,7 +84,7 @@ class TestSnapshotRoundTrip:
         victim = group.disseminators[0]
         engine = victim.gossip_layer.engines()[0]
         assert all(victim.has_delivered(gossip_id) for gossip_id in published)
-        replay = engine.log.replay()
+        replay = engine.journal.log.replay()
         assert isinstance(replay.snapshot, dict)  # a compaction happened
         assert replay.records  # ...and a tail follows it
         before = (

@@ -28,6 +28,7 @@ from repro.core.message import (
     TraceContext,
     new_gossip_message_id,
     scan_gossip_message_id,
+    scan_gossip_message_ids,
     splice_forward,
     splice_hops,
 )
@@ -218,6 +219,57 @@ def test_preparse_gate_ignores_gossip_ids_in_application_bodies(recording_engine
     assert dedup.value == before
     assert len(received) == 1
     assert scan_gossip_message_id(data) is None
+
+
+def _frame(message_id, body=None):
+    envelope = Envelope(body=body)
+    envelope.add_header(
+        GossipHeader(
+            activity="urn:wscoord:activity:test",
+            message_id=message_id,
+            origin="test://origin/app",
+            hops=3,
+        ).to_element()
+    )
+    AddressingHeaders(
+        to="test://node/app", action="urn:app/Event", message_id="urn:uuid:x"
+    ).apply(envelope)
+    return envelope.to_bytes()
+
+
+def test_batch_gate_reads_each_frames_own_gossip_block(recording_engine):
+    # Frame A is a known rumor whose application body quotes the id of
+    # another known rumor D.  Frame B is fresh, and its Gossip block uses a
+    # default namespace, which a parser reads but the byte scan does not.
+    # A scan of the whole batch finds [A, D]: two known ids for two frames.
+    # The gate must decide per frame, so B is still unpacked and received.
+    from repro.core.batch import build_batch
+
+    transport, runtime, engine = recording_engine
+    _install_layer(runtime, engine)
+    known_a, known_d, fresh_b = (new_gossip_message_id() for _ in range(3))
+    body = ET.Element("{urn:example:app}Order")
+    ET.SubElement(body, "{urn:example:app}MessageId").text = known_d
+    frame_a = _frame(known_a, body)
+    runtime.receive(frame_a, source=None)
+    runtime.receive(_frame(known_d), source=None)
+    assert known_a in engine.store and known_d in engine.store
+
+    frame_b = _frame(fresh_b)
+    prefix = re.search(rb'xmlns:(\w+)="' + ns.WSGOSSIP.encode() + b'"', frame_b).group(1)
+    start = frame_b.index(b"<%s:Gossip>" % prefix)
+    end = frame_b.index(b"</%s:Gossip>" % prefix) + len(b"</%s:Gossip>" % prefix)
+    block = frame_b[start:end].replace(prefix + b":", b"").replace(
+        b"<Gossip>", b'<Gossip xmlns="%s">' % ns.WSGOSSIP.encode(), 1
+    )
+    frame_b = frame_b[:start] + block + frame_b[end:]
+    assert scan_gossip_message_id(frame_b) is None
+    assert GossipHeader.from_envelope(Envelope.from_bytes(frame_b)).message_id == fresh_b
+
+    batch = build_batch("urn:wscoord:activity:test", "test://peer/gossip", [frame_a, frame_b], None)
+    assert scan_gossip_message_ids(batch) == [known_a]
+    runtime.receive(batch, source="test://peer/app")
+    assert fresh_b in engine.store
 
 
 # -- end-to-end ---------------------------------------------------------------

@@ -19,6 +19,7 @@ Three claims are locked in here:
 """
 
 import io
+import math
 import os
 
 import pytest
@@ -137,7 +138,7 @@ def test_controller_and_health_boost_never_pass_ceiling(monkeypatch):
 
     def spying_select(self, exclude):
         targets = original(self, exclude)
-        if self.fanout_ceiling is not None:
+        if self.fanout_ceiling < math.inf:
             fanouts.append(len(targets))
         return targets
 

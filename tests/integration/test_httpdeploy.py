@@ -13,6 +13,7 @@ from repro.core.aiodeploy import (
     AsyncGossipNode,
 )
 from repro.core.engine import GossipEngine
+from repro.core.peers import COORDINATOR_VIEW
 from repro.transport.aio import run_on_loop, shared_loop
 
 EVENT = "urn:t/Event"
@@ -45,7 +46,7 @@ def test_disseminator_has_gossip_layer_and_port():
         assert "/gossip" in node.runtime.service_paths()
         assert node.app_address.endswith("/app")
         # Coordinator mode: no static view, so engines register.
-        assert node.gossip_layer.view_provider is None
+        assert node.gossip_layer.view_provider is COORDINATOR_VIEW
     finally:
         node.stop()
 
