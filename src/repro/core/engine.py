@@ -405,22 +405,18 @@ class GossipEngine:
         False when it is consumed (duplicate, or held back for ordering --
         held messages are re-dispatched by the engine once in order).
         """
-        self._heard(header.message_id, source)
-        fresh = self.store.add(
-            header.message_id,
-            envelope.to_bytes(),
-            self.scheduler.now,
-            header.origin,
-        )
-        if not fresh:
+        now = self.scheduler.now
+        if not self.store.add(header.message_id, envelope.to_bytes(), now, header.origin):
             self._duplicate(header.message_id, source)
             return False
+        if source is not None:
+            self.health.observe_alive(source)
+        self._pending_fetch.discard(header.message_id)
         self.metrics.counter("gossip.fresh").inc()
         self._tracer.on_deliver(
-            header.message_id, self.app_address, self.scheduler.now,
-            hops_left=header.hops,
+            header.message_id, self.app_address, now, hops_left=header.hops
         )
-        self.telemetry.observe(header.trace, self.scheduler.now)
+        self.telemetry.observe(header.trace, now)
         self.journal.message(self, header.message_id, envelope.to_bytes(), header.origin)
         if self._recovering:
             self._recovery.fetched.inc()
@@ -446,24 +442,21 @@ class GossipEngine:
             return self._offer_ordered(envelope, header)
         return True
 
-    def on_duplicate_preparse(self, message_id: str, source: Optional[str]) -> None:
-        """Handle a duplicate identified by the pre-parse byte scan: the
-        same path a parsed duplicate takes, before any XML parse."""
-        self._heard(message_id, source)
-        self._duplicate(message_id, source)
-
-    def _heard(self, message_id: str, source: Optional[str]) -> None:
-        """Any arrival: proof of life for its sender, and the end of our
-        wait for it if we had fetched it."""
+    def _duplicate(self, message_id: str, source: Optional[str]) -> None:
+        """Handle a duplicate, parsed or identified by the pre-parse byte
+        scan (:attr:`on_duplicate_preparse`, the same path before any XML
+        parse)."""
+        # Any arrival is proof of life for its sender, and ends our wait
+        # for it if we had fetched it.
         if source is not None:
             self.health.observe_alive(source)
         self._pending_fetch.discard(message_id)
-
-    def _duplicate(self, message_id: str, source: Optional[str]) -> None:
         self.metrics.counter("gossip.duplicate").inc()
         if self._recovering:
             self._recovery.redelivered_suppressed.inc()
         STYLE_TABLE[self.params.style].duplicate(self, message_id, source)
+
+    on_duplicate_preparse = _duplicate
 
     def _offer_ordered(self, envelope: Envelope, header: GossipHeader) -> bool:
         """FIFO mode: hold back out-of-order arrivals; re-dispatch on gap

@@ -262,7 +262,10 @@ class GossipLayer(Handler):
         if is_batch_frame(data):
             # A control-only batch carries digests/ads/feedback; any
             # carried rumor makes the whole frame a payload.
-            return "payload" if scan_gossip_message_ids(data) else "digest"
+            try:
+                return "payload" if split_batch(data) else "digest"
+            except BatchError:
+                return "payload"
         if PULL_RESPONSE_ACTION.encode() in data:
             return "pull"
         if ADVERTISE_ACTION.encode() in data or (
@@ -285,12 +288,9 @@ class GossipLayer(Handler):
         ):
             self.overload.admitted()
             return self._preparse_classify(data, source)
-        if self.overload.sheds(self._ingest_queue.__len__, self._ingest_class(data)):
-            return False
-        if len(self._ingest_queue) >= self.overload.bound:
-            # The bound is absolute: whatever the class, nothing queues
-            # past it (this is the memory guarantee).
-            self._hub.overload.shed_payloads.inc()
+        if self.overload.refuses(
+            self._ingest_queue.__len__, lambda: self._ingest_class(data)
+        ):
             return False
         if not isinstance(self._ingest_queue, deque):
             self._ingest_queue = deque()
@@ -381,8 +381,7 @@ class GossipLayer(Handler):
         has_control = batch_has_control(data)
         if frames and not has_control:
             owners = []
-            for frame in frames:
-                message_id = scan_gossip_message_id(frame)
+            for message_id in scan_gossip_message_ids(frames):
                 owner = self._engine_knowing(message_id)
                 if owner is None:
                     break

@@ -16,9 +16,8 @@ import re
 import uuid
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.batch import BatchError, split_batch
 from repro.soap import namespaces as ns
 from repro.soap.envelope import Envelope
 from repro.xmlutil import qname
@@ -51,6 +50,11 @@ class GossipStyle(enum.Enum):
     # rounds budget.  Self-tuning redundancy instead of a fixed hop count.
     FEEDBACK = "feedback"
 
+    # The engine looks its style up in ``STYLE_TABLE`` at every arrival;
+    # members are singletons compared by identity, so identity hashing is
+    # consistent and keeps that lookup out of Python code.
+    __hash__ = object.__hash__
+
 
 def new_gossip_message_id() -> str:
     """Fresh identifier for a disseminated data item."""
@@ -76,7 +80,31 @@ def scan_gossip_message_id(data: bytes) -> Optional[str]:
     bytes carry no scannable gossip identity (the message then takes the
     normal parse path, so a miss is always safe).
     """
-    block = _gossip_block(data)
+    return _message_id(_gossip_block(data))
+
+
+def scan_gossip_message_ids(frames: Sequence[bytes]) -> List[Optional[str]]:
+    """:func:`scan_gossip_message_id` of each frame (a batch's), in order.
+
+    Frames one writer emits for one activity repeat every byte before the
+    ``Gossip`` block, and everything :func:`_gossip_block` checks lies in
+    those bytes; so once a frame's prefix is vouched for, a later frame
+    that starts with the same prefix needs only the block match.
+    """
+    ids: List[Optional[str]] = []
+    prefix, pattern = b"", None
+    for frame in frames:
+        if pattern is not None and frame.startswith(prefix):
+            block = pattern.match(frame, len(prefix))
+        else:
+            block = _gossip_block(frame)
+            if block is not None:
+                prefix, pattern = frame[: block.start()], block.re
+        ids.append(_message_id(block))
+    return ids
+
+
+def _message_id(block: Optional["re.Match[bytes]"]) -> Optional[str]:
     if block is None:
         return None
     message_id = block.group("mid")
@@ -87,26 +115,6 @@ def scan_gossip_message_id(data: bytes) -> Optional[str]:
         return message_id.decode("ascii")
     except UnicodeDecodeError:
         return None
-
-
-def scan_gossip_message_ids(data: bytes) -> List[str]:
-    """The anchored gossip message id of each rumor frame in a batch
-    envelope, in order; a frame without a scannable id contributes none,
-    and bytes that do not split as a batch yield ``[]``.
-
-    The batched-frame variant of :func:`scan_gossip_message_id`: each id is
-    read from its own frame's header block, never from an application body
-    or another header that quotes one.
-    """
-    try:
-        frames = split_batch(data)
-    except BatchError:
-        return []
-    return [
-        message_id
-        for message_id in map(scan_gossip_message_id, frames)
-        if message_id is not None
-    ]
 
 
 # -- in-place splices of the Gossip header (the forward hot path) -------------

@@ -30,7 +30,6 @@ itself overloaded until pressure falls back below :data:`LOW_WATERMARK`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -153,6 +152,17 @@ class OverloadStage:
             return True
         return False
 
+    def refuses(self, depth: Callable[[], int], shed_class: Callable[[], str]) -> bool:
+        """The ingest gate's verdict on one more frame: shed by the ladder
+        (``shed_class()`` classifies it), or refused at the bound, which
+        is absolute whatever the class (the memory guarantee)."""
+        if self.sheds(depth, shed_class()):
+            return True
+        if depth() >= self.bound:
+            self._counters.shed_payloads.inc()
+            return True
+        return False
+
     def admitted(self) -> None:
         self._counters.admitted.inc()
 
@@ -166,7 +176,6 @@ class NoOverload:
     nothing is shed or counted."""
 
     __slots__ = ()
-    bound = math.inf
 
     def outbox(self, floor: Callable[[], float]) -> "NoOverload":
         return self
@@ -175,6 +184,9 @@ class NoOverload:
         return 0.0
 
     def sheds(self, depth: Callable[[], int], shed_class: str) -> bool:
+        return False
+
+    def refuses(self, depth: Callable[[], int], shed_class: Callable[[], str]) -> bool:
         return False
 
     def _nothing(self) -> None:
