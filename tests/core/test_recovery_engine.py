@@ -65,8 +65,8 @@ class TestDurableRestart:
 
 class TestSnapshotRoundTrip:
     """Replay from a snapshot plus the WAL tail rebuilds the engine the
-    crash took down (``GossipEngine.snapshot_state`` and
-    ``_apply_replay_state``; the default cadence of 256 appends is never
+    crash took down (``GossipEngine.snapshot_state`` and its replay in
+    ``prepare_restart``; the default cadence of 256 appends is never
     reached by the other tests)."""
 
     @pytest.mark.parametrize("ordered", [False, True])
