@@ -162,7 +162,6 @@ class DecentralizedGossipNode(AppNode):
         self.replayed_messages = self.gossip_layer.prepare_restart(
             amnesia=amnesia, on_replayed=self._delivered_ids.add
         )
-        self.gossip_layer.health.reset()
 
     def on_restart(self, amnesia: bool) -> None:
         """Rejoin: restart membership and sampling from the seed list,

@@ -891,15 +891,17 @@ class GossipEngine:
     def _round_timing(self):
         return self.params.period, self.params.jitter
 
-    def _periodic_round(self) -> None:
+    def _periodic_round(self) -> bool:
         period = STYLE_TABLE[self.params.style].period
-        if period is None:
-            # The params de-escalated back to plain push while the loop was
-            # in flight (adaptive control): let the loop die out so a later
-            # escalation can restart it cleanly.
-            self._rounds.stop()
-            return
+        if self._stopped or period is None:
+            # Stopped, or the params de-escalated back to plain push while
+            # the loop was in flight (adaptive control): the loop dies out,
+            # so a later escalation can restart it cleanly.  A loop left
+            # over from before a restart (a timer set while the node was
+            # down) ends the same way.
+            return False
         period(self)
+        return True
 
     def _pull_round(self) -> None:
         """Send ``store.summary()`` -- a count and a hash, not the list
@@ -1180,7 +1182,6 @@ class GossipEngine:
     def stop(self) -> None:
         """Stop periodic activity (timers already dead on sim crash)."""
         self._stopped = True
-        self._rounds.stop()
 
     def __repr__(self) -> str:
         return (

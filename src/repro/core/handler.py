@@ -208,8 +208,9 @@ class GossipLayer(Handler):
         on_replayed: Optional[Callable[[str], None]] = None,
     ) -> int:
         """Reset every engine to post-crash state (see
-        :meth:`GossipEngine.prepare_restart`); returns total messages
-        replayed from durable logs."""
+        :meth:`GossipEngine.prepare_restart`) and forget the health stage's
+        suspicions, which live in process memory either way; returns total
+        messages replayed from durable logs."""
         # Whatever was queued for ingest died with the process.
         self._ingest_queue = ()
         self.overload.reset()
@@ -220,6 +221,7 @@ class GossipLayer(Handler):
             replayed += engine.prepare_restart(
                 amnesia=amnesia, on_replayed=on_replayed
             )
+        self.health.reset()
         return replayed
 
     def rejoin(self, protocol: Optional[str] = None) -> None:

@@ -232,8 +232,6 @@ class DisseminatorNode(AppNode):
         self.replayed_messages = self.gossip_layer.prepare_restart(
             amnesia=amnesia, on_replayed=self._delivered_ids.add
         )
-        # Suspicion scores live in process memory either way.
-        self.gossip_layer.health.reset()
 
     def on_restart(self, amnesia: bool) -> None:
         """Rejoin the gossip group: re-register, then catch up with

@@ -11,7 +11,7 @@ interface.
 from __future__ import annotations
 
 import random
-from typing import Callable, Protocol, Tuple
+from typing import Callable, Optional, Protocol, Tuple
 
 from repro.simnet.process import Process
 
@@ -59,8 +59,8 @@ class PeriodicLoop:
     """The round driver of gossip rounds, aggregation, peer sampling and
     membership heartbeats: ``step()`` runs every ``period +
     rng.uniform(0, jitter)`` seconds (``timing()`` gives both, drawn when
-    the round is scheduled) from :meth:`start` until :meth:`stop`, which
-    a step may call on its own loop."""
+    the round is scheduled) from :meth:`start` until :meth:`stop`, or
+    until a step returns ``False``."""
 
     __slots__ = ("running", "_scheduler", "_rng", "_timing", "_step")
 
@@ -69,7 +69,7 @@ class PeriodicLoop:
         scheduler: Scheduler,
         rng: random.Random,
         timing: Callable[[], Tuple[float, float]],
-        step: Callable[[], None],
+        step: Callable[[], Optional[bool]],
     ) -> None:
         self.running = False
         self._scheduler = scheduler
@@ -95,6 +95,7 @@ class PeriodicLoop:
     def _round(self) -> None:
         if not self.running:
             return
-        self._step()
-        if self.running:
+        if self._step() is False:
+            self.running = False
+        else:
             self._schedule()
