@@ -56,7 +56,7 @@ class ProcessScheduler:
 
 
 class PeriodicLoop:
-    """The round driver of gossip rounds, aggregation, peer sampling and
+    """The round loop of gossip rounds, aggregation, peer sampling and
     membership heartbeats: ``step()`` runs every ``period +
     rng.uniform(0, jitter)`` seconds (``timing()`` gives both, drawn when
     the round is scheduled) from :meth:`start` until :meth:`stop`, or
