@@ -89,14 +89,17 @@ def scan_gossip_message_ids(frames: Sequence[bytes]) -> List[Optional[str]]:
     Frames one writer emits for one activity repeat every byte before the
     ``Gossip`` block, and everything :func:`_gossip_block` checks lies in
     those bytes; so once a frame's prefix is vouched for, a later frame
-    that starts with the same prefix needs only the block match.
+    that starts with the same prefix needs only the block match.  A frame
+    that starts with the prefix but puts something else after it (more
+    header blocks, whitespace) gets the full scan.
     """
     ids: List[Optional[str]] = []
     prefix, pattern = b"", None
     for frame in frames:
+        block = None
         if pattern is not None and frame.startswith(prefix):
             block = pattern.match(frame, len(prefix))
-        else:
+        if block is None:
             block = _gossip_block(frame)
             if block is not None:
                 prefix, pattern = frame[: block.start()], block.re
