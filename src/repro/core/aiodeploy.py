@@ -10,8 +10,8 @@ gossip node here is a full middleware stack -- a
 HTTP socket, all sharing one event loop.  It comes in two shapes:
 
 * :class:`AsyncGossipMesh` -- N nodes with static membership: the mesh
-  samples each node's peer view once at build time (the coordinator-less
-  ``register=False`` join from the decentralized mode), so a soak run
+  samples each node's peer view once at build time (a coordinator-less
+  join, as in the decentralized mode), so a soak run
   measures the transport and engine hot paths, not view convergence.
   ``benchmarks/bench_soak.py`` drives it with the stock workload;
   ``repro soak`` is the CLI front end.
@@ -224,7 +224,7 @@ class AsyncGossipNode:
 
     def join(self, context: CoordinationContext):
         """Join coordinator-less; periodic rounds start immediately."""
-        return self.gossip_layer.join(context, register=False)
+        return self.gossip_layer.join(context)
 
     # -- the Figure-1 role calls (safe from any thread) -------------------------
 

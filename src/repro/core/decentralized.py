@@ -172,7 +172,7 @@ class DecentralizedGossipNode(AppNode):
 
     def join(self, context: CoordinationContext) -> GossipEngine:
         """Join an activity without any coordinator round trip."""
-        return self.gossip_layer.join(context, register=False)
+        return self.gossip_layer.join(context)
 
     def publish(self, context: CoordinationContext, action: str, value: Any) -> str:
         """Join (if needed) and disseminate one invocation."""

@@ -53,7 +53,9 @@ from repro.core.overload import NO_OVERLOAD, OverloadError
 from repro.core.params import GossipParams
 from repro.core.peers import COORDINATOR_VIEW, PeerSelector, UniformSelector
 from repro.core.scheduling import PeriodicLoop, Scheduler
-from repro.core.store import CATCH_UP_PEERS, CATCH_UP_ROUNDS, NO_JOURNAL
+from repro.core.store import (
+    CATCH_UP_PEERS, CATCH_UP_ROUNDS, NO_JOURNAL, DurabilityPolicy, Journal,
+)
 from repro.core.telemetry import NO_TELEMETRY
 from repro.obs.hub import hub_of
 from repro.soap import namespaces as ns
@@ -118,8 +120,9 @@ class GossipEngine:
     there: ``view_provider`` (the coordinator's peers, or a
     :class:`~repro.core.peers.ProvidedView`), ``health`` (a
     :class:`~repro.core.health.PeerHealth`: degraded-mode gossip),
-    ``journal`` (a :class:`~repro.core.store.Journal`: crash recovery
-    without amnesia), ``overload`` (an
+    ``journal`` (a :class:`~repro.core.store.Journal` the engine opens
+    under a ``durability`` policy: crash recovery without amnesia),
+    ``overload`` (an
     :class:`~repro.core.overload.OverloadStage`: the outbox's shed ladder)
     and ``telemetry`` (a :class:`~repro.core.telemetry.TelemetryStage`).
     ``fanout_ceiling`` caps the effective fanout after the health boost;
@@ -161,7 +164,7 @@ class GossipEngine:
         on_params: Optional[Callable[[GossipParams], None]] = None,
         view_provider=COORDINATOR_VIEW,
         health=NO_HEALTH,
-        journal=NO_JOURNAL,
+        durability: Optional[DurabilityPolicy] = None,
         overload=NO_OVERLOAD,
         telemetry=NO_TELEMETRY,
     ) -> None:
@@ -179,7 +182,6 @@ class GossipEngine:
         stages = {
             "view_provider": view_provider,
             "health": health,
-            "journal": journal,
             "overload": overload,
             "telemetry": telemetry,
         }
@@ -194,6 +196,9 @@ class GossipEngine:
         self._batch = obs.batch
         self._recovery = obs.recovery
         self._tracer = obs.tracer
+        if durability is not None:
+            log = durability.make_log(f"{app_address}:{context.identifier}", hub=obs)
+            self.journal = Journal(durability, log, self)
         self._reset()
 
     def _reset(self) -> None:
@@ -364,12 +369,12 @@ class GossipEngine:
         # Remember our own message (so an echo is not treated as fresh) and
         # retain the wire bytes for pull serving.
         self.store.add(message_id, data, now, self.app_address)
-        self.journal.message(self, message_id, data, self.app_address)
+        self.journal.message(message_id, data, self.app_address)
         STYLE_TABLE[self.params.style].publish(self, message_id, data)
         if self.params.ordered:
             # Our own publication counts toward the origin's sequence.
             self._fifo.offer(self.app_address, sequence, b"")
-            self.journal.publications(self, self._publish_sequence)
+            self.journal.publications(self._publish_sequence)
             self._journal_fifo(self.app_address)
         return message_id
 
@@ -417,7 +422,7 @@ class GossipEngine:
             header.message_id, self.app_address, now, hops_left=header.hops
         )
         self.telemetry.observe(header.trace, now)
-        self.journal.message(self, header.message_id, envelope.to_bytes(), header.origin)
+        self.journal.message(header.message_id, envelope.to_bytes(), header.origin)
         if self._recovering:
             self._recovery.fetched.inc()
         if header.origin == self.app_address and header.sequence is not None:
@@ -826,7 +831,7 @@ class GossipEngine:
         """Make a rumor hot: it is re-forwarded every period until
         feedback (or the rounds cap) cools it."""
         self._hot[message_id] = self.params.rounds
-        self.journal.hot(self, message_id, self.params.rounds)
+        self.journal.hot(message_id, self.params.rounds)
 
     def _forward_hot(self, message_id: str, source: Optional[str] = None) -> None:
         """Forward a hot rumor to ``fanout`` peers (feedback style)."""
@@ -849,9 +854,10 @@ class GossipEngine:
             if remaining <= 0:
                 self._hot.pop(message_id, None)
                 self.metrics.counter("gossip.cooled.cap").inc()
-                self.journal.cooled(self, message_id)
+                self.journal.cooled(message_id)
             else:
                 self._hot[message_id] = remaining
+                self.journal.hot(message_id, remaining)
 
     def _send_feedback(self, message_id: str, source: Optional[str]) -> None:
         """Tell the sender we already had this rumor."""
@@ -869,7 +875,7 @@ class GossipEngine:
                 if self.rng.random() < self.params.stop_probability:
                     self._hot.pop(message_id, None)
                     self.metrics.counter("gossip.cooled.feedback").inc()
-                    self.journal.cooled(self, message_id)
+                    self.journal.cooled(message_id)
 
     @property
     def hot_count(self) -> int:
@@ -971,7 +977,7 @@ class GossipEngine:
     # -- durability (the journal's snapshot and replay) ---------------------------------
 
     def _journal_fifo(self, origin: str) -> None:
-        self.journal.fifo(self, origin, self._fifo.next_expected(origin))
+        self.journal.fifo(origin, self._fifo.next_expected(origin))
 
     def snapshot_state(self) -> dict:
         """The gossip-critical state a snapshot must capture: retained
@@ -1020,9 +1026,9 @@ class GossipEngine:
         self._recovery.restarts.inc()
         if amnesia:
             self._recovery.amnesia_restarts.inc()
-            self.journal.clear()
+            self.journal.log.clear()
             return 0
-        result = self.journal.replay()
+        result = self.journal.log.replay()
         records: Iterator[dict] = iter(result.records)
         if isinstance(result.snapshot, dict):
             records = itertools.chain(_snapshot_records(result.snapshot), records)
@@ -1120,7 +1126,7 @@ class GossipEngine:
             return
         if protocol is None:
             protocol = self._last_protocol
-        catch_up = self.journal.catch_up
+        catch_up = self.journal.policy.catch_up
         # Conservative rejoin: our own liveness record is the stalest
         # thing in the room right after a crash.
         self.health.mark_failed(self.app_address)

@@ -49,7 +49,6 @@ from repro.core.overload import NO_OVERLOAD, OverloadPolicy, OverloadStage, Toke
 from repro.core.params import GossipParams
 from repro.core.peers import COORDINATOR_VIEW, PeerSelector, ProvidedView
 from repro.core.scheduling import Scheduler
-from repro.core.store import NO_JOURNAL
 from repro.core.telemetry import NO_TELEMETRY, TelemetryStage
 from repro.obs.hub import hub_of
 from repro.soap.envelope import Envelope, EnvelopeError
@@ -118,9 +117,8 @@ class GossipLayer(Handler):
         self.view_provider = (
             ProvidedView(view_provider) if view_provider is not None else COORDINATOR_VIEW
         )
-        # A DurabilityPolicy opens one journal per engine; NO_JOURNAL
-        # opens itself.
-        self.durability = durability if durability is not None else NO_JOURNAL
+        # Each engine opens its own journal under a DurabilityPolicy.
+        self.durability = durability
         self.telemetry = (
             TelemetryStage(telemetry, obs) if telemetry is not None else NO_TELEMETRY
         )
@@ -170,9 +168,7 @@ class GossipLayer(Handler):
             selector=self.selector,
             view_provider=self.view_provider,
             health=self.health,
-            journal=self.durability.journal(
-                f"{self.app_address}:{context.identifier}", self._hub
-            ),
+            durability=self.durability,
             overload=self.overload.outbox(self.ingest_pressure),
             telemetry=self.telemetry,
         )
@@ -184,20 +180,12 @@ class GossipLayer(Handler):
         context: CoordinationContext,
         protocol: str = PROTOCOL_DISSEMINATOR,
         params: Optional[GossipParams] = None,
-        register: bool = True,
     ) -> GossipEngine:
-        """Explicitly join an activity (create engine + register).
-
-        ``register=False`` is the decentralized mode: no coordinator
-        round trip -- the engine relies on its ``view_provider`` and the
-        periodic rounds start immediately.
-        """
+        """Explicitly join an activity: create its engine and join the way
+        the view stage says -- register with the coordinator, or (with a
+        ``view_provider``) start the periodic rounds at once."""
         engine = self.create_engine(context, params=params)
-        if register:
-            if not engine.registered and not engine.register_pending:
-                engine.register(protocol)
-        else:
-            engine.start_periodic_rounds()
+        self.view_provider.join(engine, protocol)
         return engine
 
     # -- crash recovery -------------------------------------------------------
@@ -291,7 +279,7 @@ class GossipLayer(Handler):
             self.overload.admitted()
             return self._preparse_classify(data, source)
         if self.overload.refuses(
-            self._ingest_queue.__len__, lambda: self._ingest_class(data)
+            self._ingest_queue.__len__, self._ingest_class(data)
         ):
             return False
         if not isinstance(self._ingest_queue, deque):
@@ -475,6 +463,4 @@ class GossipLayer(Handler):
             self.runtime.metrics.counter("gossip.no-context").inc()
             return None
         self.runtime.metrics.counter("gossip.auto-join").inc()
-        engine = self.create_engine(coordination)
-        self.view_provider.join(engine, PROTOCOL_DISSEMINATOR)
-        return engine
+        return self.join(coordination)

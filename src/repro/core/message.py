@@ -91,10 +91,13 @@ def scan_gossip_message_ids(frames: Sequence[bytes]) -> List[Optional[str]]:
     those bytes; so once a frame's prefix is vouched for, a later frame
     that starts with the same prefix needs only the block match.  A frame
     that starts with the prefix but puts something else after it (more
-    header blocks, whitespace) gets the full scan.
+    header blocks, whitespace) gets the full scan.  The last prefix
+    vouched for carries over to the next batch, so a run of batches from
+    one activity scans in full only when its prefix changes.
     """
+    global _vouched
     ids: List[Optional[str]] = []
-    prefix, pattern = b"", None
+    prefix, pattern = _vouched
     for frame in frames:
         block = None
         if pattern is not None and frame.startswith(prefix):
@@ -104,7 +107,14 @@ def scan_gossip_message_ids(frames: Sequence[bytes]) -> List[Optional[str]]:
             if block is not None:
                 prefix, pattern = frame[: block.start()], block.re
         ids.append(_message_id(block))
+    _vouched = prefix, pattern
     return ids
+
+
+#: The frame prefix :func:`scan_gossip_message_ids` last vouched for, with
+#: its ``Gossip`` block pattern (one tuple, so a reader never pairs a
+#: prefix with another prefix's pattern).
+_vouched: Tuple[bytes, Optional["re.Pattern[bytes]"]] = (b"", None)
 
 
 def _message_id(block: Optional["re.Match[bytes]"]) -> Optional[str]:

@@ -152,11 +152,11 @@ class OverloadStage:
             return True
         return False
 
-    def refuses(self, depth: Callable[[], int], shed_class: Callable[[], str]) -> bool:
-        """The ingest gate's verdict on one more frame: shed by the ladder
-        (``shed_class()`` classifies it), or refused at the bound, which
-        is absolute whatever the class (the memory guarantee)."""
-        if self.sheds(depth, shed_class()):
+    def refuses(self, depth: Callable[[], int], shed_class: str) -> bool:
+        """The ingest gate's verdict on one more frame of ``shed_class``:
+        shed by the ladder, or refused at the bound, which is absolute
+        whatever the class (the memory guarantee)."""
+        if self.sheds(depth, shed_class):
             return True
         if depth() >= self.bound:
             self._counters.shed_payloads.inc()
@@ -186,8 +186,7 @@ class NoOverload:
     def sheds(self, depth: Callable[[], int], shed_class: str) -> bool:
         return False
 
-    def refuses(self, depth: Callable[[], int], shed_class: Callable[[], str]) -> bool:
-        return False
+    refuses = sheds
 
     def _nothing(self) -> None:
         pass

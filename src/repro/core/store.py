@@ -367,10 +367,6 @@ class DurabilityPolicy(Knobs):
                 "directory", "file-mode durability requires a directory"
             )
 
-    def journal(self, name: str, hub: "MetricsHub") -> "Journal":
-        """One engine's durability stage: a fresh log named ``name``."""
-        return Journal(self, self.make_log(name, hub=hub))
-
     def make_log(
         self, name: str, hub: Optional["MetricsHub"] = None
     ) -> GossipLog:
@@ -393,72 +389,69 @@ class DurabilityPolicy(Knobs):
 
 
 class Journal:
-    """An engine's durability stage: its gossip-critical state changes as
-    records in one :class:`GossipLog`, compacted to
+    """An engine's durability stage: the engine's gossip-critical state
+    changes as records in one :class:`GossipLog` (``log``, which the
+    engine replays and clears itself), compacted to
     ``engine.snapshot_state()`` every ``policy.snapshot_every`` appends.
     :data:`NO_JOURNAL` stands in without a policy and builds no record."""
 
-    __slots__ = ("policy", "log")
+    __slots__ = ("policy", "log", "engine")
 
-    def __init__(self, policy: DurabilityPolicy, log: GossipLog) -> None:
+    def __init__(self, policy: DurabilityPolicy, log: GossipLog, engine) -> None:
         self.policy = policy
         self.log = log
+        self.engine = engine
 
-    @property
-    def catch_up(self) -> bool:
-        return self.policy.catch_up
-
-    def message(self, engine, message_id: str, data: bytes, origin: str) -> None:
-        self._append(engine, {
+    def message(self, message_id: str, data: bytes, origin: str) -> None:
+        self._append({
             "type": "msg", "id": message_id, "data": data,
-            "at": engine.scheduler.now, "origin": origin,
+            "at": self.engine.scheduler.now, "origin": origin,
         })
 
-    def hot(self, engine, message_id: str, rounds: int) -> None:
-        self._append(engine, {"type": "hot", "id": message_id, "rounds": rounds})
+    def hot(self, message_id: str, rounds: int) -> None:
+        self._append({"type": "hot", "id": message_id, "rounds": rounds})
 
-    def cooled(self, engine, message_id: str) -> None:
-        self._append(engine, {"type": "cooled", "id": message_id})
+    def cooled(self, message_id: str) -> None:
+        self._append({"type": "cooled", "id": message_id})
 
-    def publications(self, engine, count: int) -> None:
-        self._append(engine, {"type": "pub_seq", "value": count})
+    def publications(self, count: int) -> None:
+        self._append({"type": "pub_seq", "value": count})
 
-    def fifo(self, engine, origin: str, next_expected: int) -> None:
-        self._append(engine, {"type": "fifo", "origin": origin, "next": next_expected})
+    def fifo(self, origin: str, next_expected: int) -> None:
+        self._append({"type": "fifo", "origin": origin, "next": next_expected})
 
-    def replay(self) -> ReplayResult:
-        return self.log.replay()
-
-    def clear(self) -> None:
-        self.log.clear()
-
-    def _append(self, engine, record: Dict[str, Any]) -> None:
+    def _append(self, record: Dict[str, Any]) -> None:
         self.log.append(record)
         if self.log.appends_since_snapshot >= self.policy.snapshot_every:
-            self.log.write_snapshot(engine.snapshot_state())
+            self.log.write_snapshot(self.engine.snapshot_state())
 
 
-class NoJournal:
-    """The durability stage without a policy: nothing is written and a
-    replay finds nothing.  A layer without durability opens it as every
-    engine's journal (:meth:`journal` returns itself)."""
+class _NullLog(GossipLog):
+    """:data:`NO_JOURNAL`'s log: never written, so it replays empty."""
 
-    __slots__ = ()
-    catch_up = True
-
-    def journal(self, name: str, hub: "MetricsHub") -> "NoJournal":
-        return self
-
-    def _nothing(self, *_args) -> None:
-        pass
-
-    message = hot = cooled = publications = fifo = clear = _nothing
+    def __init__(self) -> None:
+        self.appends_since_snapshot = 0
 
     def replay(self) -> ReplayResult:
         return ReplayResult()
 
+    def clear(self) -> None:
+        pass
 
-NO_JOURNAL = NoJournal()
+
+class NoJournal(Journal):
+    """The durability stage without a policy: no record is built, a
+    replay finds nothing and a rejoin still catches up."""
+
+    __slots__ = ()
+
+    def _nothing(self, *_args) -> None:
+        pass
+
+    message = hot = cooled = publications = fifo = _nothing
+
+
+NO_JOURNAL = NoJournal(DurabilityPolicy(), _NullLog(), None)
 
 
 __all__ = [

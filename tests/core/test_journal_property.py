@@ -2,8 +2,9 @@
 
 Two engines with the same seed take the same sequence of steps --
 publications (plain and FIFO-ordered), fresh arrivals (plain and
-ordered, in any order), feedback that cools hot rumors -- each keeping a
-memory journal compacted every 2-4 appends.  At each crash step one twin
+ordered, in any order), feedback that cools hot rumors, periodic rounds
+that spend their budgets -- each keeping a memory journal compacted
+every 2-4 appends.  At each crash step one twin
 restarts without amnesia (``prepare_restart(amnesia=False)``); after the
 replay its store ids, seen set, ``store.summary()``, FIFO counters,
 publication counter and hot set must equal the twin that never crashed.
@@ -39,6 +40,7 @@ STEPS = st.lists(
         st.tuples(st.just("arrival"), st.integers(0, 40)),
         st.tuples(st.just("ordered_arrival"), st.integers(0, 6)),
         st.tuples(st.just("feedback"), st.integers(0, 40)),
+        st.just(("round",)),
         st.just(("crash",)),
     ),
     max_size=30,
@@ -50,7 +52,6 @@ def make_engine(snapshot_every, capacity, ordered):
     transport = LoopbackTransport()
     runtime = SoapRuntime("test://node", transport, metrics=hub)
     transport.register(runtime)
-    policy = DurabilityPolicy(snapshot_every=snapshot_every)
     engine = GossipEngine(
         runtime=runtime,
         scheduler=FakeScheduler(),
@@ -61,7 +62,7 @@ def make_engine(snapshot_every, capacity, ordered):
             buffer_capacity=capacity, ordered=ordered, stop_probability=0.5,
         ),
         rng=random.Random(9),
-        journal=policy.journal("test://node/app:test", hub),
+        durability=DurabilityPolicy(snapshot_every=snapshot_every),
     )
     rejoin(engine)
     return engine
@@ -159,6 +160,9 @@ def test_durable_restart_equals_the_uncrashed_twin(
             cooled = known[step[1] % len(known):] if known else []
             for engine in both:
                 engine.on_feedback(cooled)
+        elif kind == "round":
+            for engine in both:
+                engine._periodic_round()
         else:
             crashed.prepare_restart(amnesia=False)
             rejoin(crashed)
