@@ -150,7 +150,13 @@ def _attr(value: str) -> bytes:
 
 
 def _ids_xml(ids: Sequence[str]) -> str:
-    return "".join(f"<g:Id>{escape(i)}</g:Id>" for i in ids)
+    if not ids:
+        return ""
+    joined = "".join(ids)
+    if "&" in joined or "<" in joined or ">" in joined:
+        return "".join(f"<g:Id>{escape(i)}</g:Id>" for i in ids)
+    # Nothing to escape (the usual urn ids): one join writes the list.
+    return "<g:Id>" + "</g:Id><g:Id>".join(ids) + "</g:Id>"
 
 
 def build_batch(
@@ -289,6 +295,8 @@ def split_batch(data: bytes) -> List[bytes]:
 
 
 def _scan_ids_region(region: bytes) -> List[str]:
+    # Every entity reference starts with "&": without one, the text is as read.
+    escaped = b"&" in region
     ids: List[str] = []
     position = 0
     while True:
@@ -299,7 +307,8 @@ def _scan_ids_region(region: bytes) -> List[str]:
         end = region.find(b"</g:Id>", start)
         if end == -1:
             return ids
-        ids.append(unescape(region[start:end].decode("utf-8")))
+        text = region[start:end].decode("utf-8")
+        ids.append(unescape(text) if escaped else text)
         position = end + len(b"</g:Id>")
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.soap import namespaces as ns
-from repro.soap.envelope import Envelope
+from repro.soap.envelope import UNDECODED, Envelope
 from repro.xmlutil import qname
 
 GOSSIP_HEADER_TAG = qname(ns.WSGOSSIP, "Gossip")
@@ -436,11 +436,21 @@ class GossipHeader:
 
     @classmethod
     def from_envelope(cls, envelope: Envelope) -> Optional["GossipHeader"]:
-        """Extract and parse the header from an envelope, if present."""
+        """Extract and parse the header from an envelope, if present.
+
+        An envelope parsed from a shared frame returns the frame's decode
+        (:class:`~repro.soap.envelope.DecodedFrame`): the header is frozen,
+        so every receiver can hold the one object.  A malformed header
+        raises on every call and is never stored.
+        """
+        decoded = getattr(envelope, "decoded", None)
+        if decoded is not None and decoded.gossip is not UNDECODED:
+            return decoded.gossip
         element = envelope.header(GOSSIP_HEADER_TAG)
-        if element is None:
-            return None
-        return cls.from_element(element)
+        header = None if element is None else cls.from_element(element)
+        if decoded is not None:
+            decoded.gossip = header
+        return header
 
     def decremented(self) -> "GossipHeader":
         """A copy with one less hop (floor at zero); a carried trace

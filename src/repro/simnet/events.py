@@ -1,15 +1,17 @@
 """The event queue and the simulator main loop.
 
-Events are ``(time, sequence, callback)`` triples kept in a binary heap.
-The sequence number breaks ties so that two events scheduled for the same
-instant fire in scheduling order -- this is what makes runs deterministic.
+Events are kept in a binary heap as ``(time, sequence, event)`` tuples, so
+the heap compares plain floats and ints in C.  The sequence number breaks
+ties so that two events scheduled for the same instant fire in scheduling
+order -- this is what makes runs deterministic -- and, being unique, it
+settles every comparison before the event itself would be compared.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.simnet.clock import VirtualClock
 from repro.simnet.rng import RngStreams
@@ -18,8 +20,8 @@ from repro.simnet.rng import RngStreams
 class Event:
     """A scheduled callback.
 
-    Ordering is by ``(time, seq)``; the callback itself does not participate
-    in comparisons.  Identity hashing/equality (the default) is intentional:
+    The queue orders events by ``(time, seq)``; events themselves are never
+    compared.  Identity hashing/equality (the default) is intentional:
     processes keep their pending timers in sets.
     """
 
@@ -31,9 +33,6 @@ class Event:
         self.callback = callback
         self.cancelled = False
         self._queue: Optional["EventQueue"] = None
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def cancel(self) -> None:
         """Mark the event so the simulator skips it when popped."""
@@ -65,7 +64,7 @@ class EventQueue:
     COMPACT_MIN_DEAD = 64
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -82,14 +81,15 @@ class EventQueue:
         rebuilt heap pops live events in exactly the order the lazy-deletion
         heap would have.
         """
-        self._heap = [event for event in self._heap if not event.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
 
     def push(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at ``time``; returns the cancellable event."""
-        event = Event(time, next(self._counter), callback)
+        seq = next(self._counter)
+        event = Event(time, seq, callback)
         event._queue = self
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
@@ -100,7 +100,7 @@ class EventQueue:
             IndexError: if the queue is empty (after discarding cancellations).
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if not event.cancelled:
                 event._queue = None
                 self._live -= 1
@@ -120,11 +120,11 @@ class EventQueue:
         """
         heap = self._heap
         while heap:
-            event = heap[0]
+            time, _, event = heap[0]
             if event.cancelled:
                 heapq.heappop(heap)
                 continue
-            if event.time > deadline:
+            if time > deadline:
                 return None
             heapq.heappop(heap)
             event._queue = None
@@ -134,9 +134,9 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest pending event, or ``None`` if empty."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def __len__(self) -> int:
         return self._live

@@ -23,13 +23,21 @@ outbound handler.  Published, forwarded and fault envelopes are built
 here, and every *received* message is parsed into one.  The two writers
 emit identical bytes (docs/WIRE.md, "Serialization contract").
 
-Parsing is **shared per process**: equal wire bytes parse once, and every
-envelope parsed from them carries the *canonical* bytes object the cache
-keeps -- so a rumor that thousands of simulated nodes store is one buffer,
-not one copy per store, and the receiver's own copy of the frame is
-garbage as soon as it is parsed.  Only frames that can recur are admitted:
-a frame with a WS-Addressing ``RelatesTo`` or ``ReplyTo`` header is a
-request that expects a reply, a reply, or a fault.  It carries a fresh
+Parsing and decoding are **shared per process**: equal wire bytes are
+parsed and decoded once, into a :class:`DecodedFrame` the parse cache
+keeps.  A cache hit shares the element tree, the *canonical* bytes object
+(so a rumor that thousands of simulated nodes store is one buffer, not
+one copy per store, and the receiver's own copy of the frame is garbage
+as soon as it is parsed), the envelope split (version, header blocks,
+body element), and -- decoded on first use -- the frame's WS-Addressing
+headers and ``Gossip`` header.  What stays per arrival: the
+:class:`Envelope` and its header list, the ``AddressingHeaders`` copy
+:meth:`~repro.wsa.addressing.AddressingHeaders.extract` returns (handlers
+mutate it), and the body value the application receives.  An envelope
+mutated through its API drops its :class:`DecodedFrame`, so its headers
+are decoded afresh.  Only frames that can recur are admitted: a frame
+with a WS-Addressing ``RelatesTo`` or ``ReplyTo`` header is a request
+that expects a reply, a reply, or a fault.  It carries a fresh
 ``MessageID`` and is addressed to one node, so it is parsed on every
 receipt and its tree dies with its envelope.
 """
@@ -37,7 +45,7 @@ receipt and its tree dies with its envelope.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.hub import current_hub
 from repro.soap import namespaces as ns
@@ -52,15 +60,49 @@ class EnvelopeError(ValueError):
     """Raised when bytes are well-formed XML but not a SOAP envelope."""
 
 
+#: :attr:`DecodedFrame.gossip` before the ``Gossip`` header is decoded
+#: (``None`` there means the frame has none).
+UNDECODED = object()
+
+
+class DecodedFrame:
+    """One frame's shared decode: what every receiver of equal bytes
+    would otherwise rebuild from the same tree.
+
+    ``addressing`` and ``gossip`` start undecoded and are filled by the
+    first :meth:`~repro.wsa.addressing.AddressingHeaders.extract` /
+    :meth:`~repro.core.message.GossipHeader.from_envelope` of an envelope
+    built on this record.  Holds nothing per receiver.
+    """
+
+    __slots__ = ("data", "root", "version", "headers", "body", "addressing", "gossip")
+
+    def __init__(
+        self,
+        data: bytes,
+        root: ET.Element,
+        version: str,
+        headers: Tuple[ET.Element, ...],
+        body: Optional[ET.Element],
+    ) -> None:
+        self.data = data
+        self.root = root
+        self.version = version
+        self.headers = headers
+        self.body = body
+        self.addressing: Any = None
+        self.gossip: Any = UNDECODED
+
+
 # Cross-envelope parse sharing: a gossip fan-out hands the *same* wire
 # bytes to several simulated receivers, and only the first one needs to
-# pay the XML parse -- later receivers of equal bytes reuse the element
-# tree and the first receiver's bytes object (the canonical copy).  Safe
+# pay the XML parse and the decode -- later receivers of equal bytes
+# reuse the first receiver's record (the canonical bytes included).  Safe
 # because nothing in this repository mutates a header/body *element* in
-# place (see the module docstring); envelopes built from a shared tree
+# place (see the module docstring); envelopes built from a shared record
 # still get their own header lists.  Bounded by wholesale clearing: the
 # cache is a throughput optimization, not a correctness feature.
-_PARSE_CACHE: Dict[bytes, Tuple[bytes, ET.Element]] = {}
+_PARSE_CACHE: Dict[bytes, DecodedFrame] = {}
 _PARSE_CACHE_LIMIT = 2048
 
 # Header blocks that mark a point-to-point frame (see the module
@@ -96,6 +138,9 @@ class Envelope:
         self._headers: List[ET.Element] = list(headers) if headers else []
         self._body = body
         self._wire: Optional[bytes] = None
+        #: The shared decode of the frame this envelope was parsed from,
+        #: while the envelope still equals it; ``None`` otherwise.
+        self.decoded: Optional[DecodedFrame] = None
 
     @property
     def envelope_namespace(self) -> str:
@@ -104,8 +149,10 @@ class Envelope:
     # -- memoization ---------------------------------------------------------
 
     def invalidate(self) -> None:
-        """Drop the cached wire bytes; the next ``to_bytes()`` re-encodes."""
+        """Drop the cached wire bytes and the shared decode; the next
+        ``to_bytes()`` re-encodes."""
         self._wire = None
+        self.decoded = None
 
     @property
     def body(self) -> Optional[ET.Element]:
@@ -114,7 +161,7 @@ class Envelope:
     @body.setter
     def body(self, element: Optional[ET.Element]) -> None:
         self._body = element
-        self._wire = None
+        self.invalidate()
 
     @property
     def headers(self) -> List[ET.Element]:
@@ -126,14 +173,14 @@ class Envelope:
     @headers.setter
     def headers(self, elements: List[ET.Element]) -> None:
         self._headers = elements
-        self._wire = None
+        self.invalidate()
 
     # -- header access ------------------------------------------------------
 
     def add_header(self, element: ET.Element) -> None:
         """Append a header block."""
         self._headers.append(element)
-        self._wire = None
+        self.invalidate()
 
     def header(self, tag: str) -> Optional[ET.Element]:
         """First header block with the given ElementTree tag, or ``None``."""
@@ -152,7 +199,7 @@ class Envelope:
         self._headers = [element for element in self._headers if element.tag != tag]
         removed = before - len(self._headers)
         if removed:
-            self._wire = None
+            self.invalidate()
         return removed
 
     def header_text(self, tag: str) -> Optional[str]:
@@ -202,24 +249,7 @@ class Envelope:
             EnvelopeError: if the root is not a SOAP envelope or the body
                 is missing.
         """
-        version = None
-        if root.tag.startswith("{"):
-            uri = root.tag[1:].partition("}")[0]
-            version = _NS_TO_VERSION.get(uri)
-        if version is None or local_name(root.tag) != "Envelope":
-            raise EnvelopeError(f"not a SOAP envelope root: {root.tag!r}")
-        env_ns = _ENVELOPE_NS[version]
-
-        header_element = root.find(qname(env_ns, "Header"))
-        headers = list(header_element) if header_element is not None else []
-
-        body_element = root.find(qname(env_ns, "Body"))
-        if body_element is None:
-            raise EnvelopeError("SOAP envelope has no Body")
-        children = list(body_element)
-        if len(children) > 1:
-            raise EnvelopeError(f"SOAP Body has {len(children)} children; expected <= 1")
-        body = children[0] if children else None
+        version, headers, body = _split(root)
         return cls(body=body, headers=headers, version=version)
 
     @classmethod
@@ -228,31 +258,42 @@ class Envelope:
 
         The original bytes seed the serialization cache, so an envelope
         that is parsed and re-sent unmodified is never re-encoded.  When
-        equal bytes were parsed before, the envelope's ``to_bytes()`` is
-        the first parse's bytes object, not ``data``.
+        equal bytes were parsed before, the envelope is built from the
+        first parse's :class:`DecodedFrame`, and its ``to_bytes()`` is
+        that parse's bytes object, not ``data``.
 
         Raises:
             EnvelopeError: malformed XML or not an envelope.
         """
         data = data if isinstance(data, bytes) else bytes(data)
-        cached = _PARSE_CACHE.get(data)
-        if cached is not None:
+        decoded = _PARSE_CACHE.get(data)
+        if decoded is not None:
             current_hub().wire.parse_reused.inc()
-            data, root = cached
-        else:
-            try:
-                root = parse_bytes(data)
-            except XmlParseError as exc:
-                raise EnvelopeError(str(exc)) from exc
-            current_hub().wire.parse_count.inc()
-        envelope = cls.from_element(root)
-        if cached is None and not any(
-            block.tag in _UNSHARED_HEADERS for block in envelope._headers
-        ):
-            if len(_PARSE_CACHE) >= _PARSE_CACHE_LIMIT:
-                _PARSE_CACHE.clear()
-            _PARSE_CACHE[data] = (data, root)
-        envelope._wire = data
+            return cls._from_decoded(decoded)
+        try:
+            root = parse_bytes(data)
+        except XmlParseError as exc:
+            raise EnvelopeError(str(exc)) from exc
+        current_hub().wire.parse_count.inc()
+        version, headers, body = _split(root)
+        if any(block.tag in _UNSHARED_HEADERS for block in headers):
+            envelope = cls(body=body, headers=headers, version=version)
+            envelope._wire = data
+            return envelope
+        decoded = DecodedFrame(data, root, version, headers, body)
+        if len(_PARSE_CACHE) >= _PARSE_CACHE_LIMIT:
+            _PARSE_CACHE.clear()
+        _PARSE_CACHE[data] = decoded
+        return cls._from_decoded(decoded)
+
+    @classmethod
+    def _from_decoded(cls, decoded: DecodedFrame) -> "Envelope":
+        envelope = cls.__new__(cls)
+        envelope.version = decoded.version
+        envelope._headers = list(decoded.headers)
+        envelope._body = decoded.body
+        envelope._wire = decoded.data
+        envelope.decoded = decoded
         return envelope
 
     def __repr__(self) -> str:
@@ -261,3 +302,30 @@ class Envelope:
             f"Envelope(version={self.version!r}, headers={len(self._headers)}, "
             f"body={body_tag!r})"
         )
+
+
+def _split(root: ET.Element) -> Tuple[str, Tuple[ET.Element, ...], Optional[ET.Element]]:
+    """The version, header blocks and body element of a parsed envelope.
+
+    Raises:
+        EnvelopeError: if the root is not a SOAP envelope or the body is
+            missing.
+    """
+    version = None
+    if root.tag.startswith("{"):
+        uri = root.tag[1:].partition("}")[0]
+        version = _NS_TO_VERSION.get(uri)
+    if version is None or local_name(root.tag) != "Envelope":
+        raise EnvelopeError(f"not a SOAP envelope root: {root.tag!r}")
+    env_ns = _ENVELOPE_NS[version]
+
+    header_element = root.find(qname(env_ns, "Header"))
+    headers = tuple(header_element) if header_element is not None else ()
+
+    body_element = root.find(qname(env_ns, "Body"))
+    if body_element is None:
+        raise EnvelopeError("SOAP envelope has no Body")
+    children = list(body_element)
+    if len(children) > 1:
+        raise EnvelopeError(f"SOAP Body has {len(children)} children; expected <= 1")
+    return version, headers, children[0] if children else None

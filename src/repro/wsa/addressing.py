@@ -151,7 +151,30 @@ class AddressingHeaders:
 
     @classmethod
     def extract(cls, envelope: Envelope) -> "AddressingHeaders":
-        """Read the MAPs present in an envelope (absent ones stay ``None``)."""
+        """Read the MAPs present in an envelope (absent ones stay ``None``).
+
+        Each call returns a new object the caller may mutate; an envelope
+        parsed from a shared frame copies the frame's decode
+        (:class:`~repro.soap.envelope.DecodedFrame`) instead of reading
+        its header blocks again.
+        """
+        decoded = getattr(envelope, "decoded", None)
+        if decoded is None:
+            return cls._decode(envelope)
+        shared = decoded.addressing
+        if shared is None:
+            shared = decoded.addressing = cls._decode(envelope)
+        return cls(
+            shared.to,
+            shared.action,
+            shared.message_id,
+            shared.relates_to,
+            shared.reply_to,
+            shared.from_,
+        )
+
+    @classmethod
+    def _decode(cls, envelope: Envelope) -> "AddressingHeaders":
         reply_to_element = envelope.header(_REPLY_TO)
         from_element = envelope.header(_FROM)
         return cls(

@@ -7,6 +7,7 @@ survives crash-recovery replay.
 """
 
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape, unescape
 
 import pytest
 from hypothesis import example, given
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from repro import GossipConfig, ParamError
 from repro.core.batch import (
     BATCH_MARKER,
+    _ids_xml,
+    _scan_ids_region,
     BatchControl,
     BatchError,
     batch_has_control,
@@ -392,3 +395,61 @@ class TestControlCodecProperties:
         assert scan_batch_control(data) is None
         assert control_from_element(batch_element(data)).summary is None
         assert scan_batch_control(summary_frame(b'n="3" h="0a"')).summary == (3, 10)
+
+
+# -- id lists: the fast paths against the per-id forms ------------------------
+
+ID_TEXT = st.text(st.sampled_from("urn:ws-gossip:msg:ab-01 &<>\"'é☃"), max_size=12) | st.text(
+    max_size=12
+)
+# Arbitrary bytes, and runs of id tags, entities and broken UTF-8.
+REGION = st.binary(max_size=80) | st.lists(
+    st.sampled_from(
+        [b"<g:Id>", b"</g:Id>", b"&amp;", b"&lt;", b"&", b"x", b"\xc3\xa9", b"\xff"]
+    ),
+    max_size=12,
+).map(b"".join)
+
+
+def ids_xml_per_id(ids):
+    """The id-list writer as one escape per id (the reference form)."""
+    return "".join(f"<g:Id>{escape(i)}</g:Id>" for i in ids)
+
+
+def scan_ids_per_id(region):
+    """The id-list reader as one unescape per id (the reference form)."""
+    ids, position = [], 0
+    while True:
+        start = region.find(b"<g:Id>", position)
+        if start == -1:
+            return ids
+        start += len(b"<g:Id>")
+        end = region.find(b"</g:Id>", start)
+        if end == -1:
+            return ids
+        ids.append(unescape(region[start:end].decode("utf-8")))
+        position = end + len(b"</g:Id>")
+
+
+def outcome(function, argument):
+    try:
+        return function(argument)
+    except UnicodeDecodeError:
+        return UnicodeDecodeError
+
+
+class TestIdLists:
+    @given(ids=st.lists(ID_TEXT, max_size=6))
+    @example(ids=[])
+    @example(ids=[""])
+    @example(ids=["", "a&b", ""])
+    def test_writer_equals_the_per_id_form(self, ids):
+        written = _ids_xml(ids)
+        assert written == ids_xml_per_id(ids)
+        assert _scan_ids_region(written.encode("utf-8")) == ids
+
+    @given(region=REGION)
+    @example(region=b"<g:Id>a&amp;b</g:Id><g:Id></g:Id>")
+    @example(region=b"<g:Id>\xff</g:Id>")
+    def test_reader_equals_the_per_id_form(self, region):
+        assert outcome(_scan_ids_region, region) == outcome(scan_ids_per_id, region)

@@ -9,13 +9,20 @@ that exercise batching, ordered push-pull under loss, lazy push and
 trace context, each cached tree must serialize exactly as a fresh parse
 of its key does.  (Not as the key itself: batch-codec frames use
 ``soap``/``wsa``/``g`` prefixes that ElementTree would not choose.)
+
+The same runs hold the cache's decoded views -- the WS-Addressing and
+``Gossip`` headers every receiver of a frame shares -- to a decode of
+an uncached parse of the key: a receiver that mutated a shared view, or a
+view stored from a mutated envelope, would show here.
 """
 
 import pytest
 
 import repro.soap.envelope as envelope_module
 from repro import GossipConfig
-from repro.soap.envelope import clear_parse_cache
+from repro.core.message import GossipHeader
+from repro.soap.envelope import UNDECODED, Envelope, clear_parse_cache
+from repro.wsa.addressing import AddressingHeaders
 from repro.xmlutil import canonical_bytes, parse_bytes
 
 CONFIGS = {
@@ -51,6 +58,16 @@ def test_cached_trees_still_match_their_bytes(name, seed):
 
     cache = dict(envelope_module._PARSE_CACHE)
     assert cache  # the run really shared parses
-    for key, (data, root) in cache.items():
-        assert data == key
-        assert canonical_bytes(root) == canonical_bytes(parse_bytes(key))
+    decoded_views = 0
+    for key, decoded in cache.items():
+        assert decoded.data == key
+        assert canonical_bytes(decoded.root) == canonical_bytes(parse_bytes(key))
+        fresh = Envelope.from_element(parse_bytes(key))
+        assert fresh.decoded is None  # decodes from the tree, not the memo
+        if decoded.addressing is not None:
+            decoded_views += 1
+            assert decoded.addressing == AddressingHeaders.extract(fresh)
+        if decoded.gossip is not UNDECODED:
+            decoded_views += 1
+            assert decoded.gossip == GossipHeader.from_envelope(fresh)
+    assert decoded_views  # the receivers really shared decodes

@@ -6,16 +6,18 @@ process holds one copy of each distinct frame: setup leaves no parse
 trees behind, and stores share the parse cache's bytes.
 """
 
+import gc
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import repro.soap.envelope as envelope_module
 from repro.soap import namespaces as ns
-from repro.soap.envelope import Envelope, clear_parse_cache
+from repro.soap.envelope import UNDECODED, Envelope, clear_parse_cache
 from repro.xmlutil import parse_bytes, qname
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -80,6 +82,44 @@ def test_setup_leaves_no_request_or_reply_frame_in_the_parse_cache():
         if UNSHARED & {block.tag for block in headers}:
             pinned.append(data)
     assert pinned == []
+
+
+def reachable(root):
+    """Every object reachable from ``root``, classes and modules not
+    followed (an enum member refers to its class, and a class to its
+    module)."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return seen.values()
+
+
+def test_cached_decodes_hold_nothing_per_receiver():
+    # The parse cache outlives every envelope and node that filled it: a
+    # decode that kept one would pin it, and its node, for the process.
+    from repro.core.engine import GossipEngine
+    from repro.core.handler import GossipLayer
+    from repro.soap.handler import MessageContext
+    from repro.soap.runtime import SoapRuntime
+    from repro.simnet.process import Process
+
+    per_receiver = (Envelope, MessageContext, GossipEngine, GossipLayer, SoapRuntime, Process)
+    clear_parse_cache()
+    group = burst_group(60)
+    group.setup(settle=1.0, eager_join=True)
+    for index in range(4):
+        group.publish({"n": index})
+    group.run_for(2.0)
+    decodes = list(envelope_module._PARSE_CACHE.values())
+    assert any(decoded.gossip is not UNDECODED for decoded in decodes)
+    assert any(decoded.addressing is not None for decoded in decodes)
+    for decoded in decodes:
+        held = [obj for obj in reachable(decoded) if isinstance(obj, per_receiver)]
+        assert held == []
 
 
 def test_stores_share_one_bytes_object_per_distinct_frame():
