@@ -152,8 +152,8 @@ profile:
 
 # Call census (~9 min on 2 vCPUs): tier-1 under a profiler, then every
 # def in src/repro that no test runs, by file, with line counts
-# (tests/census.py).  Subprocess-only code (the shard workers) reads as
-# never run.  Prints only; not a gate.
+# (tests/census.py).  Code run only in a subprocess (the shard worker's
+# entry point) reads as never run.  Prints only; not a gate.
 census:
 	PYTHONPATH=src $(PYTHON) -m pytest -p tests.census
 

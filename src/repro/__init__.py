@@ -42,7 +42,7 @@ from repro.obs import MetricsHub, Profiler, RumorTracer, default_hub
 from repro.simnet.events import Simulator
 from repro.stats import summarize
 
-__version__ = "6.1.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "AdaptiveController",

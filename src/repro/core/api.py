@@ -16,14 +16,15 @@ Example:
     1.0
 
 The pre-config keyword soup (``GossipGroup(n_disseminators=16, seed=42)``)
-was removed after a deprecation cycle: passing deployment settings as
-keyword arguments now raises :class:`~repro.core.params.ParamError`
-pointing at the ``GossipConfig`` replacement.
+is gone since 7.0.0: ``GossipGroup`` takes ``config=`` only, and any other
+keyword is a :class:`TypeError`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -48,6 +49,7 @@ from repro.simnet.events import Simulator
 from repro.simnet.latency import LatencyModel
 from repro.simnet.network import Network
 from repro.simnet.trace import TraceLog
+from repro.wscoord.context import CoordinationContext
 
 DEFAULT_ACTION = "urn:ws-gossip:example/Event"
 #: Seconds of history the telemetry SLO burn-rate window spans.
@@ -240,109 +242,231 @@ class GossipConfig:
         return GossipGroup(config=self)
 
 
-# Sentinel distinguishing "kwarg not passed" from an explicit None/False.
-_UNSET: Any = object()
+def topology_names(n_disseminators: int, n_consumers: int) -> List[str]:
+    """Every node name in the Figure-1 topology, declaration order.
+
+    A sharded run derives its :class:`~repro.simnet.shard.ShardPlan` from
+    this one list in the parent and in every worker, so they always agree
+    on ownership without exchanging it.
+    """
+    return (
+        ["coordinator", "initiator"]
+        + [f"d{i}" for i in range(n_disseminators)]
+        + [f"c{i}" for i in range(n_consumers)]
+    )
 
 
-class GossipGroup:
+class GroupScript:
+    """The Figure-1 orchestration and the delivery measurements, written once.
+
+    Everything here is expressed through ``run_for`` and two primitives a
+    subclass supplies: ``_on(node, step, **args)`` runs one setup step
+    where the named node lives, and ``_each(step, **args)`` runs it
+    everywhere, returning one reply per place.  :class:`GossipGroup`
+    runs a step as a direct call on itself;
+    :class:`~repro.core.shard.ShardedGossipGroup` sends it as a command
+    to the worker process holding that node's slice, which is a
+    ``GossipGroup`` too.  The steps are ``GossipGroup``'s ``_step_*``
+    methods.
+    """
+
+    config: GossipConfig
+    activity_id: Optional[str] = None
+    _setup_done = False
+
+    @property
+    def population(self) -> int:
+        """Number of application endpoints (initiator + d* + c*)."""
+        return 1 + self.config.n_disseminators + self.config.n_consumers
+
+    def setup(self, settle: float = 2.0, eager_join: Optional[bool] = None) -> str:
+        """Activate the gossip interaction and subscribe every node.
+
+        Mirrors Figure 1: the initiator activates at the coordinator, every
+        app endpoint subscribes, and the initiator refreshes its peer view
+        once the subscriber list is populated.  ``eager_join`` makes the
+        disseminators register immediately rather than on first message --
+        required by the pull-family styles (defaults to exactly that).
+
+        Returns the activity id.
+        """
+        if self._setup_done:
+            if self.activity_id is None:
+                raise RuntimeError("previous setup did not complete")
+            return self.activity_id
+        self._setup_done = True
+
+        addresses = self._on("coordinator", "addresses")
+        for _ in range(5):  # activation is control traffic: retry on loss
+            self._on("initiator", "activate", address=addresses["activation"])
+            self.run_for(settle)
+            state = self._on("initiator", "state")
+            if state["activity_id"] is not None:
+                break
+        if state["activity_id"] is None:
+            raise RuntimeError("activation did not complete; is the coordinator up?")
+        self.activity_id = state["activity_id"]
+
+        for _ in range(5):  # subscriptions retried until acknowledged
+            self._each(
+                "subscribe",
+                address=addresses["subscription"],
+                activity_id=self.activity_id,
+            )
+            self.run_for(settle)
+            if not any(reply["subscribe_pending"] for reply in self._each("state")):
+                break
+
+        style = self.config.params.get("style")
+        if eager_join is None:
+            eager_join = bool(style) and GossipStyle(style) is not GossipStyle.PUSH
+        if eager_join:
+            # The context crosses as its canonical XML, as on the wire.
+            self._each("join", context=self._on("initiator", "state")["context"])
+            self.run_for(settle)
+
+        # The initiator registered before anyone subscribed; refresh so its
+        # first fanout has real targets.  Retried: the refresh reply rides
+        # the same lossy fabric.
+        for _ in range(5):
+            self._on("initiator", "refresh_view")
+            self.run_for(settle)
+            if self._on("initiator", "state")["view_ready"]:
+                break
+        return self.activity_id
+
+    def publish(self, value: Any) -> str:
+        """Disseminate one data item from the initiator."""
+        if self.activity_id is None:
+            raise RuntimeError("call setup() before publish()")
+        return self._on("initiator", "publish", value=value)["message_id"]
+
+    # -- measurements ---------------------------------------------------------
+
+    def _measure(self, gossip_id: str) -> Dict[str, List[Any]]:
+        """Receiver names and first-delivery times, over every place."""
+        receivers: List[str] = []
+        times: List[float] = []
+        for reply in self._each("measure", gossip_id=gossip_id):
+            receivers.extend(reply["receivers"])
+            times.extend(reply["times"])
+        return {"receivers": receivers, "times": times}
+
+    def delivered_fraction(self, gossip_id: str) -> float:
+        """Fraction of non-initiator app endpoints that received the item."""
+        others = self.population - 1
+        if others <= 0:
+            return 1.0
+        return len(self._measure(gossip_id)["receivers"]) / others
+
+    def is_atomic(self, gossip_id: str) -> bool:
+        """True when every app endpoint received the item."""
+        return self.delivered_fraction(gossip_id) >= 1.0
+
+    def delivery_times(self, gossip_id: str) -> List[float]:
+        """First-delivery times across receiving nodes."""
+        return self._measure(gossip_id)["times"]
+
+    def trace_digests(self) -> List[Dict[str, Any]]:
+        """One run digest per place (determinism checks; needs ``trace=True``)."""
+        return [
+            {key: reply[key] for key in ("digest", "trace_events", "events_executed")}
+            for reply in self._each("trace_digest")
+        ]
+
+
+class GossipGroup(GroupScript):
     """One complete, simulated WS-Gossip deployment.
 
     Args:
         config: the deployment description (see :class:`GossipConfig`).
-        **legacy: the pre-config keyword soup (``n_disseminators=...`` and
-            friends) is gone: after a deprecation cycle it now raises
-            :class:`~repro.core.params.ParamError` naming the offending
-            keywords.  Build a :class:`GossipConfig` and pass ``config=``
-            (or call ``GossipConfig(...).build()``).
+        shard: build only the nodes the config's shard plan gives this
+            shard, on the per-shard fabric stream, with a
+            :class:`~repro.simnet.shard.ShardEgress` for the rest.  Only
+            the shard worker (:mod:`repro.core.shardworker`) sets it;
+            ``None`` is the whole deployment in this process.
     """
 
     def __init__(
-        self,
-        n_disseminators: int = _UNSET,
-        n_consumers: int = _UNSET,
-        seed: int = _UNSET,
-        latency: Optional[LatencyModel] = _UNSET,
-        loss_rate: float = _UNSET,
-        params: Optional[Dict[str, Any]] = _UNSET,
-        auto_tune: bool = _UNSET,
-        target_reliability: float = _UNSET,
-        action: str = _UNSET,
-        trace: bool = _UNSET,
-        config: Optional[GossipConfig] = None,
+        self, *, config: Optional[GossipConfig] = None, shard: Optional[int] = None
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in {
-                "n_disseminators": n_disseminators,
-                "n_consumers": n_consumers,
-                "seed": seed,
-                "latency": latency,
-                "loss_rate": loss_rate,
-                "params": params if params is not _UNSET and params is not None else _UNSET,
-                "auto_tune": auto_tune,
-                "target_reliability": target_reliability,
-                "action": action,
-                "trace": trace,
-            }.items()
-            if value is not _UNSET
-        }
-        if legacy:
-            raise ParamError(
-                sorted(legacy)[0],
-                "passing GossipGroup settings as keyword arguments was "
-                "removed; build a GossipConfig and pass config=... or call "
-                "GossipConfig(...).build() "
-                f"(got: {', '.join(sorted(legacy))})",
-            )
         self.config = config if config is not None else GossipConfig()
+        names = topology_names(self.config.n_disseminators, self.config.n_consumers)
 
         self.sim = Simulator(seed=self.config.seed)
         self.trace = TraceLog(enabled=self.config.trace)
         # One observability hub per group: chained to the default hub so
         # process-wide aggregates still see this simulation, but never
         # shared with another group.
-        self.metrics = MetricsHub(parent=default_hub(), name="gossip-group")
+        self.metrics = MetricsHub(
+            parent=default_hub(),
+            name="gossip-group" if shard is None else f"gossip-shard-{shard}",
+        )
         self.hub = self.metrics
+        if shard is None:
+            local, rng = set(names), None
+        else:
+            from repro.simnet.shard import ShardEgress, ShardPlan
+            # The fabric stream is per-shard; every per-node stream is
+            # derived from the node's name and stays shard-count independent.
+            plan = ShardPlan(names, self.config.shards)
+            local = set(plan.members(shard))
+            rng = self.sim.rng.for_shard(shard).get("network")
         self.network = Network(
             self.sim,
             latency=self.config.latency,
             loss_rate=self.config.loss_rate,
             trace=self.trace,
             metrics=self.metrics,
+            rng=rng,
         )
+        if shard is not None:
+            self.egress = ShardEgress(plan, shard)
+            self.network.set_egress(self.egress)
         self.action = self.config.action
         self.activation_parameters = dict(self.config.params)
 
-        self.coordinator = CoordinatorNode(
-            "coordinator",
-            self.network,
-            auto_tune=self.config.auto_tune,
-            target_reliability=self.config.target_reliability,
-        )
-        self.initiator = InitiatorNode(
-            "initiator",
-            self.network,
-            durability=self.config.durability,
-            overload=self.config.overload,
-            telemetry=self.config.telemetry,
-        )
-        self.disseminators: List[DisseminatorNode] = [
-            DisseminatorNode(
-                f"d{index}",
+        # A shard's slice may lack either; the setup script only ever runs
+        # a step on the slice that holds the node it acts on.
+        self.coordinator: Optional[CoordinatorNode] = None
+        self.initiator: Optional[InitiatorNode] = None
+        if "coordinator" in local:
+            self.coordinator = CoordinatorNode(
+                "coordinator",
+                self.network,
+                auto_tune=self.config.auto_tune,
+                target_reliability=self.config.target_reliability,
+            )
+        if "initiator" in local:
+            self.initiator = InitiatorNode(
+                "initiator",
                 self.network,
                 durability=self.config.durability,
                 overload=self.config.overload,
                 telemetry=self.config.telemetry,
             )
-            for index in range(self.config.n_disseminators)
+        self.disseminators: List[DisseminatorNode] = [
+            DisseminatorNode(
+                name,
+                self.network,
+                durability=self.config.durability,
+                overload=self.config.overload,
+                telemetry=self.config.telemetry,
+            )
+            for name in names[2 : 2 + self.config.n_disseminators]
+            if name in local
         ]
         self.consumers: List[ConsumerNode] = [
-            ConsumerNode(f"c{index}", self.network)
-            for index in range(self.config.n_consumers)
+            ConsumerNode(name, self.network)
+            for name in names[2 + self.config.n_disseminators :]
+            if name in local
+        ]
+        gossip_nodes = [
+            node for node in (self.initiator, *self.disseminators) if node is not None
         ]
         if self.config.health is not None:
             install_health(
-                [self.initiator, *self.disseminators],
+                gossip_nodes,
                 self.config.health,
                 clock=lambda: self.sim.now,
                 hub=self.hub,
@@ -350,7 +474,6 @@ class GossipGroup:
 
         self.controller: Optional[AdaptiveController] = None
         if self.config.adaptive:
-            gossip_nodes = [self.initiator, *self.disseminators]
             self.controller = AdaptiveController(
                 self.hub,
                 population=lambda: self.population,
@@ -379,8 +502,7 @@ class GossipGroup:
         for node in self.all_nodes():
             node.start()
 
-        self.activity_id: Optional[str] = None
-        self._setup_done = False
+        self._acked: set = set()
 
     def _start_telemetry(self) -> None:
         """Begin the telemetry rollup ticks (windowed rates + SLO burn)."""
@@ -414,94 +536,13 @@ class GossipGroup:
 
     def app_nodes(self) -> List[AppNode]:
         """Every node with an application endpoint (initiator included)."""
-        return [self.initiator, *self.disseminators, *self.consumers]
+        nodes: List[AppNode] = [*self.disseminators, *self.consumers]
+        return nodes if self.initiator is None else [self.initiator, *nodes]
 
     def all_nodes(self) -> List:
         """Every node including the coordinator."""
-        return [self.coordinator, *self.app_nodes()]
-
-    @property
-    def population(self) -> int:
-        """Number of application endpoints in the group."""
-        return len(self.app_nodes())
-
-    # -- orchestration ------------------------------------------------------------
-
-    def setup(self, settle: float = 2.0, eager_join: Optional[bool] = None) -> str:
-        """Activate the gossip interaction and subscribe every node.
-
-        Mirrors Figure 1: the initiator activates at the coordinator, every
-        app endpoint subscribes, and the initiator refreshes its peer view
-        once the subscriber list is populated.  ``eager_join`` makes the
-        disseminators register immediately rather than on first message --
-        required by the pull-family styles (defaults to exactly that).
-
-        Returns the activity id.
-        """
-        if self._setup_done:
-            if self.activity_id is None:
-                raise RuntimeError("previous setup did not complete")
-            return self.activity_id
-        self._setup_done = True
-
-        ready: List[str] = []
-        for _ in range(5):  # activation is control traffic: retry on loss
-            self.initiator.activate(
-                self.coordinator.activation_address,
-                parameters=self.activation_parameters,
-                on_ready=lambda engine: ready.append(engine.activity_id),
-            )
-            self.run_for(settle)
-            if ready:
-                break
-        if not ready:
-            raise RuntimeError("activation did not complete; is the coordinator up?")
-        self.activity_id = ready[0]
-
-        acked: set = set()
-        pending = [*self.disseminators, *self.consumers]
-        for _ in range(5):  # subscriptions retried until acknowledged
-            for node in pending:
-                node.subscribe(
-                    self.coordinator.subscription_address,
-                    self.activity_id,
-                    on_reply=lambda _context, _value, name=node.name: acked.add(name),
-                )
-            self.run_for(settle)
-            pending = [node for node in pending if node.name not in acked]
-            if not pending:
-                break
-
-        style = self._style()
-        if eager_join is None:
-            eager_join = style is not GossipStyle.PUSH
-        if eager_join:
-            engine = self.initiator.activities[self.activity_id]
-            for node in self.disseminators:
-                node.gossip_layer.join(engine.context, PROTOCOL_DISSEMINATOR)
-            self.run_for(settle)
-
-        # The initiator registered before anyone subscribed; refresh so its
-        # first fanout has real targets.  Retried: the refresh reply rides
-        # the same lossy fabric.
-        engine = self.initiator.activities[self.activity_id]
-        for _ in range(5):
-            engine.refresh_view()
-            self.run_for(settle)
-            if engine.view:
-                break
-        return self.activity_id
-
-    def _style(self) -> GossipStyle:
-        style = self.activation_parameters.get("style")
-        return GossipStyle(style) if style else GossipStyle.PUSH
-
-    def publish(self, value: Any) -> str:
-        """Disseminate one data item from the initiator."""
-        if self.activity_id is None:
-            raise RuntimeError("call setup() before publish()")
-        with use_hub(self.hub):
-            return self.initiator.publish(self.activity_id, self.action, value)
+        nodes = self.app_nodes()
+        return nodes if self.coordinator is None else [self.coordinator, *nodes]
 
     def run_for(self, duration: float) -> None:
         """Advance simulated time by ``duration`` seconds.
@@ -512,37 +553,134 @@ class GossipGroup:
         with use_hub(self.hub):
             self.sim.run_until(self.sim.now + duration)
 
+    # -- setup steps ----------------------------------------------------------
+    #
+    # Each step acts on the nodes this group holds.  In one process
+    # ``_on``/``_each`` call them directly; a shard worker serves them as
+    # commands through ``handle``/``activate`` (the
+    # :func:`~repro.simnet.shard.shard_worker_loop` contract).
+
+    def _on(self, node: str, step: str, **args: Any) -> Dict[str, Any]:
+        return self.handle({"op": step, **args})
+
+    def _each(self, step: str, **args: Any) -> List[Dict[str, Any]]:
+        return [self.handle({"op": step, **args})]
+
+    def activate(self):
+        """Make this group's hub current (wraps every worker command)."""
+        return use_hub(self.hub)
+
+    def handle(self, msg: Mapping[str, Any]) -> Dict[str, Any]:
+        """Run the setup step ``msg["op"]`` with the rest of ``msg``."""
+        args = dict(msg)
+        op = args.pop("op")
+        step = getattr(self, f"_step_{op}", None)
+        if step is None:
+            raise ValueError(f"unknown setup step: {op!r}")
+        return step(**args)
+
+    def _step_addresses(self) -> Dict[str, Any]:
+        """The coordinator's well-known endpoints."""
+        return {
+            "activation": self.coordinator.activation_address,
+            "subscription": self.coordinator.subscription_address,
+        }
+
+    def _step_activate(self, address: str) -> Dict[str, Any]:
+        self.initiator.activate(
+            address,
+            parameters=self.activation_parameters,
+            on_ready=self._on_activated,
+        )
+        return {}
+
+    def _on_activated(self, engine: Any) -> None:
+        if self.activity_id is None:
+            self.activity_id = engine.activity_id
+
+    def _subscribers(self) -> List[AppNode]:
+        """The app nodes here other than the initiator."""
+        return [*self.disseminators, *self.consumers]
+
+    def _step_state(self) -> Dict[str, Any]:
+        """What is ready here and which subscriptions are still pending."""
+        context, view_ready = None, False
+        if self.activity_id is not None and self.initiator is not None:
+            engine = self.initiator.activities[self.activity_id]
+            context = ET.tostring(engine.context.to_element(), encoding="unicode")
+            view_ready = bool(engine.view)
+        pending = [
+            node.name for node in self._subscribers() if node.name not in self._acked
+        ]
+        return {
+            "activity_id": self.activity_id,
+            "context": context,
+            "view_ready": view_ready,
+            "subscribe_pending": pending,
+        }
+
+    def _step_subscribe(self, address: str, activity_id: str) -> Dict[str, Any]:
+        """(Re-)subscribe every app node here not yet acknowledged."""
+        for node in self._subscribers():
+            if node.name not in self._acked:
+                node.subscribe(
+                    address,
+                    activity_id,
+                    on_reply=lambda _ctx, _value, name=node.name: self._acked.add(name),
+                )
+        return {}
+
+    def _step_join(self, context: str) -> Dict[str, Any]:
+        """Eager-join every disseminator here (pull-family styles)."""
+        parsed = CoordinationContext.from_element(ET.fromstring(context))
+        for node in self.disseminators:
+            node.gossip_layer.join(parsed, PROTOCOL_DISSEMINATOR)
+        return {}
+
+    def _step_refresh_view(self) -> Dict[str, Any]:
+        self.initiator.activities[self.activity_id].refresh_view()
+        return {}
+
+    def _step_publish(self, value: Any) -> Dict[str, Any]:
+        with use_hub(self.hub):
+            message_id = self.initiator.publish(self.activity_id, self.action, value)
+        return {"message_id": message_id}
+
+    def _step_measure(self, gossip_id: str) -> Dict[str, Any]:
+        """Receivers and first-delivery times among the app nodes here."""
+        got = [node for node in self._subscribers() if node.has_delivered(gossip_id)]
+        times = [node.delivery_time(gossip_id) for node in got]
+        return {
+            "receivers": [node.name for node in got],
+            "times": [when for when in times if when is not None],
+        }
+
+    def _step_hub(self) -> Dict[str, Any]:
+        return {"state": self.hub.snapshot_state()}
+
+    def _step_trace_digest(self) -> Dict[str, Any]:
+        """A stable digest of this group's run, for determinism checks.
+
+        Hashes the trace events (uuid-free) plus the executed-event count;
+        two runs with the same seed and shard count agree on it.
+        """
+        digest = hashlib.sha256()
+        for event in self.trace.events():
+            digest.update(
+                f"{event.time:.9f}|{event.kind}|{event.node}|"
+                f"{sorted(event.detail.items())!r}\n".encode("utf-8")
+            )
+        return {
+            "digest": digest.hexdigest(),
+            "trace_events": len(self.trace),
+            "events_executed": self.sim.events_executed,
+        }
+
     # -- measurements -----------------------------------------------------------------
 
     def receivers(self, gossip_id: str) -> List[AppNode]:
         """Nodes (other than the initiator) whose app saw the item."""
-        return [
-            node
-            for node in self.app_nodes()
-            if node is not self.initiator and node.has_delivered(gossip_id)
-        ]
-
-    def delivered_fraction(self, gossip_id: str) -> float:
-        """Fraction of non-initiator app endpoints that received the item."""
-        others = self.population - 1
-        if others <= 0:
-            return 1.0
-        return len(self.receivers(gossip_id)) / others
-
-    def is_atomic(self, gossip_id: str) -> bool:
-        """True when every app endpoint received the item."""
-        return self.delivered_fraction(gossip_id) >= 1.0
-
-    def delivery_times(self, gossip_id: str) -> List[float]:
-        """First-delivery times across receiving nodes."""
-        times = []
-        for node in self.app_nodes():
-            if node is self.initiator:
-                continue
-            when = node.delivery_time(gossip_id)
-            if when is not None:
-                times.append(when)
-        return times
+        return [node for node in self._subscribers() if node.has_delivered(gossip_id)]
 
     def message_counts(self) -> Dict[str, int]:
         """Network-level counters (sent / delivered / dropped...)."""

@@ -46,9 +46,10 @@ parse dispatches to the gossip service's ``Batch`` operation.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 from xml.sax.saxutils import escape, unescape
 
 from repro.soap import namespaces as ns
@@ -86,7 +87,7 @@ _XML_DECL = b"<?xml"
 
 #: Attribute values are always double-quoted.  Besides ``&<>`` the writer
 #: escapes ``"`` and the whitespace controls, which a parser would fold to
-#: spaces if they went out literally; ``_scan_attr`` undoes exactly this.
+#: spaces if they went out literally; ``_attr_text`` undoes exactly this.
 _ATTR_ESCAPES = {'"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
 _ATTR_UNESCAPES = {ref: char for char, ref in _ATTR_ESCAPES.items()}
 
@@ -211,86 +212,116 @@ def is_batch_frame(data: bytes) -> bool:
     return data.find(BATCH_MARKER) != -1
 
 
-def _batch_tag_bytes(data: bytes) -> bytes:
-    """The ``<g:GossipBatch ...>`` open tag's attribute region."""
-    start = data.find(BATCH_MARKER)
-    if start == -1:
-        raise BatchError("not a batch frame")
-    end = data.find(b">", start)
-    if end == -1:
-        raise BatchError("unterminated batch tag")
-    return data[start + len(BATCH_MARKER) : end]
+# The byte scanners below read a batch only in exactly the layout
+# build_batch writes; any other spelling (another serializer's prefixes,
+# quotes, attribute order or whitespace, CDATA, character references, a
+# header the writer never emits) raises BatchError, and the caller takes
+# the full XML parse instead.  A scan never reads markup a parser would
+# read differently, such as batch-like text quoted in a header or in an
+# embedded frame.
+
+_TO_OPEN = _PREFIX + b"<wsa:To>"
+_TAG_OPEN = (
+    b"</wsa:To>" + _ACTION_HEADER + b"</soap:Header><soap:Body>" + BATCH_MARKER
+)
+_TAG_TO_RUMORS = re.compile(
+    rb' activity="([^"]*)" holder="([^"]*)"( ctl="1")?>'
+    rb"<g:Sizes>([^<]*)</g:Sizes><g:Rumors>"
+)
+_RUMORS_CLOSE = b"</g:Rumors>"
+_ATTR_REFS = ("&amp;", "&lt;", "&gt;", *_ATTR_UNESCAPES)
 
 
-def _scan_attr(tag: bytes, name: bytes) -> Optional[str]:
-    marker = b" " + name + b'="'
-    start = tag.find(marker)
-    if start == -1:
-        return None
-    start += len(marker)
-    end = tag.find(b'"', start)
-    if end == -1:
-        return None
+def _attr_text(raw: bytes) -> str:
+    """An attribute value written by :func:`_attr`, unescaped."""
     try:
-        return unescape(tag[start:end].decode("utf-8"), _ATTR_UNESCAPES)
-    except UnicodeDecodeError:
-        return None
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BatchError("undecodable batch attribute") from exc
+    # A literal quote means the scan ran past the value; a parser folds
+    # literal whitespace controls to spaces (the writer sends references).
+    if '"' in text or "\t" in text or "\n" in text or "\r" in text:
+        raise BatchError("batch attribute is not the writer's")
+    if "&" in text:
+        if text.count("&") != sum(text.count(ref) for ref in _ATTR_REFS):
+            raise BatchError("batch attribute uses a foreign reference")
+        text = unescape(text, _ATTR_UNESCAPES)
+    return text
+
+
+Layout = Tuple[str, str, bool, Tuple[int, ...], int]
+#: The last frame :func:`_layout` read, and its layout: a receiver asks
+#: for one batch's frames, ctl flag, control, activity and holder in
+#: turn.  Holding the bytes keeps the identity test sound.
+_LAST_LAYOUT: Tuple[bytes, Layout] = (b"", ("", "", False, (), 0))
+
+
+def _layout(data: bytes) -> Layout:
+    """``(activity, holder, has_control, sizes, offset of the first
+    embedded frame)``."""
+    global _LAST_LAYOUT
+    last = _LAST_LAYOUT  # one read: another thread may rebind it
+    if last[0] is data:
+        return last[1]
+    if not data.startswith(_TO_OPEN):
+        raise BatchError("not a batch in the writer's layout")
+    # wsa:To's text is escaped: its first "<" closes it.
+    to_end = data.find(b"<", len(_TO_OPEN))
+    match = _TAG_TO_RUMORS.match(data, to_end + len(_TAG_OPEN))
+    if to_end == -1 or not data.startswith(_TAG_OPEN, to_end) or match is None:
+        raise BatchError("batch head is not the writer's")
+    try:
+        sizes = tuple([int(token) for token in match[4].split()])
+    except ValueError as exc:
+        raise BatchError(f"malformed Sizes content: {exc}") from exc
+    activity, holder = _attr_text(match[1]), _attr_text(match[2])
+    layout = (activity, holder, match[3] is not None, sizes, match.end())
+    _LAST_LAYOUT = (data, layout)
+    return layout
+
+
+def _layout_field(data: bytes, index: int, default: Any) -> Any:
+    try:
+        return _layout(data)[index]
+    except BatchError:
+        return default
 
 
 def scan_batch_activity(data: bytes) -> Optional[str]:
     """The batch's activity id, by byte scan (no parse)."""
-    try:
-        return _scan_attr(_batch_tag_bytes(data), b"activity")
-    except BatchError:
-        return None
+    return _layout_field(data, 0, None)
 
 
 def scan_batch_holder(data: bytes) -> Optional[str]:
     """The sender's gossip address, by byte scan (no parse)."""
-    try:
-        return _scan_attr(_batch_tag_bytes(data), b"holder")
-    except BatchError:
-        return None
+    return _layout_field(data, 1, None)
 
 
 def batch_has_control(data: bytes) -> bool:
     """True when the batch carries piggybacked control sections."""
-    try:
-        return _scan_attr(_batch_tag_bytes(data), b"ctl") == "1"
-    except BatchError:
-        return False
+    return _layout_field(data, 2, False)
 
 
 def split_batch(data: bytes) -> List[bytes]:
     """Slice a batch into its embedded legacy frames -- pure byte math.
 
     Raises:
-        BatchError: when the ``Sizes`` bookkeeping and the ``Rumors``
-            content disagree (the caller falls back to a full XML parse).
+        BatchError: when the frame is not in the writer's layout, or the
+            ``Sizes`` bookkeeping and the ``Rumors`` content disagree (the
+            caller falls back to a full XML parse).
     """
-    sizes_start = data.find(b"<g:Sizes>")
-    if sizes_start == -1:
-        raise BatchError("batch frame has no Sizes element")
-    sizes_start += len(b"<g:Sizes>")
-    sizes_end = data.find(b"</g:Sizes>", sizes_start)
-    if sizes_end == -1:
-        raise BatchError("unterminated Sizes element")
-    try:
-        sizes = [int(token) for token in data[sizes_start:sizes_end].split()]
-    except ValueError as exc:
-        raise BatchError(f"malformed Sizes content: {exc}") from exc
-    rumors_start = data.find(b"<g:Rumors>", sizes_end)
-    if rumors_start == -1:
-        raise BatchError("batch frame has no Rumors element")
-    position = rumors_start + len(b"<g:Rumors>")
+    _, _, has_control, sizes, position = _layout(data)
     slices: List[bytes] = []
     for size in sizes:
         if size < 0 or position + size > len(data):
             raise BatchError("Sizes overrun the Rumors content")
         slices.append(data[position : position + size])
         position += size
-    if not data.startswith(b"</g:Rumors>", position):
+    if not data.startswith(_RUMORS_CLOSE, position):
         raise BatchError("Sizes do not cover the Rumors content exactly")
+    # Sections the ctl flag does not announce would be skipped unread.
+    if not has_control and len(data) - position != len(_RUMORS_CLOSE + _SUFFIX):
+        raise BatchError("unannounced content after Rumors")
     return slices
 
 
@@ -337,71 +368,81 @@ def _parse_summary(
 def scan_batch_control(data: bytes) -> Optional[BatchControl]:
     """Recover the piggybacked control sections by byte scan (no parse).
 
-    Returns ``None`` when the control region does not have the expected
-    hand-assembled shape (an unknown section, a malformed or repeated
+    Returns ``None`` when the frame or its control region does not have
+    the writer's exact shape (an unknown section, a malformed or repeated
     ``Summary``, undecodable bytes) -- the caller then falls back to a
     full XML parse (``GossipLayer._apply_batch_control``).
     """
     try:
         return _scan_control_tail(data)
-    except UnicodeDecodeError:
+    except (BatchError, UnicodeDecodeError):
         return None
+
+
+def _ids(region: bytes) -> List[str]:
+    """An id list exactly as :func:`_ids_xml` writes it."""
+    if not region:
+        return []
+    if not (region.startswith(b"<g:Id>") and region.endswith(b"</g:Id>")):
+        raise BatchError("not an id list")
+    # Each separator holds two "<"; any other one is markup (CDATA, an
+    # element, a comment).  "\r" is normalized by a parser.
+    separators = region.count(b"</g:Id><g:Id>")
+    if region.count(b"<") != 2 * separators + 2 or b"\r" in region:
+        raise BatchError("id list holds markup")
+    if b"&" in region and region.count(b"&") != (
+        region.count(b"&amp;") + region.count(b"&lt;") + region.count(b"&gt;")
+    ):
+        raise BatchError("id list uses a foreign reference")
+    return _scan_ids_region(region)
 
 
 def _scan_control_tail(data: bytes) -> Optional[BatchControl]:
-    tail_start = data.find(b"</g:Rumors>")
-    if tail_start == -1:
+    _, _, _, sizes, position = _layout(data)
+    position += sum(sizes)
+    if not data.startswith(_RUMORS_CLOSE, position) or not data.endswith(_SUFFIX):
         return None
-    tail = data[tail_start + len(b"</g:Rumors>") :]
-    end = tail.find(b"</g:GossipBatch>")
-    if end == -1:
-        return None
-    tail = tail[:end]
+    tail = data[position + len(_RUMORS_CLOSE) : len(data) - len(_SUFFIX)]
     control = BatchControl()
     position = 0
     while position < len(tail):
-        if tail.startswith(b"<g:Ads ", position):
-            tag_end = tail.find(b">", position)
-            close = tail.find(b"</g:Ads>", position)
-            if tag_end == -1 or close == -1:
+        if tail.startswith(b'<g:Ads hops="', position):
+            start = position + len(b'<g:Ads hops="')
+            tag_end = tail.find(b'">', start)
+            close = tail.find(b"</g:Ads>", start)
+            if tag_end == -1 or close == -1 or not tail[start:tag_end].isdigit():
                 return None
-            hops_text = _scan_attr(tail[position + len(b"<g:Ads") : tag_end], b"hops")
-            try:
-                hops = int(hops_text) if hops_text is not None else 0
-            except ValueError:
-                hops = 0
-            control.ads.append((_scan_ids_region(tail[tag_end + 1 : close]), hops))
+            hops = int(tail[start:tag_end])
+            control.ads.append((_ids(tail[tag_end + 2 : close]), hops))
             position = close + len(b"</g:Ads>")
         elif tail.startswith(b"<g:Feedback>", position):
             close = tail.find(b"</g:Feedback>", position)
             if close == -1:
                 return None
-            control.feedback.extend(
-                _scan_ids_region(tail[position + len(b"<g:Feedback>") : close])
-            )
+            control.feedback.extend(_ids(tail[position + len(b"<g:Feedback>") : close]))
             position = close + len(b"</g:Feedback>")
-        elif tail.startswith(b"<g:Digest ", position):
-            tag_end = tail.find(b">", position)
-            close = tail.find(b"</g:Digest>", position)
+        elif tail.startswith(b'<g:Digest kind="', position):
+            start = position + len(b'<g:Digest kind="')
+            tag_end = tail.find(b'">', start)
+            close = tail.find(b"</g:Digest>", start)
             if tag_end == -1 or close == -1:
                 return None
-            kind = (
-                _scan_attr(tail[position + len(b"<g:Digest") : tag_end], b"kind")
-                or "req"
-            )
-            control.digest = (_scan_ids_region(tail[tag_end + 1 : close]), kind)
+            kind = _attr_text(tail[start:tag_end])
+            control.digest = (_ids(tail[tag_end + 2 : close]), kind)
             position = close + len(b"</g:Digest>")
-        elif tail.startswith(b"<g:Summary ", position):
-            tag_end = tail.find(b"/>", position)
-            if tag_end == -1 or control.summary is not None:
+        elif tail.startswith(b'<g:Summary n="', position):
+            start = position + len(b'<g:Summary n="')
+            middle = tail.find(b'" h="', start)
+            tag_end = tail.find(b'"/>', start)
+            if middle == -1 or tag_end < middle or control.summary is not None:
                 return None
-            attributes = tail[position + len(b"<g:Summary") : tag_end]
             control.summary = _parse_summary(
-                _scan_attr(attributes, b"n"), _scan_attr(attributes, b"h")
+                _attr_text(tail[start:middle]),
+                _attr_text(tail[middle + len(b'" h="') : tag_end]),
             )
             if control.summary is None:
                 return None
-            position = tag_end + len(b"/>")
+            position = tag_end + len(b'"/>')
         else:
             return None
     return control

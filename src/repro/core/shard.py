@@ -1,13 +1,15 @@
 """Parent-side facade for a sharded gossip deployment.
 
-:class:`ShardedGossipGroup` presents (a subset of) the
-:class:`~repro.core.api.GossipGroup` surface -- ``setup`` / ``publish`` /
-``run_for`` / the delivery measurements -- while the simulation itself runs
+:class:`ShardedGossipGroup` runs the same Figure-1 script as
+:class:`~repro.core.api.GossipGroup` -- ``setup`` / ``publish`` / the
+delivery measurements all come from their shared base,
+:class:`~repro.core.api.GroupScript` -- while the simulation itself runs
 in K worker processes driven by a
-:class:`~repro.simnet.shard.ShardCluster`.  The parent holds no simulator:
-it orchestrates the Figure-1 handshake by command (activation on the
-initiator's shard, subscription everywhere, eager join, view refresh) and
-advances simulated time through the conservative barrier loop.
+:class:`~repro.simnet.shard.ShardCluster`.  Each worker holds a
+``GossipGroup`` slice (``GossipGroup(config=..., shard=i)``); the parent
+holds no simulator, sends each setup step as a command to the slice
+holding the node it acts on (or to every slice), and advances simulated
+time through the conservative barrier loop.
 
 Use ``GossipConfig(shards=K).build()`` rather than instantiating this
 directly; ``shards=1`` builds the plain single-process group, whose wire
@@ -16,17 +18,17 @@ behaviour is byte-for-byte unchanged.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.core.message import GossipStyle
+from repro.core.api import GroupScript, topology_names
 from repro.core.params import ParamError
-from repro.core.shardworker import gossip_shard_worker, topology_names
+from repro.core.shardworker import gossip_shard_worker
 from repro.obs.hub import MetricsHub
 from repro.simnet.latency import FixedLatency
 from repro.simnet.shard import ShardCluster, ShardPlan, compute_lookahead
 
 
-class ShardedGossipGroup:
+class ShardedGossipGroup(GroupScript):
     """One WS-Gossip deployment simulated across K worker processes."""
 
     def __init__(self, config: Any) -> None:
@@ -63,17 +65,8 @@ class ShardedGossipGroup:
             gossip_shard_worker,
             (config.to_dict(),),
         )
-        self._coord_shard = self.plan.shard_of("coordinator")
-        self._init_shard = self.plan.shard_of("initiator")
-        self.activity_id: Optional[str] = None
-        self._setup_done = False
 
     # -- topology ------------------------------------------------------------
-
-    @property
-    def population(self) -> int:
-        """Number of application endpoints (initiator + d* + c*)."""
-        return 1 + self.config.n_disseminators + self.config.n_consumers
 
     @property
     def barriers(self) -> int:
@@ -92,71 +85,13 @@ class ShardedGossipGroup:
         """
         return list(self.cluster.busy)
 
-    # -- orchestration -------------------------------------------------------
+    # -- the GroupScript primitives -------------------------------------------
 
-    def _state(self, shard_index: int) -> Dict[str, Any]:
-        return self.cluster.command(shard_index, {"op": "state"})
+    def _on(self, node: str, step: str, **args: Any) -> Dict[str, Any]:
+        return self.cluster.command(self.plan.shard_of(node), {"op": step, **args})
 
-    def setup(self, settle: float = 2.0, eager_join: Optional[bool] = None) -> str:
-        """Activate, subscribe and refresh -- GossipGroup.setup by command."""
-        if self._setup_done:
-            if self.activity_id is None:
-                raise RuntimeError("previous setup did not complete")
-            return self.activity_id
-        self._setup_done = True
-
-        addresses = self.cluster.command(self._coord_shard, {"op": "addresses"})
-
-        for _ in range(5):  # activation is control traffic: retry on loss
-            self.cluster.command(
-                self._init_shard,
-                {"op": "activate", "activation_address": addresses["activation"]},
-            )
-            self.run_for(settle)
-            state = self._state(self._init_shard)
-            if state["activity_id"] is not None:
-                break
-        if state["activity_id"] is None:
-            raise RuntimeError("activation did not complete; is the coordinator up?")
-        self.activity_id = state["activity_id"]
-
-        for _ in range(5):  # subscriptions retried until acknowledged
-            self.cluster.broadcast(
-                {
-                    "op": "subscribe",
-                    "subscription_address": addresses["subscription"],
-                    "activity_id": self.activity_id,
-                }
-            )
-            self.run_for(settle)
-            states = self.cluster.broadcast({"op": "state"})
-            if not any(s["subscribe_pending"] for s in states):
-                break
-
-        style_name = self.config.params.get("style")
-        style = GossipStyle(style_name) if style_name else GossipStyle.PUSH
-        if eager_join is None:
-            eager_join = style is not GossipStyle.PUSH
-        if eager_join:
-            context_xml = self._state(self._init_shard)["context"]
-            self.cluster.broadcast({"op": "join", "context": context_xml})
-            self.run_for(settle)
-
-        for _ in range(5):  # the refresh reply rides the same lossy fabric
-            self.cluster.command(self._init_shard, {"op": "refresh_view"})
-            self.run_for(settle)
-            if self._state(self._init_shard)["view_ready"]:
-                break
-        return self.activity_id
-
-    def publish(self, value: Any) -> str:
-        """Disseminate one data item from the initiator."""
-        if self.activity_id is None:
-            raise RuntimeError("call setup() before publish()")
-        reply = self.cluster.command(
-            self._init_shard, {"op": "publish", "value": value}
-        )
-        return reply["message_id"]
+    def _each(self, step: str, **args: Any) -> List[Dict[str, Any]]:
+        return self.cluster.broadcast({"op": step, **args})
 
     def run_for(self, duration: float) -> None:
         """Advance simulated time by ``duration`` seconds (barrier loop)."""
@@ -164,33 +99,9 @@ class ShardedGossipGroup:
 
     # -- measurements --------------------------------------------------------
 
-    def _measure(self, gossip_id: str) -> Dict[str, Any]:
-        receivers: List[str] = []
-        times: List[float] = []
-        for reply in self.cluster.broadcast(
-            {"op": "measure", "message_ids": [gossip_id]}
-        ):
-            receivers.extend(reply["receivers"][gossip_id])
-            times.extend(reply["times"][gossip_id])
-        return {"receivers": receivers, "times": times}
-
     def receivers(self, gossip_id: str) -> List[str]:
         """Names of nodes (initiator excluded) whose app saw the item."""
         return self._measure(gossip_id)["receivers"]
-
-    def delivered_fraction(self, gossip_id: str) -> float:
-        """Fraction of non-initiator app endpoints that received the item."""
-        others = self.population - 1
-        if others <= 0:
-            return 1.0
-        return len(self.receivers(gossip_id)) / others
-
-    def is_atomic(self, gossip_id: str) -> bool:
-        return self.delivered_fraction(gossip_id) >= 1.0
-
-    def delivery_times(self, gossip_id: str) -> List[float]:
-        """First-delivery times across receiving nodes (all shards)."""
-        return self._measure(gossip_id)["times"]
 
     def merged_hub(self) -> MetricsHub:
         """A fresh, detached hub holding the K shard hubs merged (see
@@ -199,7 +110,7 @@ class ShardedGossipGroup:
         Detached (``parent=None``): every read merges anew, so a parent
         would be handed the same totals again on each read."""
         return MetricsHub.merged(
-            (reply["state"] for reply in self.cluster.broadcast({"op": "hub"})),
+            (reply["state"] for reply in self._each("hub")),
             name="sharded-gossip-group",
         )
 
@@ -211,17 +122,6 @@ class ShardedGossipGroup:
     def message_counts(self) -> Dict[str, int]:
         """Network-level counters summed across every shard."""
         return self.merged_hub().counters()
-
-    def trace_digests(self) -> List[Dict[str, Any]]:
-        """Per-shard run digests (determinism checks; needs ``trace=True``)."""
-        return [
-            {
-                "digest": reply["digest"],
-                "trace_events": reply["trace_events"],
-                "events_executed": reply["events_executed"],
-            }
-            for reply in self.cluster.broadcast({"op": "trace_digest"})
-        ]
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -37,14 +37,16 @@ style:
 
 The module is deployment-agnostic: :class:`ShardCluster` only knows how to
 spawn workers, run the barrier loop and route envelopes.  What a worker
-*builds* (nodes, protocol stack) is supplied by the caller as a module-level
-worker function -- see :mod:`repro.core.shardworker` for the gossip one.
+*builds* is supplied by the caller as a module-level worker function; the
+gossip one (:mod:`repro.core.shardworker`) builds a
+:class:`~repro.core.api.GossipGroup` slice and serves it through
+:func:`shard_worker_loop`, so a sharded run executes the same node code and
+the same setup steps as a single-process one.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 import zlib
 from typing import (
@@ -67,22 +69,9 @@ from repro.simnet.latency import LatencyModel
 #: simulated network, so no re-serialization happens at the boundary.
 Envelope = Tuple[float, str, str, Any, int, float]
 
-#: Environment override for the multiprocessing start method ("fork",
-#: "spawn", "forkserver").  Default: "fork" where available (fast worker
-#: startup), else the platform default.
-START_METHOD_ENV = "REPRO_SHARD_START_METHOD"
-
 
 class ShardWorkerError(RuntimeError):
     """A worker process reported an exception (message carries its repr)."""
-
-
-def default_start_method() -> str:
-    override = os.environ.get(START_METHOD_ENV)
-    if override:
-        return override
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else methods[0]
 
 
 class ShardPlan:
@@ -219,7 +208,8 @@ class ShardEgress:
 def shard_worker_loop(conn: Any, runtime: Any) -> None:
     """The generic worker main loop: serve parent commands until "stop".
 
-    ``runtime`` supplies the deployment specifics:
+    ``runtime`` supplies the deployment specifics (for gossip, a
+    :class:`~repro.core.api.GossipGroup` slice):
 
     * ``runtime.sim`` -- the worker's :class:`Simulator`.
     * ``runtime.network`` -- the worker's :class:`Network` (egress hook
@@ -227,8 +217,10 @@ def shard_worker_loop(conn: Any, runtime: Any) -> None:
     * ``runtime.egress`` -- the :class:`ShardEgress` to drain into replies.
     * ``runtime.activate()`` -- a context manager making the worker's
       metrics hub current (``contextlib.nullcontext()`` if unused).
-    * ``runtime.handle(msg)`` -- deployment commands; returns the reply
-      dict (``"ok"``/``"egress"``/``"next"`` are filled in here).
+    * ``runtime.handle(msg)`` -- deployment commands (the group's setup
+      steps); returns the reply dict (``"ok"``/``"egress"``/``"next"`` are
+      filled in here).  An exception becomes an ``ok: False`` reply and
+      the loop keeps serving.
 
     Every reply carries ``next`` (the worker's earliest pending event time)
     so the parent can compute the global minimum ``m`` for the next
@@ -303,7 +295,6 @@ class ShardCluster:
         lookahead: float,
         worker: Callable[..., None],
         worker_args: Sequence[Any] = (),
-        start_method: Optional[str] = None,
     ) -> None:
         if lookahead <= 0.0:
             raise ValueError(f"lookahead must be positive: {lookahead!r}")
@@ -322,7 +313,10 @@ class ShardCluster:
         ]
         self._egress_seq = [0] * plan.shards
         self._closed = False
-        ctx = multiprocessing.get_context(start_method or default_start_method())
+        # "fork" where available (fast worker startup), else the platform
+        # default; the worker is module-level, so either start method works.
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
         try:
             for index in range(plan.shards):
                 parent_conn, child_conn = ctx.Pipe()

@@ -9,9 +9,12 @@ line count.  A ``def`` nested inside one that never ran is not listed
 again.
 
 Code run only in subprocesses is invisible to it: the profiler sees this
-process alone.  The shard workers (``repro.core.shardworker``, the
-processes behind ``GossipConfig(shards=K)``) are such code, so they read
-as never run.  The census prints and is not a gate.
+process alone.  The shard workers behind ``GossipConfig(shards=K)`` run
+the same ``GossipGroup`` code as a single-process group (each holds a
+``GossipGroup(config=..., shard=i)`` slice), and a test serves such a
+slice through ``shard_worker_loop`` on a thread, so only the process
+entry point itself (``gossip_shard_worker``) reads as never run.  The
+census prints and is not a gate.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ batched wire path disseminates, interoperates with unbatched peers, and
 survives crash-recovery replay.
 """
 
+import re
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape, unescape
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from repro import GossipConfig, ParamError
 from repro.core.batch import (
     BATCH_MARKER,
+    BATCH_TAG,
     _ids_xml,
     _scan_ids_region,
     BatchControl,
@@ -23,6 +25,7 @@ from repro.core.batch import (
     batch_has_control,
     build_batch,
     control_from_element,
+    frames_from_element,
     is_batch_frame,
     scan_batch_activity,
     scan_batch_control,
@@ -33,6 +36,7 @@ from repro.core.batch import (
 from repro.core.params import GossipParams
 from repro.obs.hub import default_hub
 from repro.soap import namespaces as ns
+from repro.xmlutil import canonical_bytes
 
 
 FRAMES = [
@@ -453,3 +457,243 @@ class TestIdLists:
     @example(region=b"<g:Id>\xff</g:Id>")
     def test_reader_equals_the_per_id_form(self, region):
         assert outcome(_scan_ids_region, region) == outcome(scan_ids_per_id, region)
+
+
+# -- foreign input: the byte scanners against the parsed path -----------------
+#
+# An interop peer may re-serialize a batch: other prefixes, reordered or
+# single-quoted attributes, whitespace between sections, CDATA, character
+# references, decoy batch markup in a header or inside an embedded frame.
+# Every byte scanner must then either bail (BatchError / None) or read
+# exactly what a full XML parse reads.
+
+DECOY = (
+    b"<g:GossipBatch activity=\"decoy\" holder=\"decoy\" ctl=\"1\">"
+    b"<g:Sizes>5</g:Sizes><g:Rumors><a/>x</g:Rumors>"
+    b"<g:Feedback><g:Id>decoy</g:Id></g:Feedback></g:GossipBatch>"
+)
+
+
+def _rename(prefix, new):
+    def edit(data):
+        for old_bytes, new_bytes in (
+            (b"xmlns:%s=" % prefix, b"xmlns:%s=" % new),
+            (b"<%s:" % prefix, b"<%s:" % new),
+            (b"</%s:" % prefix, b"</%s:" % new),
+        ):
+            data = data.replace(old_bytes, new_bytes)
+        return data
+
+    return edit
+
+
+_BATCH_OPEN = re.compile(rb"<[\w.-]+:GossipBatch")
+_ATTRIBUTE = re.compile(rb"""\s+([\w:]+)=("[^"]*"|'[^']*')""")
+
+
+_BODY_OPEN = re.compile(rb"<[\w.-]+:Body>")
+_RUMORS_CLOSE = re.compile(rb"</[\w.-]+:Rumors>")
+
+
+def _batch_tag(data):
+    """Start and end of the batch open tag's attribute region (the one
+    in the Body, not a decoy quoted in a header)."""
+    start = _BATCH_OPEN.search(data, _BODY_OPEN.search(data).end()).end()
+    return start, data.index(b">", start)
+
+
+def _control_start(data):
+    """Where the control sections begin (past any quoted markup)."""
+    return list(_RUMORS_CLOSE.finditer(data))[-1].end()
+
+
+def _reorder_attributes(data):
+    start, end = _batch_tag(data)
+    pairs = _ATTRIBUTE.findall(data[start:end])
+    region = b"".join(b" %s=%s" % pair for pair in reversed(pairs))
+    return data[:start] + region + data[end:]
+
+
+def _single_quotes(data):
+    start, end = _batch_tag(data)
+    region = data[start:end].replace(b"'", b"&apos;").replace(b'"', b"'")
+    return data[:start] + region + data[end:]
+
+
+def _char_reference(data):
+    start, end = _batch_tag(data)
+    at = data.index(b"activity=", start) + len(b"activity=") + 1
+    char = data[at : at + 1]
+    if at >= end or char in (b'"', b"'", b"&") or not char.isascii():
+        return data
+    return data[:at] + b"&#%d;" % char[0] + data[at + 1 :]
+
+
+def _literal_controls(data):
+    # A parser folds a literal tab or newline in an attribute value to a
+    # space; the writer sends them as character references.
+    start, end = _batch_tag(data)
+    region = data[start:end].replace(b"&#9;", b"\t").replace(b"&#10;", b"\n")
+    return data[:start] + region + data[end:]
+
+
+def _whitespace(data):
+    for marker in (b"<g:Sizes>", b"<g:Rumors>", b"</g:GossipBatch>"):
+        data = data.replace(marker, b"\n  " + marker, 1)
+    return data.replace(b"</g:Rumors>", b"</g:Rumors>\n  ", 1)
+
+
+def _header_cdata(data):
+    note = b'<x:Note xmlns:x="urn:decoy"><![CDATA[' + DECOY + b"]]></x:Note>"
+    return data.replace(b"<soap:Header>", b"<soap:Header>" + note, 1)
+
+
+def _header_element(data):
+    note = (
+        b'<x:Note xmlns:x="urn:decoy" xmlns:g="urn:decoy:g">'
+        b"<g:Sizes>1 2</g:Sizes><g:Rumors>abc</g:Rumors></x:Note>"
+    )
+    return data.replace(b"<soap:Header>", b"<soap:Header>" + note, 1)
+
+
+def _to_cdata(data):
+    start = data.index(b"<wsa:To>") + len(b"<wsa:To>")
+    return data[:start] + b"<![CDATA[</wsa:To>]]>" + data[start:]
+
+
+def _cdata_ids(data):
+    start = data.find(b"<g:Id>", _control_start(data))
+    if start == -1:
+        return data
+    start += len(b"<g:Id>")
+    end = data.index(b"</g:Id>", start)
+    text = unescape(data[start:end].decode("utf-8"))
+    if "]]>" in text:
+        return data
+    return data[:start] + b"<![CDATA[" + text.encode("utf-8") + b"]]>" + data[end:]
+
+
+def _empty_id_tag(data):
+    start = _control_start(data)
+    return data[:start] + data[start:].replace(b"<g:Id></g:Id>", b"<g:Id/>", 1)
+
+
+def _extra_attribute(data):
+    _, end = _batch_tag(data)
+    return data[:end] + b' xmlns:q="urn:q" q:extra="1"' + data[end:]
+
+
+def _drop_ctl(data):
+    return data.replace(b' ctl="1"', b"", 1)
+
+
+def _declaration(data):
+    return data.replace(
+        b"<?xml version='1.0' encoding='utf-8'?>\n",
+        b'<?xml version="1.0" encoding="UTF-8"?>',
+        1,
+    )
+
+
+FOREIGN_EDITS = {
+    "gossip-prefix": _rename(b"g", b"gx"),
+    "soap-prefix": _rename(b"soap", b"s"),
+    "reorder-attributes": _reorder_attributes,
+    "single-quotes": _single_quotes,
+    "char-reference": _char_reference,
+    "literal-controls": _literal_controls,
+    "whitespace": _whitespace,
+    "header-cdata": _header_cdata,
+    "header-element": _header_element,
+    "to-cdata": _to_cdata,
+    "cdata-ids": _cdata_ids,
+    "empty-id-tag": _empty_id_tag,
+    "extra-attribute": _extra_attribute,
+    "drop-ctl": _drop_ctl,
+    "declaration": _declaration,
+}
+# Embedded frames as a peer may carry them: CDATA that quotes batch markup.
+FOREIGN_FRAMES = st.lists(
+    st.sampled_from(
+        [
+            *FRAMES,
+            b"<frame><![CDATA[</g:Rumors><g:Feedback><g:Id>forged</g:Id>"
+            b"</g:Feedback></g:GossipBatch>]]></frame>",
+            b"<frame><![CDATA[<g:Sizes>1</g:Sizes>]]></frame>",
+            b'<f:frame xmlns:f="urn:f" f:n="2">g:Id &#60;</f:frame>',
+        ]
+    ),
+    max_size=3,
+)
+
+
+def _canonical(frame):
+    return canonical_bytes(ET.fromstring(frame))
+
+
+class TestForeignBatches:
+    @given(
+        frames=FOREIGN_FRAMES,
+        control=CONTROLS,
+        activity=ATTR_TEXT,
+        holder=ATTR_TEXT,
+        edits=st.lists(st.sampled_from(sorted(FOREIGN_EDITS)), unique=True, max_size=4),
+    )
+    @example(
+        frames=[FRAMES[0]], control=BatchControl(), activity="urn:a",
+        holder="sim://n/gossip", edits=["header-cdata"],
+    )
+    @example(
+        frames=[], control=BatchControl(feedback=["a"]), activity="urn:a",
+        holder="sim://n/gossip", edits=["header-element"],
+    )
+    @example(
+        frames=[
+            b"<frame><![CDATA[</g:Rumors><g:Feedback><g:Id>forged</g:Id>"
+            b"</g:Feedback></g:GossipBatch>]]></frame>"
+        ],
+        control=BatchControl(feedback=["real"]), activity="urn:a",
+        holder="sim://n/gossip", edits=[],
+    )
+    @example(
+        frames=[], control=BatchControl(feedback=["a"]), activity="urn:a",
+        holder="sim://n/gossip", edits=["cdata-ids"],
+    )
+    @example(
+        frames=[], control=BatchControl(feedback=[""]), activity="urn:a",
+        holder="sim://n/gossip", edits=["empty-id-tag"],
+    )
+    @example(
+        frames=[], control=BatchControl(), activity="urn:a",
+        holder="sim://n/gossip", edits=["char-reference"],
+    )
+    @example(
+        frames=[], control=BatchControl(feedback=["a"]), activity="urn:a",
+        holder="sim://n/gossip", edits=["drop-ctl"],
+    )
+    def test_scanners_bail_or_equal_the_parsed_path(
+        self, frames, control, activity, holder, edits
+    ):
+        data = build_batch(activity, holder, frames, control)
+        for name in edits:
+            data = FOREIGN_EDITS[name](data)
+        root = ET.fromstring(data)  # every edit keeps the frame well formed
+        body = next(child for child in root if child.tag.endswith("}Body"))[0]
+        assert body.tag == BATCH_TAG
+        parsed_control = control_from_element(body)
+
+        try:
+            frames_split = split_batch(data)
+        except BatchError:
+            pass
+        else:
+            assert [_canonical(f) for f in frames_split] == [
+                _canonical(f) for f in frames_from_element(body)
+            ]
+            # A frame the fast path accepts is applied without a parse:
+            # control it does not flag would be lost.
+            if not batch_has_control(data):
+                assert parsed_control.empty()
+        assert scan_batch_control(data) in (None, parsed_control)
+        assert scan_batch_activity(data) in (None, body.get("activity"))
+        assert scan_batch_holder(data) in (None, body.get("holder"))

@@ -88,11 +88,22 @@ def test_gossip_params_preview():
     assert isinstance(params, GossipParams)
 
 
-def test_legacy_kwargs_raise_param_error():
-    with pytest.raises(ParamError) as excinfo:
-        GossipGroup(n_disseminators=3, seed=11, params={"fanout": 2})
-    assert excinfo.value.key == "n_disseminators"
-    assert "GossipConfig" in str(excinfo.value)  # points at the replacement
+@pytest.mark.parametrize(
+    "legacy",
+    [
+        {"n_disseminators": 3},
+        {"seed": 11},
+        {"params": {"fanout": 2}},
+        {"loss_rate": 0.1, "trace": True},
+    ],
+)
+def test_legacy_kwargs_raise_type_error(legacy):
+    # 7.0.0: the rejected keyword soup is gone from the signature; only
+    # config= (and the shard worker's shard=) remain.
+    with pytest.raises(TypeError, match=sorted(legacy)[0]):
+        GossipGroup(**legacy)
+    with pytest.raises(TypeError):
+        GossipGroup(GossipConfig())  # config is keyword-only
 
 
 def test_config_constructor_does_not_warn(recwarn):

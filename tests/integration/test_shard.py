@@ -13,11 +13,15 @@ Config errors must surface as :class:`~repro.core.params.ParamError`
 naming the offending key, before any worker process is spawned.
 """
 
+import multiprocessing
+import threading
+
 import pytest
 
-from repro.core.api import GossipConfig
+from repro.core.api import GossipConfig, GossipGroup, topology_names
 from repro.core.params import ParamError
 from repro.obs.hub import default_hub
+from repro.simnet.shard import ShardPlan, shard_worker_loop
 
 CONTRACT = dict(
     n_disseminators=39,
@@ -139,3 +143,98 @@ class TestShardParamErrors:
                 n_disseminators=10, shards=2, latency=FixedLatency(0.0)
             ).build()
         assert excinfo.value.key == "latency"
+
+
+class TestGossipGroupSlices:
+    """A shard worker's ``GossipGroup(config=..., shard=i)`` slice, in process."""
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_slices_partition_the_topology(self, shards):
+        config = GossipConfig(**dict(CONTRACT, n_consumers=5, shards=shards))
+        names = topology_names(config.n_disseminators, config.n_consumers)
+        plan = ShardPlan(names, shards)
+        held = [
+            {node.name for node in GossipGroup(config=config, shard=k).all_nodes()}
+            for k in range(shards)
+        ]
+        for k, members in enumerate(held):
+            assert members == set(plan.members(k))
+            for other in held[k + 1 :]:
+                assert not members & other
+        assert set().union(*held) == set(names)
+
+    def test_worker_loop_serves_a_slice(self):
+        # With K=2 the name hash puts the coordinator on shard 0 and the
+        # initiator on shard 1.  Shard 0 is served through the worker loop
+        # on a thread; the test plays the parent and drives shard 1 by
+        # direct calls, ferrying the envelopes between them.
+        config = GossipConfig(**dict(CONTRACT, seed=11, shards=2, trace=True))
+        served = GossipGroup(config=config, shard=0)
+        peer = GossipGroup(config=config, shard=1)
+        assert served.coordinator is not None and served.initiator is None
+        assert peer.initiator is not None and peer.coordinator is None
+
+        parent, child = multiprocessing.Pipe()
+        worker = threading.Thread(
+            target=shard_worker_loop, args=(child, served), daemon=True
+        )
+        worker.start()
+
+        def ask(**msg):
+            parent.send(msg)
+            assert parent.poll(10.0), f"no reply to {msg['op']!r}"
+            return parent.recv()
+
+        try:
+            addresses = ask(op="addresses")
+            assert addresses["ok"] and addresses["egress"] == []
+            assert addresses["activation"] == served.coordinator.activation_address
+
+            # The activation request crosses into the served slice as
+            # injected ingress; the coordinator's answer comes back as egress.
+            peer.handle({"op": "activate", "address": addresses["activation"]})
+            request = peer.egress.drain()
+            assert [envelope[2] for envelope in request] == ["coordinator"]
+            advanced = ask(op="advance", until=0.5, inbound=request)
+            assert advanced["ok"] and advanced["busy"] >= 0.0
+            answer = advanced["egress"]
+            assert answer and {envelope[2] for envelope in answer} == {"initiator"}
+            for deliver, source, destination, payload, size, sent in answer:
+                peer.network.inject_ingress(
+                    source, destination, payload, size, sent, deliver
+                )
+            peer.sim.run_until(0.5)
+            activity_id = peer.handle({"op": "state"})["activity_id"]
+            assert activity_id is not None
+
+            # Setup steps on the served slice: subscribe sends its requests
+            # to the local coordinator; state reports what is pending.
+            pending = ask(op="state")
+            assert pending["ok"] and pending["activity_id"] is None
+            assert pending["subscribe_pending"] == [
+                node.name for node in served.app_nodes()
+            ]
+            assert ask(
+                op="subscribe",
+                address=addresses["subscription"],
+                activity_id=activity_id,
+            )["ok"]
+            ask(op="advance", until=1.0, inbound=[])
+            assert ask(op="state")["subscribe_pending"] == []
+            measured = ask(op="measure", gossip_id="urn:never-published")
+            assert measured["receivers"] == [] and measured["times"] == []
+
+            # An unknown step is reported, and the loop keeps serving.
+            unknown = ask(op="no-such-step")
+            assert unknown["ok"] is False
+            assert "no-such-step" in unknown["error"]
+            digest = ask(op="trace_digest")
+            assert digest["ok"] and digest["trace_events"] > 0
+            assert ask(op="hub")["state"]
+
+            assert ask(op="stop") == {"ok": True}
+            worker.join(timeout=10.0)
+            assert not worker.is_alive()
+        finally:
+            parent.close()
+            child.close()
